@@ -230,7 +230,8 @@ def _pointwise(a, b):
 def verify_grading(grading: Grading) -> CertificateReport:
     """Exact verification of the grading axioms plus structural instance checks.
 
-    Checks: the component bases span K^n; the all-ones unit lies in the
+    Checks: the component bases together hold n vectors of rank n, so
+    each is independent and their sum is K^n; the all-ones unit lies in the
     identity component; every pointwise product of basis vectors lands in
     the span of its target component (witness recorded on failure); every
     supported element has finite order; when the grading is both ergodic
@@ -244,7 +245,7 @@ def verify_grading(grading: Grading) -> CertificateReport:
     rows.append(IdentityCheck(
         "direct sum spans K^n",
         f"rank {rk} of {len(all_vectors)} component basis vectors (need {grading.n})",
-        rk == grading.n))
+        rk == grading.n == len(all_vectors)))
     ones = tuple(_ONE for _ in range(grading.n))
     id_basis = grading.identity_basis()
     rows.append(IdentityCheck(

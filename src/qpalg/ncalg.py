@@ -286,10 +286,9 @@ class TensorAlgebra:
     """Tensor power of a free algebra encoded inside one free algebra.
 
     Factor i of a k-fold tensor product gets its own tagged copy of the
-    base alphabet; letters of later factors commute past letters of
-    earlier ones, so every word straightens to factor-sorted form.  The
-    straightening rules decrease deglex because factor-0 letters come
-    first in the combined alphabet.
+    base alphabet; letters of different factors commute, so every word
+    straightens to factor-sorted form, which is deglex-smallest because
+    factor-0 letters come first in the combined alphabet.
     """
 
     def __init__(self, base: Alphabet, factors: int = 2):
@@ -327,19 +326,6 @@ class TensorAlgebra:
         for t, part in enumerate(parts):
             acc = acc * self.inject(part, t)
         return acc
-
-    def straighten_relations(self) -> list[NCPoly]:
-        """Cross-commutation relations: later-factor letter past earlier one."""
-        rels = []
-        nb = len(self.base)
-        for hi in range(1, self.factors):
-            for lo in range(hi):
-                for g in range(nb):
-                    for h in range(nb):
-                        a = self.letter(g, hi)
-                        b = self.letter(h, lo)
-                        rels.append(NCPoly(self.alphabet, {(a, b): 1, (b, a): -1}))
-        return rels
 
     def split_word(self, w: Word) -> list[Word]:
         """Per-factor words of a straightened (factor-sorted) word."""

@@ -22,8 +22,8 @@ from . import linalg
 from .groups import FunctionOnSn, all_perms, e_sigma_product_check
 from .ncalg import Alphabet, NCPoly, TensorAlgebra, evaluate_scalar, substitute
 from .reports import CertificateReport, IdentityCheck, VERIFIED
-from .rewrite import (CONFLUENT, RewriteSystem, complete, filtration_dimension,
-                      normal_form, quotient_basis)
+from .rewrite import (CONFLUENT, RewriteSystem, TensorPowerSystem, complete,
+                      filtration_dimension, normal_form, quotient_basis)
 
 ROW_ORTH = "row-orth"      # x_ki x_kj = delta_ij x_ki  (within a row)
 ROW_SUM = "row-sum"        # sum_k x_ik = 1
@@ -38,39 +38,39 @@ def u_names(n: int) -> list[str]:
     return [f"u{i}{sep}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
+def _family_relations(entry, zero: NCPoly, n: int, families) -> list[tuple[str, NCPoly]]:
+    """Labeled relation instances of the chosen families over entry(i, j)."""
+    rels = []
+    for fam in families:
+        if fam in (ROW_ORTH, COL_ORTH):
+            for k in range(1, n + 1):
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        d = 1 if i == j else 0
+                        if fam == ROW_ORTH:
+                            poly = entry(k, i) * entry(k, j) - d * entry(k, i)
+                        else:
+                            poly = entry(i, k) * entry(j, k) - d * entry(i, k)
+                        rels.append((f"{fam}[k={k},i={i},j={j}]", poly))
+        elif fam in (ROW_SUM, COL_SUM):
+            for i in range(1, n + 1):
+                if fam == ROW_SUM:
+                    total = sum((entry(i, k) for k in range(1, n + 1)), zero)
+                else:
+                    total = sum((entry(k, i) for k in range(1, n + 1)), zero)
+                rels.append((f"{fam}[i={i}]", total - 1))
+        else:
+            raise ValueError(f"unknown relation family {fam!r}")
+    return rels
+
+
 def family_relations(alphabet: Alphabet, n: int, families) -> list[tuple[str, NCPoly]]:
     """Labeled defining relation instances for the chosen families."""
 
     def u(i, j):
         return NCPoly.gen(alphabet, (i - 1) * n + (j - 1))
 
-    rels = []
-    for fam in families:
-        if fam == ROW_ORTH:
-            for k in range(1, n + 1):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        d = 1 if i == j else 0
-                        rels.append((f"{fam}[k={k},i={i},j={j}]",
-                                     u(k, i) * u(k, j) - d * u(k, i)))
-        elif fam == COL_ORTH:
-            for k in range(1, n + 1):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        d = 1 if i == j else 0
-                        rels.append((f"{fam}[k={k},i={i},j={j}]",
-                                     u(i, k) * u(j, k) - d * u(i, k)))
-        elif fam == ROW_SUM:
-            for i in range(1, n + 1):
-                total = sum((u(i, k) for k in range(1, n + 1)), NCPoly.zero(alphabet))
-                rels.append((f"{fam}[i={i}]", total - 1))
-        elif fam == COL_SUM:
-            for i in range(1, n + 1):
-                total = sum((u(k, i) for k in range(1, n + 1)), NCPoly.zero(alphabet))
-                rels.append((f"{fam}[i={i}]", total - 1))
-        else:
-            raise ValueError(f"unknown relation family {fam!r}")
-    return rels
+    return _family_relations(u, NCPoly.zero(alphabet), n, families)
 
 
 @dataclass
@@ -193,7 +193,8 @@ class MatrixOverAlgebra:
         return cls(n, entries, ambient)
 
 
-def _reduce_row(label: str, poly: NCPoly, system: RewriteSystem) -> IdentityCheck:
+def _reduce_row(label: str, poly: NCPoly,
+                system: RewriteSystem | TensorPowerSystem) -> IdentityCheck:
     nf = normal_form(poly, system)
     ok = not nf
     definite = system.status == CONFLUENT
@@ -213,30 +214,7 @@ def check_families(x: MatrixOverAlgebra, families, claim: str) -> CertificateRep
 
 
 def family_relations_for_matrix(x: MatrixOverAlgebra, families) -> list[tuple[str, NCPoly]]:
-    n = x.n
-    out = []
-    for fam in families:
-        if fam in (ROW_ORTH, COL_ORTH):
-            for k in range(1, n + 1):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        d = 1 if i == j else 0
-                        if fam == ROW_ORTH:
-                            poly = x.entry(k, i) * x.entry(k, j) - d * x.entry(k, i)
-                        else:
-                            poly = x.entry(i, k) * x.entry(j, k) - d * x.entry(i, k)
-                        out.append((f"{fam}[k={k},i={i},j={j}]", poly))
-        elif fam == ROW_SUM:
-            for i in range(1, n + 1):
-                total = sum((x.entry(i, k) for k in range(1, n + 1)),
-                            NCPoly.zero(x.ambient.alphabet))
-                out.append((f"{fam}[i={i}]", total - 1))
-        elif fam == COL_SUM:
-            for i in range(1, n + 1):
-                total = sum((x.entry(k, i) for k in range(1, n + 1)),
-                            NCPoly.zero(x.ambient.alphabet))
-                out.append((f"{fam}[i={i}]", total - 1))
-    return out
+    return _family_relations(x.entry, NCPoly.zero(x.ambient.alphabet), x.n, families)
 
 
 def check_semi_magic(x: MatrixOverAlgebra) -> CertificateReport:
@@ -247,26 +225,10 @@ def check_magic(x: MatrixOverAlgebra) -> CertificateReport:
     return check_families(x, ALL_FAMILIES, f"{x.n}x{x.n} matrix is magic")
 
 
-def build_tensor_system(system: RewriteSystem, factors: int = 2,
-                        tensor: TensorAlgebra | None = None
-                        ) -> tuple[TensorAlgebra, RewriteSystem]:
-    """Rule set for A^(tensor k): per-factor rule copies plus straightening."""
-    tensor = tensor or TensorAlgebra(system.alphabet, factors)
-    rels = []
-    for rule in system.rules:
-        rel = rule.as_relation()
-        for f in range(factors):
-            rels.append(tensor.inject(rel, f))
-    rels.extend(tensor.straighten_relations())
-    return tensor, RewriteSystem.from_relations(tensor.alphabet, rels)
-
-
-def check_multiplicative(x: MatrixOverAlgebra, hopf: HopfPresentation,
-                         tensor_system: RewriteSystem | None = None) -> CertificateReport:
+def check_multiplicative(x: MatrixOverAlgebra, hopf: HopfPresentation) -> CertificateReport:
     """Delta(x_ij) = sum_k x_ik (x) x_kj and eps(x_ij) = delta_ij, entry-wise."""
     tensor = hopf.tensor2
-    if tensor_system is None:
-        tensor, tensor_system = build_tensor_system(x.ambient, 2, hopf.tensor2)
+    tensor_system = TensorPowerSystem(x.ambient, tensor)
     rows = []
     n = x.n
     for i in range(1, n + 1):
@@ -346,8 +308,9 @@ def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateRepor
     """
     comp = complete(hopf.system, cap)
     base = comp.system
-    tensor2, t2sys = build_tensor_system(base, 2, hopf.tensor2)
-    tensor3, t3sys = build_tensor_system(base, 3)
+    tensor2, tensor3 = hopf.tensor2, TensorAlgebra(hopf.alphabet, 3)
+    t2sys = TensorPowerSystem(base, tensor2)
+    t3sys = TensorPowerSystem(base, tensor3)
     rows = []
     for label, rel in hopf.relations:
         rows.append(_reduce_row(f"delta well-defined[{label}]",

@@ -1,9 +1,9 @@
 """Certificate and run reports shared by every verifier.
 
 A certificate collects one row per checked identity.  The verdict is
-"verified" only when every identity reduced to zero and no row was
-inconclusive; a definite nonzero witness yields "refuted_with_witness",
-anything else is "inconclusive".
+"verified" only when there is at least one row, every identity reduced
+to zero and no row was inconclusive; a definite nonzero witness yields
+"refuted_with_witness", anything else is "inconclusive".
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ class CertificateReport:
     @classmethod
     def from_identities(cls, claim: str, identities, details=None) -> "CertificateReport":
         identities = list(identities)
-        if all(c.reduced_to_zero and not c.inconclusive for c in identities):
+        if not identities:
+            verdict = INCONCLUSIVE          # a certificate without rows shows nothing
+        elif all(c.reduced_to_zero and not c.inconclusive for c in identities):
             verdict = VERIFIED
         elif any(not c.reduced_to_zero and not c.inconclusive for c in identities):
             verdict = REFUTED
@@ -70,12 +72,6 @@ class CertificateReport:
             lines.append(f"  [{status}] {c.label}: {c.polynomial}")
         lines.append(f"verdict: {self.verdict}")
         return lines
-
-
-def check_row(label: str, poly_or_text, ok: bool, definite: bool = True) -> IdentityCheck:
-    """Row helper: a failed check on a non-confluent system is inconclusive."""
-    text = poly_or_text if isinstance(poly_or_text, str) else poly_or_text.render()
-    return IdentityCheck(label, text, ok, inconclusive=(not ok and not definite))
 
 
 def merge_verdicts(verdicts) -> str:

@@ -6,7 +6,9 @@ word and normal forms terminate.  Completion resolves critical pairs in
 increasing overlap degree up to a cap; a system that exhausts all pairs is
 confluent and its normal forms are canonical coset representatives.  A
 truncated system still certifies "reduces to zero", but a nonzero normal
-form from it is inconclusive as an ideal non-membership claim.
+form from it is inconclusive as an ideal non-membership claim.  Tensor
+powers of a presented algebra are reduced factor by factor against its
+own rules and carry its status.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import Cyclotomic
-from .ncalg import Alphabet, NCPoly, Word, deglex_key, parse_poly
+from .ncalg import Alphabet, NCPoly, TensorAlgebra, Word, deglex_key, parse_poly
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 RAW = "raw"
 TRUNCATED = "truncated"
@@ -69,6 +72,9 @@ class RewriteSystem:
         if self.status == TRUNCATED:
             return f"complete_up_to({self.status_degree})"
         return self.status
+
+    def reduce_terms(self, terms: dict) -> dict:
+        return _reduce_terms(terms, self._by_first)
 
     def __repr__(self):
         return (f"RewriteSystem({len(self.alphabet)} generators, "
@@ -146,11 +152,79 @@ def _reduce_terms(terms: dict, by_first: dict) -> dict:
     return out
 
 
-def normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
+class TensorPowerSystem:
+    """Normal forms in A^(tensor k) from a rewriting system for A.
+
+    Letters of different factors commute, so a word straightens to its
+    factor-sorted form with coefficient 1, and reducing each factor word
+    in A then gives the normal form.  The commutations joined to a
+    confluent system for each factor stay confluent (Bergman's diamond
+    lemma), so the tensor power carries the base system's status.  The
+    normal form of each factor word is memoised for the life of the
+    instance; build one per certificate.
+    """
+
+    __slots__ = ("tensor", "base", "_memo")
+
+    def __init__(self, base: RewriteSystem, tensor: TensorAlgebra):
+        if tensor.base != base.alphabet:
+            raise ValueError("tensor power and system alphabets differ")
+        self.tensor = tensor
+        self.base = base
+        self._memo: dict[Word, dict] = {}
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.tensor.alphabet
+
+    @property
+    def status(self) -> str:
+        return self.base.status
+
+    def status_label(self) -> str:
+        return self.base.status_label()
+
+    def _factor_nf(self, part: Word, shift: int) -> dict:
+        """Normal form of one factor's tagged word, as tagged terms."""
+        nf = self._memo.get(part)
+        if nf is None:
+            word = tuple(l - shift for l in part)
+            nf = {tuple(l + shift for l in w): c for w, c in
+                  _reduce_terms({word: _ONE}, self.base._by_first).items()}
+            self._memo[part] = nf
+        return nf
+
+    def reduce_terms(self, terms: dict) -> dict:
+        """Straighten each word by factor, then reduce every factor word in A."""
+        nb = len(self.tensor.base)
+        factors = self.tensor.factors
+        out: dict = {}
+        for w, c in terms.items():
+            parts: list[list[int]] = [[] for _ in range(factors)]
+            for letter in w:
+                parts[letter // nb].append(letter)
+            acc = {(): c}
+            for f, part in enumerate(parts):
+                if not part:
+                    continue
+                nf = self._factor_nf(tuple(part), f * nb)
+                acc = {aw + fw: ac * fc for aw, ac in acc.items() for fw, fc in nf.items()}
+                if not acc:
+                    break
+            for aw, ac in acc.items():
+                s = out.get(aw, _ZERO) + ac
+                if s:
+                    out[aw] = s
+                else:
+                    del out[aw]
+        return out
+
+
+def normal_form(p: NCPoly, system: RewriteSystem | TensorPowerSystem) -> NCPoly:
     if p.alphabet != system.alphabet:
         raise ValueError("polynomial and system alphabets differ")
     out = NCPoly(system.alphabet)
-    out.terms = _reduce_terms(p.terms, system._by_first)
+    out.terms = system.reduce_terms(p.terms)
     return out
 
 

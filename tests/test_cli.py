@@ -22,6 +22,7 @@ def test_verdict_logic():
     assert CertificateReport.from_identities("x", [ok, fail]).verdict == REFUTED
     assert CertificateReport.from_identities("x", [ok, soft]).verdict == INCONCLUSIVE
     assert CertificateReport.from_identities("x", [fail, soft]).verdict == REFUTED
+    assert CertificateReport.from_identities("x", []).verdict == INCONCLUSIVE
 
 
 def test_verify_hopf_exit_zero(capsys):

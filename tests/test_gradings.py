@@ -73,6 +73,19 @@ def test_swapped_labels_refuted_with_witness():
     assert rep.details["witness"]["g"] is not None
 
 
+def test_non_direct_sum_refuted():
+    # K^1 over Z2 with A_e = A_1 = K: rank 1, but the sum is not direct
+    non_direct = Grading(1, Z2, {(0,): [(F(1),)], (1,): [(F(1),)]})
+    assert verify_grading(non_direct).verdict == REFUTED
+    # the regular Z2 grading of K^2 with its non-identity vector listed twice
+    g = grading_from_regular_abelian(Z2)
+    comps = dict(g.components)
+    comps[(1,)] = comps[(1,)] * 2
+    rep = verify_grading(Grading(2, Z2, comps))
+    assert rep.verdict == REFUTED
+    assert not rep.identities[0].reduced_to_zero
+
+
 def test_trivial_grading():
     rep = verify_grading(trivial_grading(3))
     assert rep.verdict == VERIFIED

@@ -5,7 +5,8 @@ import pytest
 
 from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, compare_words,
                          evaluate_scalar, parse_poly, substitute)
-from qpalg.rewrite import RewriteSystem, normal_form
+from qpalg.rewrite import CONFLUENT, RewriteSystem, TensorPowerSystem, normal_form
+from tensor_reference import reference_tensor_system
 
 F = Fraction
 
@@ -102,7 +103,9 @@ def test_evaluate_scalar():
 def test_tensor_straightening_confluent():
     """Any interleaving reduces to the unique factor-sorted word."""
     T = TensorAlgebra(A, 2)
-    sys = RewriteSystem.from_relations(T.alphabet, T.straighten_relations())
+    free = RewriteSystem(A, [], status=CONFLUENT)
+    sys = TensorPowerSystem(free, T)
+    reference = reference_tensor_system(free, T)
     rng = random.Random(11)
     for _ in range(50):
         left = [rng.randrange(4) for _ in range(rng.randrange(3))]
@@ -110,16 +113,16 @@ def test_tensor_straightening_confluent():
         mixed = [(l, 0) for l in left] + [(r, 1) for r in right]
         rng.shuffle(mixed)
         word = tuple(T.letter(g, t) for g, t in mixed)
-        nf = normal_form(NCPoly(T.alphabet, {word: 1}), sys)
-        sorted_word = tuple(T.letter(g, 0) for g in [g for g, t in mixed if t == 0]) + \
-            tuple(T.letter(g, 1) for g in [g for g, t in mixed if t == 1])
+        poly = NCPoly(T.alphabet, {word: 1})
+        nf = normal_form(poly, sys)
         # order within each factor must be preserved, factors sorted
         expect_left = [g for g, t in mixed if t == 0]
         expect_right = [g for g, t in mixed if t == 1]
         expected = tuple(T.letter(g, 0) for g in expect_left) + \
             tuple(T.letter(g, 1) for g in expect_right)
         assert nf.terms == {expected: F(1)}
-        assert expected == sorted_word
+        assert nf == normal_form(poly, reference)
+    assert sys.status_label() == CONFLUENT
 
 
 def test_tensor_split_word():

@@ -1,12 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from qpalg.groups import FunctionOnSn, Perm
 from qpalg.ncalg import NCPoly
-from qpalg.qperm import (COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM,
-                         MatrixOverAlgebra, check_magic, check_multiplicative,
-                         check_semi_magic, coaction_algebra_map_check,
+from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM,
+                         MatrixOverAlgebra, check_families, check_magic,
+                         check_multiplicative, check_semi_magic,
+                         coaction_algebra_map_check, family_relations,
+                         family_relations_for_matrix,
                          gram_diagonal_check, group_algebra_presentation,
                          magic_presentation, matrix_inverse_from_families,
                          semi_magic_presentation, sn_isomorphism_check,
@@ -61,6 +64,19 @@ def test_generating_matrix_is_magic(magic):
     for n in (2, 3, 4):
         rep = check_magic(magic[n].generating_matrix())
         assert rep.verdict == VERIFIED
+
+
+def test_family_relations_agree_on_generating_matrix(magic):
+    pres = magic[3]
+    families = (COL_SUM, ROW_ORTH, ROW_SUM, COL_ORTH)
+    x = pres.generating_matrix()
+    assert family_relations_for_matrix(x, families) == \
+        family_relations(pres.alphabet, 3, families)
+    assert family_relations(pres.alphabet, 3, ALL_FAMILIES) == pres.relations
+    with pytest.raises(ValueError, match="unknown relation family"):
+        family_relations(pres.alphabet, 3, (ROW_SUM, "bogus"))
+    with pytest.raises(ValueError, match="unknown relation family"):
+        check_families(x, (ROW_SUM, "bogus"), "bogus families")
 
 
 def test_diag_gg_semi_magic_refuted():
@@ -153,6 +169,40 @@ def test_group_algebra_hopf_axioms():
     for m in (2, 3):
         rep = verify_hopf_axioms(group_algebra_presentation(m), cap=8)
         assert rep.verdict == VERIFIED
+
+
+def test_wrong_delta_refutes_on_definite_tensor_rows():
+    # Delta(u_ij) = u_ij (x) u_ij breaks the row and column sums
+    pres = magic_presentation(2)
+    t2 = pres.tensor2
+    delta = {g: t2.pure_tensor(NCPoly.gen(pres.alphabet, g), NCPoly.gen(pres.alphabet, g))
+             for g in range(4)}
+    rep = verify_hopf_axioms(dataclasses.replace(pres, delta=delta), cap=8)
+    assert rep.verdict == REFUTED
+    failing = [c for c in rep.identities
+               if c.label.startswith("delta well-defined") and not c.reduced_to_zero]
+    assert len(failing) == 4
+    assert all(not c.inconclusive for c in failing)
+    assert {c.label.split("[")[1] for c in failing} == {"row-sum", "col-sum"}
+
+
+def test_wrong_delta_coassociativity_rows_are_definite():
+    # Delta(u_ij) = sum_k u_ik (x) u_jk is not coassociative
+    n = 3
+    pres = magic_presentation(n)
+    t2 = pres.tensor2
+    delta = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            delta[(i - 1) * n + (j - 1)] = sum(
+                (t2.pure_tensor(pres.gen(i, k), pres.gen(j, k)) for k in range(1, n + 1)),
+                NCPoly.zero(t2.alphabet))
+    rep = verify_hopf_axioms(dataclasses.replace(pres, delta=delta), cap=8)
+    assert rep.verdict == REFUTED
+    failing = [c for c in rep.identities
+               if c.label.startswith("coassociativity") and not c.reduced_to_zero]
+    assert failing
+    assert all(not c.inconclusive for c in failing)
 
 
 # -- transpose-product identities --

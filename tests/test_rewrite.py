@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpalg.ncalg import Alphabet, NCPoly, deglex_key
-from qpalg.rewrite import (CONFLUENT, RewriteSystem, complete,
+from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key
+from qpalg.rewrite import (CONFLUENT, RewriteSystem, TensorPowerSystem, complete,
                            filtration_dimension, format_presentation,
                            interreduce, normal_form, parse_presentation,
                            quotient_basis, reduces_to_zero)
+from tensor_reference import reference_tensor_system
 
 F = Fraction
 
@@ -48,6 +50,35 @@ def test_normal_form_idempotent_and_linear(magic):
         nfp, nfq = normal_form(p, pres.system), normal_form(q, pres.system)
         assert normal_form(nfp, pres.system) == nfp
         assert normal_form(a * p + b * q, pres.system) == a * nfp + b * nfq
+
+
+TENSOR_CASES = ((2, 2), (3, 2), (2, 3))   # (matrix size n, tensor factors k)
+
+
+@pytest.fixture(scope="module")
+def tensor_systems(completed_magic):
+    """Factor-wise and reference systems for A^(tensor k), A the magic algebra."""
+    out = {}
+    for n, k in TENSOR_CASES:
+        base = completed_magic[n].system
+        tensor = TensorAlgebra(base.alphabet, k)
+        out[n, k] = TensorPowerSystem(base, tensor), reference_tensor_system(base, tensor)
+    return out
+
+
+@pytest.mark.parametrize("n,k", TENSOR_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tensor_normal_form_matches_reference(tensor_systems, n, k, data):
+    factorwise, reference = tensor_systems[n, k]
+    letters = st.integers(0, k * n * n - 1)
+    terms = data.draw(st.dictionaries(st.lists(letters, max_size=5).map(tuple),
+                                      st.integers(-3, 3), max_size=4))
+    p = NCPoly(factorwise.alphabet, terms)
+    nf = normal_form(p, factorwise)
+    assert nf == normal_form(p, reference)
+    assert normal_form(nf, factorwise) == nf
+    assert factorwise.status == CONFLUENT
 
 
 def test_rewrite_strictly_decreases_leading_word(magic):
