@@ -1,7 +1,8 @@
 """Command-line frontend for the verifiers, constructions and classifications.
 
 Exit codes: 0 = verified, 1 = refuted (witness in the report),
-2 = inconclusive (degree truncation), 64 = usage or cost-guard error.
+2 = inconclusive (degree truncation), 64 = usage or cost-guard error,
+malformed input or a file that cannot be read or written.
 A human-readable summary always goes to standard output; --json writes the
 structured run report to a file (relative paths resolve against
 $QPALG_REPORT_DIR when set).
@@ -28,7 +29,7 @@ from .qperm import (ALL_FAMILIES, MatrixOverAlgebra, coaction_algebra_map_check,
 from .reports import (INCONCLUSIVE, REFUTED, VERIFIED, CertificateReport,
                       RunReport, merge_verdicts)
 from .rewrite import (CONFLUENT, RewriteSystem, complete, format_presentation,
-                      parse_presentation)
+                      irreducible_words_by_length, parse_presentation)
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -219,7 +220,6 @@ def _dispatch(args, argv, started) -> int:
         payload = result.to_dict()
         payload["source"] = source
         if args.basis_degree is not None:
-            from .rewrite import irreducible_words_by_length
             levels = irreducible_words_by_length(result.system, args.basis_degree)
             payload["irreducible_words"] = [
                 ".".join(result.system.alphabet.names[i] for i in w) or "1"

@@ -17,8 +17,6 @@ from functools import lru_cache
 
 from . import linalg
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

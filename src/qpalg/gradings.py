@@ -133,8 +133,6 @@ class Grading:
         return self.group.add(a, b)
 
     def key_order(self, key):
-        if isinstance(self.group, FreeProductGroup):
-            return self.group.element_order(key)
         return self.group.element_order(key)
 
     def support(self) -> list:
@@ -298,16 +296,12 @@ def verify_grading(grading: Grading) -> CertificateReport:
             else True
         rows.append(IdentityCheck(
             "ergodic faithful grading has abelian group",
-            f"group {_group_descriptor(grading.group)} commutativity",
+            f"group {grading.group.descriptor()} commutativity",
             abelian))
-    details["group"] = _group_descriptor(grading.group)
+    details["group"] = grading.group.descriptor()
     return CertificateReport.from_identities(
-        f"grading of K^{grading.n} by {_group_descriptor(grading.group)}", rows,
+        f"grading of K^{grading.n} by {grading.group.descriptor()}", rows,
         details=details)
-
-
-def _group_descriptor(group) -> str:
-    return group.descriptor()
 
 
 @dataclass

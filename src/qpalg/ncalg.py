@@ -126,18 +126,12 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=deglex_key)
 
-    def leading_coeff(self):
-        return self.terms[self.leading_word()]
-
     def coeff(self, word: Word):
         return self.terms.get(tuple(word), _ZERO)
 
     def sorted_terms(self):
         """Terms in descending deglex order."""
         return [(w, self.terms[w]) for w in sorted(self.terms, key=deglex_key, reverse=True)]
-
-    def constant_part(self):
-        return self.terms.get((), _ZERO)
 
     # -- arithmetic --
 

@@ -9,12 +9,22 @@ truncated system still certifies "reduces to zero", but a nonzero normal
 form from it is inconclusive as an ideal non-membership claim.  Tensor
 powers of a presented algebra are reduced factor by factor against its
 own rules and carry its status.
+
+Every rule set, whether interreduced, mid-completion or frozen, lives in
+one `_RuleTable`: insertion-ordered rules whose ids count insertions,
+indexed by the first letter of their lhs for normal forms.  Adding a
+relation reduces it, orients it and retires each rule whose lhs contains
+the new lhs; the caller decides what happens to the retired relations (a
+deglex heap in `interreduce`, a FIFO cascade in `complete`).  Irreducible
+words are enumerated level by level in `irreducible_words_by_length`,
+which the filtration counts and quotient bases share.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
+from itertools import accumulate, count
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,10 +65,10 @@ class RewriteSystem:
         self.rules = tuple(sorted(rules, key=lambda r: deglex_key(r.lhs)))
         self.status = status
         self.status_degree = status_degree
-        by_first: dict[int, list] = {}
+        table = _RuleTable(alphabet)
         for r in self.rules:
-            by_first.setdefault(r.lhs[0], []).append((r.lhs, r.rhs.terms))
-        self._by_first = by_first
+            table.insert(r)
+        self._by_first = table.by_first
 
     @classmethod
     def from_relations(cls, alphabet: Alphabet, relations, status: str = RAW) -> "RewriteSystem":
@@ -152,6 +162,58 @@ def _reduce_terms(terms: dict, by_first: dict) -> dict:
     return out
 
 
+class _RuleTable:
+    """Insertion-ordered rules behind a first-letter lhs index.
+
+    Rule ids count insertions, so `active` iterates in id order.  Each
+    `by_first` bucket holds (lhs, rhs terms) pairs sorted by deglex lhs,
+    which is the order `_reduce_terms` tries them in.
+    """
+
+    __slots__ = ("alphabet", "active", "by_first", "_next_id")
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+        self.active: dict[int, RewriteRule] = {}
+        self.by_first: dict[int, list] = {}
+        self._next_id = 0
+
+    def insert(self, rule: RewriteRule) -> int:
+        rid = self._next_id
+        self._next_id += 1
+        self.active[rid] = rule
+        insort(self.by_first.setdefault(rule.lhs[0], []), (rule.lhs, rule.rhs.terms),
+               key=lambda t: deglex_key(t[0]))
+        return rid
+
+    def add(self, p: NCPoly) -> tuple[int | None, list[NCPoly]]:
+        """Reduce p, orient it and retire every rule whose lhs contains its lhs.
+
+        Returns the new rule id (None when p reduces to zero) and the
+        retired rules as relations, in id order.
+        """
+        q = NCPoly(self.alphabet)
+        q.terms = _reduce_terms(p.terms, self.by_first)
+        if not q:
+            return None, []
+        lhs, rhs = _orient(q)
+        retired = []
+        for rid in [k for k, r in self.active.items() if _contains(r.lhs, lhs)]:
+            rule = self.active.pop(rid)
+            self.by_first[rule.lhs[0]].remove((rule.lhs, rule.rhs.terms))
+            retired.append(rule.as_relation())
+        return self.insert(RewriteRule(lhs, rhs)), retired
+
+    def final_rules(self) -> list[RewriteRule]:
+        """The rules in deglex order of lhs, each rhs fully reduced."""
+        out = []
+        for rule in sorted(self.active.values(), key=lambda r: deglex_key(r.lhs)):
+            rhs = NCPoly(self.alphabet)
+            rhs.terms = _reduce_terms(rule.rhs.terms, self.by_first)
+            out.append(RewriteRule(rule.lhs, rhs))
+        return out
+
+
 class TensorPowerSystem:
     """Normal forms in A^(tensor k) from a rewriting system for A.
 
@@ -242,48 +304,18 @@ def interreduce(alphabet: Alphabet, relations) -> list[RewriteRule]:
     """Orient relations into a rule set with pairwise non-overlapping lhs.
 
     No lhs contains another lhs as a factor and every rhs is fully reduced
-    against the final rule set.
+    against the final rule set.  Pending relations are added smallest
+    leading word first; a retired rule goes back on the heap.
     """
-    heap: list = []
-    counter = 0
-    for p in relations:
-        if isinstance(p, RewriteRule):
-            p = p.as_relation()
-        if p:
-            heapq.heappush(heap, (deglex_key(p.leading_word()), counter, p))
-            counter += 1
-    rules: dict[Word, NCPoly] = {}
-    by_first: dict[int, list] = {}
-
-    def _insert(lhs: Word, rhs: NCPoly):
-        rules[lhs] = rhs
-        insort(by_first.setdefault(lhs[0], []), (lhs, rhs.terms),
-               key=lambda t: deglex_key(t[0]))
-
-    def _remove(lhs: Word):
-        rhs = rules.pop(lhs)
-        by_first[lhs[0]].remove((lhs, rhs.terms))
-
+    tie = count()
+    heap = [(deglex_key(p.leading_word()), next(tie), p) for p in relations if p]
+    heapq.heapify(heap)
+    table = _RuleTable(alphabet)
     while heap:
-        _, _, p = heapq.heappop(heap)
-        nf_terms = _reduce_terms(p.terms, by_first)
-        if not nf_terms:
-            continue
-        q = NCPoly(alphabet)
-        q.terms = nf_terms
-        lhs, rhs = _orient(q)
-        for old in [k for k in rules if _contains(k, lhs)]:
-            rel = NCPoly(alphabet, {old: 1}) - rules[old]
-            _remove(old)
-            heapq.heappush(heap, (deglex_key(old), counter, rel))
-            counter += 1
-        _insert(lhs, rhs)
-    final = []
-    for lhs in sorted(rules, key=deglex_key):
-        rhs = NCPoly(alphabet)
-        rhs.terms = _reduce_terms(rules[lhs].terms, by_first)
-        final.append(RewriteRule(lhs, rhs))
-    return final
+        _, retired = table.add(heapq.heappop(heap)[2])
+        for rel in retired:
+            heapq.heappush(heap, (deglex_key(rel.leading_word()), next(tie), rel))
+    return table.final_rules()
 
 
 @dataclass
@@ -323,23 +355,9 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
                     f"{type(c).__name__} is not rational or cyclotomic")
 
     alphabet = system.alphabet
-    active: dict[int, RewriteRule] = {}
-    by_first: dict[int, list] = {}
+    table = _RuleTable(alphabet)
+    active = table.active
     heap: list = []
-    next_id = 0
-
-    def _insert(rule: RewriteRule) -> int:
-        nonlocal next_id
-        rid = next_id
-        next_id += 1
-        active[rid] = rule
-        insort(by_first.setdefault(rule.lhs[0], []), (rule.lhs, rule.rhs.terms),
-               key=lambda t: deglex_key(t[0]))
-        return rid
-
-    def _remove(rid: int):
-        rule = active.pop(rid)
-        by_first[rule.lhs[0]].remove((rule.lhs, rule.rhs.terms))
 
     def _push_overlaps(i: int, j: int):
         a, b = active[i].lhs, active[j].lhs
@@ -348,32 +366,23 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
                 w = a + b[olap:]
                 heapq.heappush(heap, (len(w), w, i, j, olap))
 
-    def _nf(p: NCPoly) -> NCPoly:
-        out = NCPoly(alphabet)
-        out.terms = _reduce_terms(p.terms, by_first)
-        return out
-
     def _add_relation(p: NCPoly):
-        """Orient p (already a consequence) and cascade retirements."""
+        """Add p (already a consequence) and cascade retirements."""
         pending = [p]
         while pending:
-            q = _nf(pending.pop(0))
-            if not q:
+            new_id, retired = table.add(pending.pop(0))
+            if new_id is None:
                 continue
-            lhs, rhs = _orient(q)
-            for rid in sorted(k for k, r in active.items() if _contains(r.lhs, lhs)):
-                pending.append(active[rid].as_relation())
-                _remove(rid)
-            new_id = _insert(RewriteRule(lhs, rhs))
-            for other in sorted(active):
+            pending.extend(retired)
+            for other in active:
                 _push_overlaps(new_id, other)
                 if other != new_id:
                     _push_overlaps(other, new_id)
 
     for rule in system.rules:
-        _insert(rule)
-    for i in sorted(active):
-        for j in sorted(active):
+        table.insert(rule)
+    for i in active:
+        for j in active:
             _push_overlaps(i, j)
 
     history: list[tuple[int, int]] = []
@@ -391,8 +400,6 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
         last_degree = deg
         a, ra = active[i].lhs, active[i].rhs
         b, rb = active[j].lhs, active[j].rhs
-        if a[-olap:] != b[:olap]:
-            continue
         suffix, prefix = b[olap:], a[:len(a) - olap]
         s1 = NCPoly(alphabet, {rw + suffix: rc for rw, rc in ra.terms.items()})
         s2 = NCPoly(alphabet, {prefix + rw: rc for rw, rc in rb.terms.items()})
@@ -402,14 +409,8 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
     if last_degree is not None:
         history.append((last_degree, len(active)))
 
-    final_rules = []
-    for rid in sorted(active, key=lambda k: deglex_key(active[k].lhs)):
-        rule = active[rid]
-        rhs = NCPoly(alphabet)
-        rhs.terms = _reduce_terms(rule.rhs.terms, by_first)
-        final_rules.append(RewriteRule(rule.lhs, rhs))
     status = TRUNCATED if skipped else CONFLUENT
-    out = RewriteSystem(alphabet, final_rules, status=status,
+    out = RewriteSystem(alphabet, table.final_rules(), status=status,
                         status_degree=degree_cap if skipped else None)
     return CompletionResult(out, status, degree_cap, history)
 
@@ -426,72 +427,47 @@ def _require_counting_degree(system: RewriteSystem, d: int):
 
 
 def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word]]:
-    """Words of each length 0..d containing no rule lhs as a factor."""
+    """Words of each length 0..d containing no rule lhs as a factor.
+
+    Each level extends the previous one by a letter: a one-letter
+    extension of an irreducible word is irreducible iff no lhs is a
+    suffix of it.
+    """
+    if d < 0:
+        raise ValueError(f"word length bound must be non-negative, got {d}")
+    lhs_set = {r.lhs for r in system.rules}
     max_rule = system.max_rule_degree
     levels = [[()]]
-    frontier = [()]
-    nletters = len(system.alphabet)
-    lhs_set = {r.lhs for r in system.rules}
     for _ in range(d):
         nxt = []
-        for w in frontier:
-            for a in range(nletters):
+        for w in levels[-1]:
+            for a in range(len(system.alphabet)):
                 nw = w + (a,)
-                ok = True
-                for ls in range(1, min(max_rule, len(nw)) + 1):
-                    if nw[-ls:] in lhs_set:
-                        ok = False
-                        break
-                if ok:
+                if not any(nw[-ls:] in lhs_set for ls in range(1, min(max_rule, len(nw)) + 1)):
                     nxt.append(nw)
         levels.append(nxt)
-        frontier = nxt
     return levels
 
 
 def filtration_dimension(system: RewriteSystem, d: int) -> list[int]:
     """Dimensions of the spans of irreducible words of length <= e, e=0..d."""
     _require_counting_degree(system, d)
-    levels = irreducible_words_by_length(system, d)
-    counts = []
-    total = 0
-    for level in levels:
-        total += len(level)
-        counts.append(total)
-    return counts
+    return list(accumulate(len(level) for level in irreducible_words_by_length(system, d)))
 
 
 def quotient_basis(system: RewriteSystem, max_degree: int = 64) -> list[Word]:
     """All irreducible words of a confluent system with a finite quotient.
 
-    Enumerates by length until a length has no irreducible words (then no
-    longer word can avoid reducible factors either).  Raises if the basis
-    is still growing at max_degree.
+    A length with no irreducible words ends the basis (no longer word can
+    avoid reducible factors either).  Raises if the basis is still growing
+    at max_degree.
     """
     if system.status != CONFLUENT:
         raise ValueError("quotient basis needs a confluent system")
-    basis: list[Word] = []
-    frontier: list[Word] = [()]
-    length = 0
-    while frontier:
-        basis.extend(frontier)
-        length += 1
-        if length > max_degree:
-            raise ValueError(f"quotient basis still growing at degree {max_degree}")
-        frontier = _extend_irreducible(system, frontier)
-    return sorted(basis, key=deglex_key)
-
-
-def _extend_irreducible(system: RewriteSystem, frontier: list[Word]) -> list[Word]:
-    lhs_set = {r.lhs for r in system.rules}
-    max_rule = system.max_rule_degree
-    out = []
-    for w in frontier:
-        for a in range(len(system.alphabet)):
-            nw = w + (a,)
-            if not any(nw[-ls:] in lhs_set for ls in range(1, min(max_rule, len(nw)) + 1)):
-                out.append(nw)
-    return out
+    levels = irreducible_words_by_length(system, max_degree)
+    if levels[-1]:
+        raise ValueError(f"quotient basis still growing at degree {max_degree}")
+    return sorted((w for level in levels for w in level), key=deglex_key)
 
 
 # -- presentation text format --
@@ -499,8 +475,6 @@ def _extend_irreducible(system: RewriteSystem, frontier: list[Word]) -> list[Wor
 def format_presentation(alphabet: Alphabet, relations) -> str:
     lines = ["alphabet: " + " ".join(alphabet.names), "order: deglex"]
     for rel in relations:
-        if isinstance(rel, RewriteRule):
-            rel = rel.as_relation()
         lines.append(rel.render())
     return "\n".join(lines) + "\n"
 

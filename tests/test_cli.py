@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qpalg.cli import (EXIT_INCONCLUSIVE, EXIT_REFUTED, EXIT_USAGE,
                        EXIT_VERIFIED, main)
 from qpalg.gradings import Grading, format_grading, grading_from_regular_abelian
@@ -89,6 +91,29 @@ def test_usage_errors(capsys):
     assert run(["transpose-inverse", "--n", "3", "--families", "row-orth"],
                capsys)[0] == EXIT_USAGE
     assert run(["wang", "--n", "3"], capsys)[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["wang", "--n", "4", "--depth", "-1"],
+    ["complete", "--n", "3", "--basis-degree", "-1"],
+])
+def test_negative_word_length_is_a_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert "non-negative" in err
+    assert "overall:" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete", "--input", "{missing}"],
+    ["verify-grading", "--input", "{missing}"],
+    ["grade", "--blocks", "2", "--groups", "Z2", "--save", "{missing}/g.grading"],
+])
+def test_unreadable_file_is_a_usage_error(argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    code, _, err = run([a.format(missing=missing) for a in argv], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and missing in err
 
 
 def test_present_prints_presentation(capsys):

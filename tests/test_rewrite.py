@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key
+from qpalg.qperm import magic_presentation
 from qpalg.rewrite import (CONFLUENT, RewriteSystem, TensorPowerSystem, complete,
                            filtration_dimension, format_presentation,
-                           interreduce, normal_form, parse_presentation,
-                           quotient_basis, reduces_to_zero)
+                           interreduce, irreducible_words_by_length, normal_form,
+                           parse_presentation, quotient_basis, reduces_to_zero)
 from tensor_reference import reference_tensor_system
 
 F = Fraction
@@ -236,6 +239,20 @@ def test_filtration_magic_3_stabilizes(completed_magic):
     assert dims[-1] == 6 and dims[-2] == 6
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_quotient_basis_is_the_flattened_enumeration(completed_magic, n):
+    system = completed_magic[n].system
+    depth = 6
+    levels = irreducible_words_by_length(system, depth)
+    assert [len(level) for level in levels[-2:]] == [0, 0]
+    flat = sorted((w for level in levels for w in level), key=deglex_key)
+    assert quotient_basis(system) == flat
+    assert filtration_dimension(system, depth)[-1] == len(flat)
+    for w in flat:
+        word = NCPoly(system.alphabet, {w: 1})
+        assert normal_form(word, system) == word
+
+
 def test_filtration_requires_completion(magic):
     with pytest.raises(ValueError, match="completion"):
         filtration_dimension(magic[3].system, 4)
@@ -283,3 +300,55 @@ def test_presentation_parse_errors():
         parse_presentation("order: deglex\n1*x")
     with pytest.raises(ValueError):
         parse_presentation("alphabet: x\norder: lex\n")
+
+
+# -- golden rule sets --
+
+# sha256 of the status label and rendered rules of each system, plus the
+# completion report for completed ones.  A truncated completion depends on
+# the order in which critical pairs are resolved, so the n = 5 cap 3 entry
+# pins that order as well as the rules.
+GOLDEN_RULES = {
+    "magic 1": "dc04dd513315e928dac166cda5ba1a191a6ce0d5d8efdea65b6087c037d47dc7",
+    "semi-magic 1": "dc04dd513315e928dac166cda5ba1a191a6ce0d5d8efdea65b6087c037d47dc7",
+    "magic 2": "f0c468bc1b2e3c592daffdb4a5ffee67007d986393272b4ef27eb8aa1e4c8ea4",
+    "semi-magic 2": "2e2dcc26f7282cd808ce19ece59f98b747d557cd1786897659b3431d0ba44463",
+    "magic 3": "2acea287bb7d22507b092f31a75192ba6bf67bb82ef5d2b24c3714c2eb93de88",
+    "semi-magic 3": "11c1df5affe58a9d50c879389c538b0662af9ccb044736a12ae3f4d402ea8ac6",
+    "magic 4": "3d6fe9563a48eedbb7a63a5238470ad484ea157481a9e3eb0b359ff2ed48aaae",
+    "semi-magic 4": "cfb78873fd362bbadd95448916a3a426bcc9823597709471743eda437a6e3ebc",
+    "magic 5": "d1c10bea915a80af269958c6ca0cd86a86c811514648f0b06794e3acf94c13b8",
+    "semi-magic 5": "f7340bd2a41fd7f45791e5044d6e86080822e8f050823c385de82a7affbc8c4c",
+    "magic 4 shuffled 1": "3d6fe9563a48eedbb7a63a5238470ad484ea157481a9e3eb0b359ff2ed48aaae",
+    "magic 4 shuffled 2": "3d6fe9563a48eedbb7a63a5238470ad484ea157481a9e3eb0b359ff2ed48aaae",
+    "magic 4 shuffled 3": "3d6fe9563a48eedbb7a63a5238470ad484ea157481a9e3eb0b359ff2ed48aaae",
+    "complete magic 3 cap 8": "9520a0166dd7622112ffc9e02f8323d44b086ee1fc0f42e4e3b4dc321f1f9a96",
+    "complete magic 4 cap 8": "5a8d70910476ad341212ae4643093c119acb93dae95d3220e17193e68542074c",
+    "complete magic 5 cap 3": "51b8ce959f67784ecc9d962f08fe568f6dda32a75482dcfbe8f612f7f7c2ed66",
+    "wang target": "ebe0ad4f20cb1f01db4a19d8b1c91d263f485a9b70d5cd271c74d491837c3494",
+}
+
+
+def test_golden_rule_sets(magic, semi_magic, completed_magic, idempotent_pair):
+    def render(system):
+        return "\n".join([system.status_label()] + [r.render() for r in system.rules])
+
+    def completed(res):
+        return render(res.system) + "\n" + json.dumps(res.to_dict(), sort_keys=True)
+
+    magic5 = magic_presentation(5)
+    texts = {}
+    for n in range(1, 6):
+        texts[f"magic {n}"] = render((magic[n] if n < 5 else magic5).system)
+        texts[f"semi-magic {n}"] = render(semi_magic[n].system)
+    for seed in (1, 2, 3):
+        rels = [p for _, p in magic[4].relations]
+        random.Random(seed).shuffle(rels)
+        texts[f"magic 4 shuffled {seed}"] = render(
+            RewriteSystem.from_relations(magic[4].alphabet, rels))
+    texts["complete magic 3 cap 8"] = completed(completed_magic[3])
+    texts["complete magic 4 cap 8"] = completed(completed_magic[4])
+    texts["complete magic 5 cap 3"] = completed(complete(magic5.system, 3))
+    texts["wang target"] = render(idempotent_pair)
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
+    assert digests == GOLDEN_RULES
