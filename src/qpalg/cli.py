@@ -3,9 +3,9 @@
 Exit codes: 0 = verified, 1 = refuted (witness in the report),
 2 = inconclusive (degree truncation), 64 = usage or cost-guard error,
 malformed input or a file that cannot be read or written.
-A human-readable summary always goes to standard output; --json writes the
-structured run report to a file (relative paths resolve against
-$QPALG_REPORT_DIR when set).
+--json writes the structured run report to a file (relative paths resolve
+against $QPALG_REPORT_DIR when set); a human-readable summary then goes to
+standard output, so a report that cannot be written prints no verdict.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ def _emit(args, argv, config, reports, verdict, started, extra_text=None) -> int
         out.extend(_report_lines(rep))
         out.append("")
     out.append(f"overall: {verdict}")
-    print("\n".join(out))
-    if args.json:
+    if args.json:   # written first, so a failed write prints no verdict
         run = RunReport(command=list(argv), config=config, reports=reports,
                         verdict=verdict, wall_time_s=round(time.time() - started, 6))
         path = _resolve_report_path(args.json)
@@ -169,6 +168,7 @@ def _emit(args, argv, config, reports, verdict, started, extra_text=None) -> int
         with open(path, "w") as fh:
             json.dump(run.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    print("\n".join(out))
     return _EXIT_BY_VERDICT[verdict]
 
 
@@ -207,6 +207,8 @@ def _dispatch(args, argv, started) -> int:
         return _emit(args, argv, config, [], VERIFIED, started, extra_text=text)
 
     if cmd == "complete":
+        if args.basis_degree is not None and args.basis_degree < 0:
+            raise UsageError("--basis-degree must be non-negative")
         if args.input:
             with open(args.input) as fh:
                 alphabet, relations = parse_presentation(fh.read())

@@ -33,6 +33,13 @@ class Perm:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Perm":
+        """Wrap an image tuple already known to be a permutation, unchecked."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
+    @classmethod
     def identity(cls, n: int) -> "Perm":
         return cls(range(n))
 
@@ -45,13 +52,17 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (self * other)(i) = self(other(i))."""
-        return Perm(tuple(self.images[other.images[i]] for i in range(self.n)))
+        mine = self.images
+        if len(mine) != len(other.images):
+            raise ValueError(f"cannot compose permutations of degrees "
+                             f"{len(mine)} and {len(other.images)}")
+        return Perm._trusted(tuple([mine[j] for j in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.n
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -399,15 +410,18 @@ def subgroup_closure(gens: list[Perm], n: int, maxsize: int | None = None) -> fr
     return frozenset(elems)
 
 
-def _canonical_conjugate(elements: frozenset[Perm], n: int) -> tuple:
-    """Minimal conjugate element-set tuple; conjugation-class invariant."""
-    best = None
+def _conjugates(elements: frozenset[Perm], n: int) -> list[tuple]:
+    """Every conjugate tau G tau^-1 over tau in S_n, as a sorted image tuple."""
+    out = []
     for tau in all_perms(n):
         tinv = tau.inverse()
-        conj = tuple(sorted((tau * g * tinv).images for g in elements))
-        if best is None or conj < best:
-            best = conj
-    return best
+        out.append(tuple(sorted((tau * g * tinv).images for g in elements)))
+    return out
+
+
+def _canonical_conjugate(elements: frozenset[Perm], n: int) -> tuple:
+    """Minimal conjugate element-set tuple; conjugation-class invariant."""
+    return min(_conjugates(elements, n))
 
 
 def is_transitive(elements, n: int) -> bool:
@@ -437,6 +451,16 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     embedding of each abelian group of order n (complete because a
     transitive abelian subgroup is regular).  brute_force mode (n <= 6)
     searches S_n directly and is the cross-validation oracle.
+
+    The brute-force search closes every commuting pair of fixed-point-free
+    permutations.  The first closure of a new class that is transitive and
+    abelian of order n has all n! of its conjugates computed once: the class
+    is keyed by the minimal one, and all of them go into a seen set, so a
+    later closure that is any conjugate of a class already found is skipped
+    before it is checked or conjugated again.  Each class is still recorded
+    at its first closure and keyed by its minimal conjugate, so the classes,
+    their order and their representatives are those of conjugating every
+    closure.
     """
     if mode == "classified":
         out = []
@@ -455,14 +479,18 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     candidates = [g for g in all_perms(n)
                   if all(g(i) != i for i in range(n)) ]
     found: dict[tuple, frozenset[Perm]] = {}
+    seen: set[tuple] = set()     # every conjugate of every class found so far
     for a, b in itertools.combinations_with_replacement(candidates, 2):
         if a * b != b * a:
             continue
         elems = subgroup_closure([a, b], n, maxsize=n)
-        if len(elems) != n or not is_transitive(elems, n) or not is_abelian(elems):
+        if len(elems) != n or tuple(sorted(g.images for g in elems)) in seen:
             continue
-        key = _canonical_conjugate(elems, n)
-        found.setdefault(key, elems)
+        if not is_transitive(elems, n) or not is_abelian(elems):
+            continue
+        conjugates = _conjugates(elems, n)
+        seen.update(conjugates)
+        found[min(conjugates)] = elems
     out = []
     for key in sorted(found):
         elems = found[key]

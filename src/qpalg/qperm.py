@@ -304,7 +304,9 @@ def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateRepor
     against the completed system (and its tensor squares/cubes) certify:
     each defining relation is killed by Delta, eps and S, coassociativity
     and the counit laws hold on generators, the antipode laws hold on
-    generators, and S^2 fixes every generator.
+    generators, and S^2 fixes every generator.  A presentation without
+    generators (the base field) gets the unit and counit laws on 1 instead,
+    so its certificate has rows too.
     """
     comp = complete(hopf.system, cap)
     base = comp.system
@@ -382,6 +384,18 @@ def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateRepor
             else:
                 rows.append(_reduce_row(f"S^2[{alphabet.names[g]}]",
                                         twice - gen, base))
+    if nb == 0:
+        # no generator carries the laws, so check them on the unit itself
+        one = NCPoly.scalar(alphabet, 1)
+        delta_one = substitute(one, hopf.delta, target=tensor2.alphabet)
+        rows.append(_reduce_row("unit law delta[1]",
+                                delta_one - NCPoly.scalar(tensor2.alphabet, 1), t2sys))
+        val = evaluate_scalar(one, hopf.counit)
+        rows.append(IdentityCheck("unit law eps[1]", f"eps(1) = {val}", val == 1))
+        rows.append(_reduce_row("counit law left[1]", substitute(
+            delta_one, eps_left, target=alphabet) - one, base))
+        rows.append(_reduce_row("counit law right[1]", substitute(
+            delta_one, eps_right, target=alphabet) - one, base))
     kind = "Hopf algebra" if hopf.antipode is not None else "bialgebra"
     return CertificateReport.from_identities(
         f"{kind} axioms for the {hopf.n}x{hopf.n} presentation", rows,

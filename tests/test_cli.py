@@ -104,6 +104,25 @@ def test_negative_word_length_is_a_usage_error(argv, capsys):
     assert "overall:" not in out
 
 
+def test_negative_basis_degree_fails_before_completion(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("complete ran")
+    monkeypatch.setattr("qpalg.cli.complete", never)
+    code, out, err = run(["complete", "--n", "5", "--basis-degree", "-1"], capsys)
+    assert code == EXIT_USAGE
+    assert "non-negative" in err and "overall:" not in out
+
+
+def test_unwritable_report_prints_no_verdict(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file\n")
+    code, out, err = run(["present", "--n", "1", "--json", str(blocker / "r.json")],
+                         capsys)
+    assert code == EXIT_USAGE
+    assert "overall:" not in out and err.startswith("error:")
+    assert blocker.read_text() == "a regular file\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["complete", "--input", "{missing}"],
     ["verify-grading", "--input", "{missing}"],

@@ -1,6 +1,9 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import Cyclotomic, zeta
 from qpalg.groups import (FiniteAbelianGroup, FunctionOnSn, Perm,
@@ -21,8 +24,25 @@ def test_perm_basics():
     assert s.inverse() * s == Perm.identity(3)
     assert s.cycle_string() == "(1 2 3)"
     assert Perm.identity(4).cycle_string() == "id"
-    with pytest.raises(ValueError):
-        Perm((0, 0, 1))
+    for bad in ((0, 0, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            Perm(bad)
+    with pytest.raises(ValueError, match="degrees"):
+        Perm((1, 0)) * Perm((0, 1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_unchecked_products_match_checked_perms(data, n):
+    """Products and inverses skip validation; they must equal checked Perms."""
+    a = Perm(data.draw(st.permutations(range(n))))
+    b = Perm(data.draw(st.permutations(range(n))))
+    for fast, images in ((a * b, tuple(a.images[b.images[i]] for i in range(n))),
+                         (a.inverse(), tuple(a.images.index(i) for i in range(n)))):
+        checked = Perm(images)
+        assert fast.images == checked.images
+        assert fast == checked and hash(fast) == hash(checked)
+    assert a * a.inverse() == Perm.identity(n) == a.inverse() * a
 
 
 def test_function_algebra_idempotents():
@@ -166,6 +186,45 @@ def test_transitive_abelian_subgroups_modes_agree():
         for G, elems in brute:
             assert G is not None and G.order == n
             assert is_transitive(elems, n) and is_abelian(elems)
+
+
+# sha256 of [(descriptor, sorted element images)] from brute_force mode,
+# recorded from the search that conjugated every closure
+_BRUTE_FORCE_SHA256 = {
+    1: "d2645f4a36c42ce69df5d1dd2c83b4508bb4b7cb1d251f0b93ad0d290d22c87a",
+    2: "4365296a8d01996bc8ce7a12742904179552ab49b1a4115fbf8a81ecceb02167",
+    3: "28c7d28fe76156999754cc3da43be274cb09d2ad6cd9b9c37ea6f0c231b4de9f",
+    4: "7094c06597f9258e57928c25189632e6e2d884d959c95e4476c8491c7e716d63",
+    5: "b435a76a95484e703a4698d1bc15c2e31d82e64f670261911ddfdb5f7f2cb0e3",
+    6: "079873a067073581038371838886406756dda3c136013045602d40ec3954e6c5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_BRUTE_FORCE_SHA256))
+def test_brute_force_output_is_pinned(n):
+    out = [(G.descriptor(), sorted(g.images for g in elems))
+           for G, elems in transitive_abelian_subgroups(n, "brute_force")]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _BRUTE_FORCE_SHA256[n]
+
+
+def _unpruned_class_representatives(n):
+    """Reference search: canonicalize every closure, keep the first per class."""
+    candidates = [g for g in all_perms(n) if all(g(i) != i for i in range(n))]
+    found = {}
+    for a, b in itertools.combinations_with_replacement(candidates, 2):
+        if a * b != b * a:
+            continue
+        elems = subgroup_closure([a, b], n, maxsize=n)
+        if len(elems) != n or not is_transitive(elems, n) or not is_abelian(elems):
+            continue
+        found.setdefault(_canonical_conjugate(elems, n), elems)
+    return [found[key] for key in sorted(found)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_pruning_matches_unpruned_search(n):
+    pruned = [elems for _, elems in transitive_abelian_subgroups(n, "brute_force")]
+    assert pruned == _unpruned_class_representatives(n)
 
 
 def test_brute_force_cost_guard():

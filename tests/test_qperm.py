@@ -157,6 +157,17 @@ def test_hopf_axioms_small(magic):
         assert rep.verdict == VERIFIED
 
 
+def test_base_field_hopf_axioms_have_rows(magic):
+    rep = verify_hopf_axioms(trivial_presentation())
+    assert rep.verdict == VERIFIED
+    assert [c.label for c in rep.identities] == [
+        "unit law delta[1]", "unit law eps[1]",
+        "counit law left[1]", "counit law right[1]"]
+    # with generators, the laws are checked on them and not on 1
+    assert not any("[1]" in c.label
+                   for c in verify_hopf_axioms(magic[2], cap=8).identities)
+
+
 def test_coassociativity_rows_present(magic):
     rep = verify_hopf_axioms(magic[3], cap=8)
     co = [c for c in rep.identities if c.label.startswith("coassociativity")]
