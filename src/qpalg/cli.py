@@ -125,26 +125,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _report_lines(report) -> list[str]:
-    if isinstance(report, CertificateReport):
-        ok = sum(1 for c in report.identities if c.reduced_to_zero)
-        bad = [c for c in report.identities if not c.reduced_to_zero]
-        lines = [f"{report.claim}",
-                 f"  identities: {ok}/{len(report.identities)} reduced to zero"]
-        for c in bad:
-            tag = "inconclusive" if c.inconclusive else "FAIL"
-            lines.append(f"  [{tag}] {c.label}: {c.polynomial}")
-        for key in sorted(report.details):
-            lines.append(f"  {key}: {report.details[key]}")
-        lines.append(f"  verdict: {report.verdict}")
-        return lines
-    if hasattr(report, "summary_lines"):
-        return report.summary_lines()
-    if hasattr(report, "to_dict"):
-        return [json.dumps(report.to_dict(), sort_keys=True)]
-    return [str(report)]
-
-
 def _resolve_report_path(path: str) -> str:
     base = os.environ.get("QPALG_REPORT_DIR")
     if base and not os.path.isabs(path):
@@ -157,7 +137,7 @@ def _emit(args, argv, config, reports, verdict, started, extra_text=None) -> int
     if extra_text:
         out.append(extra_text.rstrip("\n"))
     for rep in reports:
-        out.extend(_report_lines(rep))
+        out.extend(rep.summary_lines())
         out.append("")
     out.append(f"overall: {verdict}")
     if args.json:   # written first, so a failed write prints no verdict

@@ -34,21 +34,25 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def euler_phi(m: int) -> int:
+def prime_factorization(m: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of a positive integer, primes increasing."""
     if m < 1:
-        raise ValueError("euler_phi needs a positive integer")
-    result = m
+        raise ValueError("prime_factorization needs a positive integer")
+    out: dict[int, int] = {}
     p = 2
-    mm = m
-    while p * p <= mm:
-        if mm % p == 0:
-            while mm % p == 0:
-                mm //= p
-            result -= result // p
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
         p += 1
-    if mm > 1:
-        result -= result // mm
-    return result
+    if m > 1:
+        out[m] = 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def euler_phi(m: int) -> int:
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in prime_factorization(m).items())
 
 
 # -- dense polynomial helpers over Fraction (index = power) --
@@ -363,9 +367,10 @@ def render_scalar(x) -> str:
 
 
 # -- parse-friendly scalar syntax: sums of "a/b" and "a/b*zM^k" terms --
+# (the denominator b and the order M are positive integers)
 
 _SCALAR_TERM_RE = re.compile(
-    r"^(?:(?P<rat>\d+(?:/\d+)?)\*?)?(?:z(?P<m>\d+)(?:\^(?P<k>\d+))?)?$")
+    r"^(?:(?P<rat>\d+(?:/0*[1-9]\d*)?)\*?)?(?:z(?P<m>0*[1-9]\d*)(?:\^(?P<k>\d+))?)?$")
 
 
 def format_scalar(x) -> str:

@@ -7,9 +7,13 @@ groups are finite abelian groups (ergodic case: character gradings from
 regular embeddings) and free products of block groups attached to a
 partition of the point set (the general case).
 
-Element keys: abelian gradings use exponent tuples; free-product gradings
-use reduced words, i.e. tuples of (block index, exponent tuple) letters
-with no identity letters and no adjacent letters in the same block.
+Element keys are whatever the grading group uses for its elements:
+exponent tuples for a finite abelian group, and for a free product reduced
+words, i.e. tuples of (block index, exponent tuple) letters with no
+identity letters and no adjacent letters in the same block.  Both group
+classes share one interface (identity, mul, element_order, is_abelian,
+generates, key_text, parse_key), so the group owns its element syntax in
+grading files and the test of whether a support generates it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from . import linalg
 from .exactnum import format_scalar, parse_scalar
 from .groups import (FiniteAbelianGroup, abelian_groups_of_order, characters,
-                     parse_group_descriptor)
+                     parse_group_descriptor, partitions_desc)
 from .reports import CertificateReport, IdentityCheck, VERIFIED, merge_verdicts
 
 _ZERO = Fraction(0)
@@ -37,6 +41,9 @@ class FreeProductGroup:
     groups: tuple          # FiniteAbelianGroup per block
 
     def __post_init__(self):
+        if len(self.blocks) != len(self.groups):
+            raise ValueError(f"{len(self.blocks)} blocks need as many groups, "
+                             f"not {len(self.groups)}")
         points = sorted(p for b in self.blocks for p in b)
         n = sum(len(b) for b in self.blocks)
         if points != list(range(n)):
@@ -83,22 +90,29 @@ class FreeProductGroup:
 
     def generates(self, support) -> bool:
         """Do the supported letters generate the whole free product?"""
-        for i, g in enumerate(self.groups):
-            letters = {c for key in support for j, c in key if j == i}
-            if not _abelian_generates(g, letters):
-                return False
-        return True
+        return all(g.generates({c for key in support for j, c in key if j == i})
+                   for i, g in enumerate(self.groups))
 
+    def key_text(self, key: tuple) -> str:
+        """Element syntax: "e", or letters "b<block>:<element>" joined by "*"."""
+        if not key:
+            return "e"
+        return "*".join(f"b{i}:{self.groups[i].key_text(c)}" for i, c in key)
 
-def _abelian_generates(G: FiniteAbelianGroup, support) -> bool:
-    closure = {G.identity()}
-    frontier = [k for k in support]
-    while frontier:
-        x = frontier.pop()
-        if x not in closure:
-            closure.add(x)
-            frontier.extend(G.add(x, y) for y in list(closure))
-    return len(closure) == G.order
+    def parse_key(self, text: str) -> tuple:
+        """Inverse of key_text; the word read is reduced."""
+        if text == "e":
+            return self.identity()
+        letters = []
+        for chunk in text.split("*"):
+            if not chunk.startswith("b") or ":" not in chunk:
+                raise ValueError(f"bad free-product element {text!r}")
+            i_str, elem_str = chunk[1:].split(":", 1)
+            i = int(i_str)
+            if not 0 <= i < len(self.groups):
+                raise ValueError(f"block index {i} out of range in element {text!r}")
+            letters.append((i, self.groups[i].parse_key(elem_str)))
+        return self.mul(tuple(letters), ())
 
 
 class Grading:
@@ -120,36 +134,11 @@ class Grading:
                 comps[key] = vecs
         self.components = comps
 
-    # -- group-element helpers dispatching on the group kind --
-
-    def identity_key(self):
-        if isinstance(self.group, FreeProductGroup):
-            return ()
-        return self.group.identity()
-
-    def mul_keys(self, a, b):
-        if isinstance(self.group, FreeProductGroup):
-            return self.group.mul(a, b)
-        return self.group.add(a, b)
-
-    def key_order(self, key):
-        return self.group.element_order(key)
-
     def support(self) -> list:
         return sorted(self.components)
 
     def identity_basis(self) -> list:
-        return self.components.get(self.identity_key(), [])
-
-    def key_text(self, key) -> str:
-        if isinstance(self.group, FreeProductGroup):
-            if not key:
-                return "e"
-            return "*".join(f"b{i}:" + ".".join(str(c) for c in elem)
-                            for i, elem in key)
-        if key == self.group.identity():
-            return "e"
-        return ".".join(str(c) for c in key)
+        return self.components.get(self.group.identity(), [])
 
 
 def grading_from_regular_abelian(G: FiniteAbelianGroup) -> Grading:
@@ -236,6 +225,7 @@ def verify_grading(grading: Grading) -> CertificateReport:
     and faithful the group is abelian.  Ergodicity and faithfulness are
     reported as flags in the details.
     """
+    group = grading.group
     rows = []
     details: dict = {"n": grading.n}
     all_vectors = [v for key in grading.support() for v in grading.components[key]]
@@ -253,7 +243,7 @@ def verify_grading(grading: Grading) -> CertificateReport:
     witness = None
     for g in grading.support():
         for h in grading.support():
-            target = grading.mul_keys(g, h)
+            target = group.mul(g, h)
             target_basis = grading.components.get(target, [])
             for ai, a in enumerate(grading.components[g]):
                 for bi, b in enumerate(grading.components[h]):
@@ -264,43 +254,38 @@ def verify_grading(grading: Grading) -> CertificateReport:
                         ok = linalg.in_span(target_basis, prod)
                     else:
                         ok = False
-                    label = (f"product law [{grading.key_text(g)}][{ai}] * "
-                             f"[{grading.key_text(h)}][{bi}] in "
-                             f"[{grading.key_text(target)}]")
+                    label = (f"product law [{group.key_text(g)}][{ai}] * "
+                             f"[{group.key_text(h)}][{bi}] in "
+                             f"[{group.key_text(target)}]")
                     rows.append(IdentityCheck(
                         label, "pointwise product against target component basis", ok))
                     if not ok and witness is None:
                         witness = {
-                            "g": grading.key_text(g),
-                            "h": grading.key_text(h),
+                            "g": group.key_text(g),
+                            "h": group.key_text(h),
                             "product": [format_scalar(x) for x in prod],
                         }
     if witness:
         details["witness"] = witness
     for key in grading.support():
-        order = grading.key_order(key)
+        order = group.element_order(key)
         rows.append(IdentityCheck(
-            f"finite order [{grading.key_text(key)}]",
+            f"finite order [{group.key_text(key)}]",
             f"element order {order if order else 'infinite'}",
             order is not None))
-    if isinstance(grading.group, FreeProductGroup):
-        faithful = grading.group.generates(grading.support())
-    else:
-        faithful = _abelian_generates(grading.group, grading.support())
+    faithful = group.generates(grading.support())
     ergodic = linalg.rank(id_basis) == 1 if id_basis else False
     details["faithful"] = faithful
     details["ergodic"] = ergodic
     details["dim_identity_component"] = linalg.rank(id_basis) if id_basis else 0
     if ergodic and faithful:
-        abelian = grading.group.is_abelian() if isinstance(grading.group, FreeProductGroup) \
-            else True
         rows.append(IdentityCheck(
             "ergodic faithful grading has abelian group",
-            f"group {grading.group.descriptor()} commutativity",
-            abelian))
-    details["group"] = grading.group.descriptor()
+            f"group {group.descriptor()} commutativity",
+            group.is_abelian()))
+    details["group"] = group.descriptor()
     return CertificateReport.from_identities(
-        f"grading of K^{grading.n} by {grading.group.descriptor()}", rows,
+        f"grading of K^{grading.n} by {group.descriptor()}", rows,
         details=details)
 
 
@@ -476,21 +461,6 @@ class ClassificationReport:
         return lines
 
 
-def partitions_desc(n: int) -> list[tuple]:
-    """Partitions of n as nonincreasing tuples, reverse-lex order."""
-    out: list[tuple] = []
-
-    def gen(rest, maxpart, prefix):
-        if rest == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            gen(rest - part, part, prefix + [part])
-
-    gen(n, n, [])
-    return out
-
-
 CLASSIFY_MAX_N = 12
 
 
@@ -550,7 +520,7 @@ def format_grading(grading: Grading) -> str:
     for key in grading.support():
         for vec in grading.components[key]:
             coords = ",".join(format_scalar(x) for x in vec)
-            lines.append(f"component {grading.key_text(key)}: ({coords})")
+            lines.append(f"component {grading.group.key_text(key)}: ({coords})")
     return "\n".join(lines) + "\n"
 
 
@@ -594,33 +564,12 @@ def parse_grading(text: str) -> Grading:
     if blocks is not None:
         if block_groups is None:
             raise ValueError("blocks given without groups")
-        fp = FreeProductGroup(blocks, block_groups)
-        keyed = {_parse_free_key(k, fp): v for k, v in components.items()}
-        return Grading(n, fp, keyed)
-    if group is None:
+        group = FreeProductGroup(blocks, block_groups)
+        if group.n != n:
+            raise ValueError(f"blocks cover {group.n} points, not n = {n}")
+    elif group is None:
         raise ValueError("grading file must declare a group or blocks")
-    keyed = {_parse_abelian_key(k, group): v for k, v in components.items()}
+    keyed: dict = {}
+    for text, vectors in components.items():     # "e" and "0" may name one element
+        keyed.setdefault(group.parse_key(text), []).extend(vectors)
     return Grading(n, group, keyed)
-
-
-def _parse_abelian_key(text: str, G: FiniteAbelianGroup) -> tuple:
-    if text == "e":
-        return G.identity()
-    parts = tuple(int(c) for c in text.split("."))
-    if len(parts) != len(G.invariant_factors):
-        raise ValueError(f"element {text!r} does not match {G.descriptor()}")
-    return tuple(c % d for c, d in zip(parts, G.invariant_factors))
-
-
-def _parse_free_key(text: str, fp: FreeProductGroup) -> tuple:
-    if text == "e":
-        return ()
-    letters = []
-    for chunk in text.split("*"):
-        if not chunk.startswith("b") or ":" not in chunk:
-            raise ValueError(f"bad free-product element {text!r}")
-        i_str, elem_str = chunk[1:].split(":", 1)
-        i = int(i_str)
-        elem = _parse_abelian_key(elem_str, fp.groups[i])
-        letters.append((i, elem))
-    return fp.mul(tuple(letters), ())

@@ -4,7 +4,8 @@ characters with cyclotomic values, and transitive abelian subgroups.
 Permutations act on 0-based points internally and render 1-based cycle
 notation.  Finite abelian groups are canonicalized by invariant factors
 d_1 | d_2 | ... | d_r (all >= 2, empty chain = trivial group); elements
-are exponent tuples.
+are exponent tuples, written "e" or dot-joined exponents in grading files
+(key_text / parse_key).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Cyclotomic, zeta
+from .exactnum import Cyclotomic, prime_factorization, zeta
 from .reports import CertificateReport, IdentityCheck
 
 _ONE = Fraction(1)
@@ -245,6 +246,8 @@ class FiniteAbelianGroup:
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
+    mul = add     # the group law under the name every grading group shares
+
     def neg(self, a: tuple) -> tuple:
         return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
 
@@ -252,10 +255,39 @@ class FiniteAbelianGroup:
         return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, self.invariant_factors))) \
             if self.invariant_factors else 1
 
+    def is_abelian(self) -> bool:
+        return True
+
+    def generates(self, support) -> bool:
+        """Do the given elements generate the whole group?"""
+        closure = {self.identity()}
+        frontier = list(support)
+        while frontier:
+            x = frontier.pop()
+            if x not in closure:
+                closure.add(x)
+                frontier.extend(self.add(x, y) for y in list(closure))
+        return len(closure) == self.order
+
     def descriptor(self) -> str:
         if not self.invariant_factors:
             return "Z1"
         return "x".join(f"Z{d}" for d in self.invariant_factors)
+
+    def key_text(self, key: tuple) -> str:
+        """Element syntax: "e" for the identity, else dot-joined exponents."""
+        if key == self.identity():
+            return "e"
+        return ".".join(str(c) for c in key)
+
+    def parse_key(self, text: str) -> tuple:
+        """Inverse of key_text; exponents are read modulo the invariant factors."""
+        if text == "e":
+            return self.identity()
+        parts = tuple(int(c) for c in text.split("."))
+        if len(parts) != len(self.invariant_factors):
+            raise ValueError(f"element {text!r} does not match {self.descriptor()}")
+        return tuple(c % d for c, d in zip(parts, self.invariant_factors))
 
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and \
@@ -287,68 +319,42 @@ def abelian_group_from_cyclic_orders(sizes) -> FiniteAbelianGroup:
     """Canonical invariant factors of a direct product of cyclic groups."""
     primary: dict[int, list[int]] = {}
     for size in sizes:
-        m = size
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                primary.setdefault(p, []).append(e)
-            p += 1
-        if m > 1:
-            primary.setdefault(m, []).append(1)
-    width = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for k in range(width):
-        d = 1
-        for p, exps in primary.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if k < len(exps_sorted):
-                d *= p ** exps_sorted[k]
-        factors.append(d)
+        for p, e in prime_factorization(size).items():
+            primary.setdefault(p, []).append(e)
+    factors = [1] * max(map(len, primary.values()), default=0)
+    for p, exps in primary.items():
+        # the k-th largest power of each prime goes into the k-th largest factor
+        for k, e in enumerate(sorted(exps, reverse=True)):
+            factors[k] *= p ** e
     return FiniteAbelianGroup(tuple(sorted(factors)))
 
 
+def partitions_desc(n: int) -> list[tuple]:
+    """Partitions of n as nonincreasing tuples, reverse-lex order."""
+    out: list[tuple] = []
+
+    def gen(rest, maxpart, prefix):
+        if rest == 0:
+            out.append(tuple(prefix))
+            return
+        for part in range(min(rest, maxpart), 0, -1):
+            gen(rest - part, part, prefix + [part])
+
+    gen(n, n, [])
+    return out
+
+
 def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:
-    """One representative per isomorphism class, sorted by invariant factors."""
+    """One representative per isomorphism class, sorted by invariant factors.
+
+    The classes correspond to one partition of each prime's exponent in n.
+    """
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return [FiniteAbelianGroup(())]
-    primes: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            primes[p] = primes.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        primes[m] = primes.get(m, 0) + 1
-
-    def partitions(k: int):
-        def gen(k, maxpart):
-            if k == 0:
-                yield []
-                return
-            for first in range(min(k, maxpart), 0, -1):
-                for rest in gen(k - first, first):
-                    yield [first] + rest
-        return list(gen(k, k))
-
-    per_prime = {p: partitions(e) for p, e in primes.items()}
-    result = []
-    for combo in itertools.product(*[per_prime[p] for p in sorted(per_prime)]):
-        width = max(len(part) for part in combo)
-        # right-align each prime's parts so the largest land in the last factor
-        factors = [1] * width
-        for prime, part in zip(sorted(per_prime), combo):
-            aligned = [0] * (width - len(part)) + sorted(part)
-            for k in range(width):
-                factors[k] *= prime ** aligned[k]
-        result.append(FiniteAbelianGroup(tuple(factors)))
+    primes = prime_factorization(n)
+    result = [abelian_group_from_cyclic_orders(
+                  p ** e for p, part in zip(primes, combo) for e in part)
+              for combo in itertools.product(*map(partitions_desc, primes.values()))]
     result.sort(key=lambda g: g.invariant_factors)
     return result
 
@@ -417,11 +423,6 @@ def _conjugates(elements: frozenset[Perm], n: int) -> list[tuple]:
         tinv = tau.inverse()
         out.append(tuple(sorted((tau * g * tinv).images for g in elements)))
     return out
-
-
-def _canonical_conjugate(elements: frozenset[Perm], n: int) -> tuple:
-    """Minimal conjugate element-set tuple; conjugation-class invariant."""
-    return min(_conjugates(elements, n))
 
 
 def is_transitive(elements, n: int) -> bool:

@@ -54,7 +54,7 @@ class Alphabet:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown generator {name!r}") from None
+            raise ValueError(f"unknown generator {name!r}") from None
 
     def __len__(self):
         return len(self.names)
@@ -337,7 +337,7 @@ class TensorAlgebra:
 # -- text syntax: terms "coeff*gen1.gen2...", e.g. "1*u11.u12 - 1*u12.u11" --
 
 _TERM_RE = re.compile(r"\s*([+-]?)\s*([^+\s-][^+-]*)")
-_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
+_COEFF_RE = re.compile(r"^\d+(?:/0*[1-9]\d*)?$")     # positive denominator
 _WORD_RE = re.compile(r"^[A-Za-z_][\w@]*(?:\.[A-Za-z_][\w@]*)*$")
 
 

@@ -66,11 +66,17 @@ class CertificateReport:
         return out
 
     def summary_lines(self) -> list[str]:
-        lines = [f"claim: {self.claim}"]
+        """Claim, row tally, every row that did not reduce, details, verdict."""
+        ok = sum(1 for c in self.identities if c.reduced_to_zero)
+        lines = [self.claim,
+                 f"  identities: {ok}/{len(self.identities)} reduced to zero"]
         for c in self.identities:
-            status = "ok" if c.reduced_to_zero else ("inconclusive" if c.inconclusive else "FAIL")
-            lines.append(f"  [{status}] {c.label}: {c.polynomial}")
-        lines.append(f"verdict: {self.verdict}")
+            if not c.reduced_to_zero:
+                tag = "inconclusive" if c.inconclusive else "FAIL"
+                lines.append(f"  [{tag}] {c.label}: {c.polynomial}")
+        for key in sorted(self.details):
+            lines.append(f"  {key}: {self.details[key]}")
+        lines.append(f"  verdict: {self.verdict}")
         return lines
 
 

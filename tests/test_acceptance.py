@@ -12,8 +12,7 @@ from qpalg import linalg
 from qpalg.cli import main as cli_main
 from qpalg.gradings import (classify_gradings, grading_from_partition,
                             orbit_decompose, partitions_desc, verify_grading)
-from qpalg.groups import (_canonical_conjugate,
-                          abelian_groups_of_order, all_perms, characters,
+from qpalg.groups import (abelian_groups_of_order, all_perms, characters,
                           e_sigma_product_check, transitive_abelian_subgroups)
 from qpalg.ncalg import NCPoly
 from qpalg.qperm import (ALL_FAMILIES,
@@ -25,6 +24,7 @@ from qpalg.qperm import (ALL_FAMILIES,
                          wang_block_matrix, wang_image, wang_target, wang_witness)
 from qpalg.reports import REFUTED, VERIFIED
 from qpalg.rewrite import complete, filtration_dimension, quotient_basis
+from groups_reference import canonical_conjugate
 
 F = Fraction
 
@@ -154,8 +154,8 @@ def test_criterion_09_classification_counts():
     for n in range(1, 7):
         classified = transitive_abelian_subgroups(n, "classified")
         brute = transitive_abelian_subgroups(n, "brute_force")
-        canon_c = sorted(_canonical_conjugate(e, n) for _, e in classified)
-        canon_b = sorted(_canonical_conjugate(e, n) for _, e in brute)
+        canon_c = sorted(canonical_conjugate(e, n) for _, e in classified)
+        canon_b = sorted(canonical_conjugate(e, n) for _, e in brute)
         assert canon_c == canon_b, f"n={n}"
     _ok("09 ergodic grading counts 2,1,1,3 at n=4,5,6,8; brute-force agreement n <= 6")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,32 @@ def test_unreadable_file_is_a_usage_error(argv, tmp_path, capsys):
     assert err.startswith("error:") and missing in err
 
 
+_FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,0)\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify-grading", _FREE_PRODUCT_HEAD + "component b7:1: (1,-1,0)\n"),
+    ("verify-grading", "n: 3\nblocks: 1,2 | 3\ngroups: Z2\n"
+                       "component e: (1,1,1)\ncomponent b0:1: (1,-1,0)\n"),
+    ("verify-grading", "n: 4\nblocks: 1,2 | 3\ngroups: Z2 | Z1\n"
+                       "component e: (1,1,0,0)\ncomponent e: (0,0,1,0)\n"
+                       "component b0:1: (1,-1,0,0)\n"),
+    ("verify-grading", _FREE_PRODUCT_HEAD + "component b0:1: (1/0,-1,0)\n"),
+    ("orbit-decompose", _FREE_PRODUCT_HEAD + "component b0:1: (1,-1,1/0)\n"),
+    ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z0,-1)\n"),
+    ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
+    ("sn-image", "1/0*u11.u22\n"),
+    ("sn-image", "1*u11.u99\n"),
+])
+def test_malformed_input_is_a_usage_error(command, text, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    option = ["--n", "2", "--poly"] if command == "sn-image" else ["--input"]
+    code, out, err = run([command] + option + [str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "overall:" not in out
+
+
 def test_present_prints_presentation(capsys):
     code, out, _ = run(["present", "--n", "2"], capsys)
     assert code == EXIT_VERIFIED
@@ -188,3 +215,111 @@ def test_gram_diagonal_cli(capsys):
 
 def test_coaction_check_generating_matrix(capsys):
     assert run(["coaction-check", "--n", "2"], capsys)[0] == EXIT_VERIFIED
+
+
+# The CLI suite pinned by test_golden_cli_reports, run in this order in one
+# directory (orbit-decompose and verify-grading read the file that the
+# first grade command saves).
+_GOLDEN_SUITE = [
+    ["present", "--n", "2"],
+    ["complete", "--n", "3"],
+    ["complete", "--n", "4"],
+    ["verify-hopf", "--n", "1"],
+    ["verify-hopf", "--n", "2"],
+    ["verify-hopf", "--n", "3"],
+    ["verify-hopf", "--n", "4"],
+    ["verify-hopf", "--semi", "--n", "3"],
+    ["verify-hopf", "--semi", "--n", "4"],
+    ["transpose-inverse", "--n", "3", "--families", "row-orth,row-sum,col-orth"],
+    ["gram-diagonal", "--n", "3"],
+    ["sn-image", "--n", "3"],
+    ["iso-check", "--n", "3"],
+    ["iso-check", "--n", "4"],
+    ["wang", "--n", "4", "--depth", "10"],
+    ["coaction-check", "--n", "2"],
+    ["coaction-check", "--n", "3"],
+    ["coaction-check", "--n", "4"],
+    ["coaction-check", "--counterexample"],
+    ["classify", "--n", "6"],
+    ["grade", "--blocks", "3,2", "--groups", "Z3,Z2", "--save", "g.grading"],
+    ["orbit-decompose", "--input", "g.grading"],
+    ["verify-grading", "--input", "g.grading"],
+    ["classify", "--n", "8"],
+    ["grade", "--blocks", "4,2,2", "--groups", "Z2xZ2,Z2,Z2"],
+    ["classify", "--n", "4", "--ergodic-only"],
+]
+
+# sha256 over the exit code, the stdout and the --json report without
+# wall_time_s, one per command of _GOLDEN_SUITE.
+_GOLDEN_SHA256 = {
+    "present --n 2":
+        "bca9f6516ea77e309b43039360eed98214ec6ceb322e54ebd47ea7fe14e1aa42",
+    "complete --n 3":
+        "c07b8bf5b9cf1af68c4d595357c7cb316595b9aa9262b76bad152ca15421dd54",
+    "complete --n 4":
+        "13ba8c3a12f3e2c714cb20df6d4c3e381a7118935fa851c0fba9c1588a8f745e",
+    "verify-hopf --n 1":
+        "e62ef64739aab0d512b878bd2f66da4e9aaf94192653e0e418a23864829fbcd9",
+    "verify-hopf --n 2":
+        "d516ac6406a3fad1f4b6947de7acfaf53b083684655fc3ba5d17dc1cedd0e7e8",
+    "verify-hopf --n 3":
+        "b8cdda89bbf301add35ace755121e457d1402136a8e3db7d299f820152eaf2c6",
+    "verify-hopf --n 4":
+        "0c9158cdafed7fc83332a5b11f8b2c249abd586e605e6b581c1677c9d5eb30f1",
+    "verify-hopf --semi --n 3":
+        "26f7ee045e1c081508034885caa76fc3b0d87c56848ce2c1c7126009a7b2dd83",
+    "verify-hopf --semi --n 4":
+        "02c3c8cc223f445bb474f1eb72e325fddacfb52ddea4e0d9f415ab5c57a899ad",
+    "transpose-inverse --n 3 --families row-orth,row-sum,col-orth":
+        "0fd422a137a4c91deb8c7747b3c071697c9e85b37c0d70d42e27ec37519c843c",
+    "gram-diagonal --n 3":
+        "cb5f3defbc3dc4fe8010656d6f4a887950dda770b492ef2e1a764aa25ec8ba72",
+    "sn-image --n 3":
+        "e1bdce169c91db90c43db7946eff8638d70bbfa97293d05482fd20230cecda7a",
+    "iso-check --n 3":
+        "575b810fa1e4c68f3cab4726c9563aba102b5c3095dc7293b8ab2625bba02b01",
+    "iso-check --n 4":
+        "dc08d7ee6519c862b33ec6d846229fd9dcac64deb8eaa96c8f95c1f5d9e6bada",
+    "wang --n 4 --depth 10":
+        "257ec5f79feffa53098b030f91eb3a113e6770c9659e5a058f517282f2ccd1ef",
+    "coaction-check --n 2":
+        "10dce6763589908cbc822172cac617fb7458dbc8d4711b78617b061fca28f78e",
+    "coaction-check --n 3":
+        "c78cc06db2cb2b33dad4406322fa7f0b6b482a7dc682d93673011d90226378ad",
+    "coaction-check --n 4":
+        "6381c8ced4172ab876085e046bd56c4f17cd7e26fc1fbda123aaab4d4f05a20e",
+    "coaction-check --counterexample":
+        "6195371aeeffd06ff3793e3297a61896fccb1a950641d1bc4967954baae6f0e5",
+    "classify --n 6":
+        "4e4f4da9223dbdced100029b3fcbd33e6de6ec7ed4d5b231ea69cdf3c3ca9fb1",
+    "grade --blocks 3,2 --groups Z3,Z2 --save g.grading":
+        "6e1daacc1713dc2b977d6d7df47a8c7e4376c070e849e3b2af42e0e95d9afdd9",
+    "orbit-decompose --input g.grading":
+        "44477e8064661cccd8472b04f92cc1255c508681d867f798a9da29fe62164d0a",
+    "verify-grading --input g.grading":
+        "770abe60a39e79b2c62754a19068350124666d3e10d220aea64e987a41355b71",
+    "classify --n 8":
+        "c4135fcb66fdc3705c58eb8db846acfca1af75d75689daf5aa44f2eaae5ed923",
+    "grade --blocks 4,2,2 --groups Z2xZ2,Z2,Z2":
+        "492a1a29c9f61947e006a7abcec5fb12ef54790338717d930c5aedea16c49dfb",
+    "classify --n 4 --ergodic-only":
+        "cf80ab7f306c981524a91dec4006bf4a288df62849476f9b184b9ae2e476af76",
+}
+
+
+def _golden_digests(capsys) -> dict:
+    digests = {}
+    for argv in _GOLDEN_SUITE:
+        code, out, _ = run(argv + ["--json", "r.json"], capsys)
+        with open("r.json") as fh:
+            report = json.load(fh)
+        del report["wall_time_s"]
+        blob = f"{code}\n{out}\n{json.dumps(report, sort_keys=True)}"
+        digests[" ".join(argv)] = hashlib.sha256(blob.encode()).hexdigest()
+    return digests
+
+
+def test_golden_cli_reports(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QPALG_REPORT_DIR", raising=False)
+    assert _golden_digests(capsys) == _GOLDEN_SHA256

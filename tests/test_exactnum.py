@@ -1,10 +1,13 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qpalg.exactnum import (Cyclotomic, cyclotomic_polynomial, divisors,
-                            euler_phi, format_scalar, parse_scalar, zeta)
+                            euler_phi, format_scalar, parse_scalar,
+                            prime_factorization, zeta)
 
 F = Fraction
 
@@ -21,6 +24,27 @@ def test_cyclotomic_polynomials():
 def test_divisors_and_phi():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert [euler_phi(m) for m in (1, 2, 3, 4, 6, 8, 12)] == [1, 1, 2, 2, 2, 4, 4]
+
+
+def test_euler_phi_is_pinned():
+    # recorded from the trial division that euler_phi did itself
+    out = [euler_phi(m) for m in range(1, 3000)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "e6e904a77b8ab157481da266b4c2138b6a3d4f21ac39fbcf81e13582844ef03e"
+
+
+def test_prime_factorization():
+    assert prime_factorization(1) == {}
+    assert prime_factorization(360) == {2: 3, 3: 2, 5: 1}
+    assert prime_factorization(9973) == {9973: 1}
+    for m in range(1, 500):
+        factors = prime_factorization(m)
+        assert math.prod(p ** e for p, e in factors.items()) == m
+        assert list(factors) == sorted(factors)
+        assert all(divisors(p) == [1, p] for p in factors)
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            prime_factorization(bad)
 
 
 def test_embed_identity_element():
@@ -127,7 +151,7 @@ def test_scalar_text_roundtrip():
 
 
 def test_parse_scalar_rejects_garbage():
-    for bad in ["", "z", "1**2", "q3", "1//2"]:
+    for bad in ["", "z", "1**2", "q3", "1//2", "1/0", "2/00*z3", "z0", "1+z00^2"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import zeta
 from qpalg.gradings import (FreeProductGroup, Grading,
@@ -201,6 +202,14 @@ def test_grading_file_rejects_garbage():
         parse_grading("n: 2\nnonsense: 1\n")
 
 
+def test_grading_file_merges_spellings_of_one_element():
+    # "e" and "0" both name the identity of Z2: three vectors in K^2 are no direct sum
+    g = parse_grading("n: 2\ngroup: Z2\ncomponent e: (1,0)\n"
+                      "component 0: (1,1)\ncomponent 1: (1,-1)\n")
+    assert g.components[(0,)] == [(F(1), F(0)), (F(1), F(1))]
+    assert verify_grading(g).verdict == REFUTED
+
+
 def test_free_product_group_words():
     fp = FreeProductGroup(((0, 1, 2), (3, 4)), (Z3, Z2))
     a = ((0, (1,)),)
@@ -211,3 +220,71 @@ def test_free_product_group_words():
     assert fp.element_order(a) == 3
     assert fp.mul(a, fp.mul(a, a)) == ()
     assert not fp.is_abelian()
+
+
+def _free_product(groups):
+    blocks, start = [], 0
+    for G in groups:
+        blocks.append(tuple(range(start, start + G.order)))
+        start += G.order
+    return FreeProductGroup(tuple(blocks), tuple(groups))
+
+
+def _reduced_words(fp, max_length):
+    letters = [(i, c) for i, G in enumerate(fp.groups)
+               for c in G.elements() if c != G.identity()]
+    words, frontier = [()], [()]
+    for _ in range(max_length):
+        frontier = [w + (x,) for w in frontier for x in letters
+                    if not w or w[-1][0] != x[0]]
+        words += frontier
+    return words
+
+
+_BLOCK_GROUPS = [G for m in range(1, 13) for G in abelian_groups_of_order(m)]
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_free_product_key_text_round_trip(blocks):
+    pool = _BLOCK_GROUPS if blocks == 2 else _BLOCK_GROUPS[:5]     # orders <= 4
+    for groups in itertools.combinations_with_replacement(pool, blocks):
+        fp = _free_product(groups)
+        for word in _reduced_words(fp, 3):
+            assert fp.parse_key(fp.key_text(word)) == word
+            assert fp.mul(word, fp.identity()) == word
+
+
+def test_free_product_group_interface():
+    fp = FreeProductGroup(((0, 1, 2), (3, 4)), (Z3, Z2))
+    assert fp.key_text(()) == "e" and fp.parse_key("e") == ()
+    assert fp.key_text(((0, (2,)), (1, (1,)))) == "b0:2*b1:1"
+    assert fp.parse_key("b0:1*b0:2*b1:3") == ((1, (1,)),)    # read as a reduced word
+    assert fp.generates([((0, (1,)),), ((1, (1,)),)])
+    assert not fp.generates([((0, (1,)),)])
+    for bad in ("b2:1", "b-1:1", "c0:1", "b0:1.1"):
+        with pytest.raises(ValueError):
+            fp.parse_key(bad)
+    with pytest.raises(ValueError, match="groups"):
+        FreeProductGroup(((0, 1), (2,)), (Z2,))
+
+
+def _relabel(grading, perm):
+    """The same grading with point i renamed perm[i]."""
+    comps = {}
+    for key, vecs in grading.components.items():
+        comps[key] = [tuple(v[perm.index(i)] for i in range(grading.n)) for v in vecs]
+    group = grading.group
+    if isinstance(group, FreeProductGroup):
+        group = FreeProductGroup(
+            tuple(tuple(sorted(perm[p] for p in b)) for b in group.blocks), group.groups)
+    return Grading(grading.n, group, comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_relabelled_grading_file_round_trip(data, n):
+    partition = data.draw(st.sampled_from(partitions_desc(n)))
+    groups = [data.draw(st.sampled_from(abelian_groups_of_order(m))) for m in partition]
+    perm = data.draw(st.permutations(range(n)))
+    text = format_grading(_relabel(grading_from_partition(partition, groups), perm))
+    assert format_grading(parse_grading(text)) == text

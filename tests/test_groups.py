@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import Cyclotomic, zeta
 from qpalg.groups import (FiniteAbelianGroup, FunctionOnSn, Perm,
-                          _canonical_conjugate, abelian_groups_of_order,
-                          all_perms, character_table, characters,
-                          e_sigma_product_check, is_abelian, is_transitive,
-                          parse_group_descriptor, regular_embedding,
-                          subgroup_closure, transitive_abelian_subgroups)
+                          abelian_group_from_cyclic_orders,
+                          abelian_groups_of_order, all_perms, character_table,
+                          characters, e_sigma_product_check, is_abelian,
+                          is_transitive, parse_group_descriptor,
+                          regular_embedding, subgroup_closure,
+                          transitive_abelian_subgroups)
 from qpalg.reports import VERIFIED
+from groups_reference import canonical_conjugate
 
 F = Fraction
 
@@ -94,6 +96,38 @@ def test_invariant_factor_chain():
             assert g.order == n
             for a, b in zip(facs, facs[1:]):
                 assert b % a == 0
+
+
+def test_abelian_groups_of_order_is_pinned():
+    # recorded from the earlier code, which factored n and partitioned exponents itself
+    out = [[g.invariant_factors for g in abelian_groups_of_order(n)] for n in range(1, 301)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "78aa38a1e524a6728d7cec39db3e7127afaa881e8a5e4841e2f1c80fa46ce076"
+
+
+def test_cyclic_orders_give_the_invariant_factors():
+    assert abelian_group_from_cyclic_orders([]).invariant_factors == ()
+    assert abelian_group_from_cyclic_orders([1, 1]).invariant_factors == ()
+    assert abelian_group_from_cyclic_orders([4, 6]).invariant_factors == (2, 12)
+    assert abelian_group_from_cyclic_orders([2, 3, 4, 9]).invariant_factors == (6, 36)
+    assert abelian_group_from_cyclic_orders([8, 2, 4]).invariant_factors == (2, 4, 8)
+
+
+def test_abelian_group_interface():
+    for n in range(1, 13):
+        for G in abelian_groups_of_order(n):
+            assert G.is_abelian() and G.generates(G.elements())
+            assert G.key_text(G.identity()) == "e"
+            for k in G.elements():
+                assert G.parse_key(G.key_text(k)) == k
+                assert G.mul(k, G.identity()) == k
+    z4 = FiniteAbelianGroup((4,))
+    assert z4.generates([(1,)]) and not z4.generates([(2,)])
+    assert not z4.generates([])
+    assert FiniteAbelianGroup(()).generates([])
+    assert z4.parse_key("5") == (1,) and z4.key_text((3,)) == "3"
+    with pytest.raises(ValueError, match="does not match"):
+        z4.parse_key("1.1")
 
 
 def test_group_descriptor_roundtrip():
@@ -180,8 +214,8 @@ def test_transitive_abelian_subgroups_modes_agree():
         classified = transitive_abelian_subgroups(n, "classified")
         brute = transitive_abelian_subgroups(n, "brute_force")
         assert len(classified) == len(brute)
-        canon_c = sorted(_canonical_conjugate(e, n) for _, e in classified)
-        canon_b = sorted(_canonical_conjugate(e, n) for _, e in brute)
+        canon_c = sorted(canonical_conjugate(e, n) for _, e in classified)
+        canon_b = sorted(canonical_conjugate(e, n) for _, e in brute)
         assert canon_c == canon_b
         for G, elems in brute:
             assert G is not None and G.order == n
@@ -217,7 +251,7 @@ def _unpruned_class_representatives(n):
         elems = subgroup_closure([a, b], n, maxsize=n)
         if len(elems) != n or not is_transitive(elems, n) or not is_abelian(elems):
             continue
-        found.setdefault(_canonical_conjugate(elems, n), elems)
+        found.setdefault(canonical_conjugate(elems, n), elems)
     return [found[key] for key in sorted(found)]
 
 
