@@ -229,7 +229,7 @@ def verify_grading(grading: Grading) -> CertificateReport:
     rows = []
     details: dict = {"n": grading.n}
     all_vectors = [v for key in grading.support() for v in grading.components[key]]
-    rk = linalg.rank(all_vectors) if all_vectors else 0
+    rk = linalg.rank(all_vectors)
     rows.append(IdentityCheck(
         "direct sum spans K^n",
         f"rank {rk} of {len(all_vectors)} component basis vectors (need {grading.n})",
@@ -274,10 +274,11 @@ def verify_grading(grading: Grading) -> CertificateReport:
             f"element order {order if order else 'infinite'}",
             order is not None))
     faithful = group.generates(grading.support())
-    ergodic = linalg.rank(id_basis) == 1 if id_basis else False
+    dim_identity = linalg.rank(id_basis)
+    ergodic = dim_identity == 1
     details["faithful"] = faithful
     details["ergodic"] = ergodic
-    details["dim_identity_component"] = linalg.rank(id_basis) if id_basis else 0
+    details["dim_identity_component"] = dim_identity
     if ergodic and faithful:
         rows.append(IdentityCheck(
             "ergodic faithful grading has abelian group",
@@ -467,35 +468,28 @@ CLASSIFY_MAX_N = 12
 def classify_gradings(n: int, ergodic_only: bool = False) -> ClassificationReport:
     """Enumerate and verify the gradings of K^n.
 
-    Ergodic case: one grading per abelian group of order n (equivalently,
-    per transitive abelian subgroup of S_n up to conjugacy).  General
-    case: one grading per (partition of n, per-block group choice), graded
-    by the free product of the block groups; quotients of the free product
-    are not enumerated.
+    General case: one grading per (partition of n, per-block group
+    choice), graded by the free product of the block groups; quotients of
+    the free product are not enumerated.  The ergodic gradings are the
+    one-block entries, one per abelian group of order n (equivalently, per
+    transitive abelian subgroup of S_n up to conjugacy).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > CLASSIFY_MAX_N:
         raise ValueError(f"classification is capped at n = {CLASSIFY_MAX_N} "
                          "(exact cyclotomic linear algebra cost)")
-    ergodic_entries = []
-    for G in abelian_groups_of_order(n):
-        grading = grading_from_regular_abelian(G)
-        report = verify_grading(grading)
-        orbit = orbit_decompose(grading) if report.verdict == VERIFIED else None
-        ergodic_entries.append(ClassificationEntry((n,), (G,), grading, report, orbit))
-    general_entries = []
-    if not ergodic_only:
-        for partition in partitions_desc(n):
-            pools = [abelian_groups_of_order(m) for m in partition]
-            for choice in itertools.product(*pools):
-                grading = grading_from_partition(partition, choice)
-                report = verify_grading(grading)
-                orbit = orbit_decompose(grading) if report.verdict == VERIFIED else None
-                general_entries.append(
-                    ClassificationEntry(partition, choice, grading, report, orbit))
-    verdict = merge_verdicts([e.report.verdict for e in ergodic_entries] +
-                             [e.report.verdict for e in general_entries] or [VERIFIED])
+    entries = []
+    for partition in [(n,)] if ergodic_only else partitions_desc(n):
+        pools = [abelian_groups_of_order(m) for m in partition]
+        for choice in itertools.product(*pools):
+            grading = grading_from_partition(partition, choice)
+            report = verify_grading(grading)
+            orbit = orbit_decompose(grading) if report.verdict == VERIFIED else None
+            entries.append(ClassificationEntry(partition, choice, grading, report, orbit))
+    ergodic_entries = [e for e in entries if e.partition == (n,)]
+    general_entries = [] if ergodic_only else entries
+    verdict = merge_verdicts(e.report.verdict for e in entries)
     conclusion = (
         f"every faithful grading group of K^{n} is a quotient of one of the "
         "free products exhibited here (a free product of transitive abelian "
@@ -561,6 +555,8 @@ def parse_grading(text: str) -> Grading:
             raise ValueError(f"cannot parse grading line {line!r}")
     if n is None:
         raise ValueError("grading file must declare n")
+    if group is not None and (blocks is not None or block_groups is not None):
+        raise ValueError("grading file declares both group and blocks/groups")
     if blocks is not None:
         if block_groups is None:
             raise ValueError("blocks given without groups")

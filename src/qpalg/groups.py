@@ -1,6 +1,10 @@
 """Finite group machinery: S_n, functions on S_n, finite abelian groups,
 characters with cyclotomic values, and transitive abelian subgroups.
 
+Functions on S_n are values only (storage, evaluation, equality and
+rendering): there is no pointwise algebra on them, and the one map into
+them is qperm.to_sn_function.
+
 Permutations act on 0-based points internally and render 1-based cycle
 notation.  Finite abelian groups are canonicalized by invariant factors
 d_1 | d_2 | ... | d_r (all >= 2, empty chain = trivial group); elements
@@ -16,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Cyclotomic, prime_factorization, zeta
-from .reports import CertificateReport, IdentityCheck
 
-_ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
@@ -101,7 +103,11 @@ def all_perms(n: int) -> list[Perm]:
 
 
 class FunctionOnSn:
-    """Exact-valued function on S_n with pointwise algebra operations."""
+    """Exact-valued function on S_n, stored by its nonzero values.
+
+    It is the value type of qperm.to_sn_function, the one map onto
+    functions on S_n; there is no pointwise algebra on it.
+    """
 
     __slots__ = ("n", "values")
 
@@ -116,69 +122,11 @@ class FunctionOnSn:
                     vals[sigma] = c
         self.values = vals
 
-    @classmethod
-    def zero(cls, n: int) -> "FunctionOnSn":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "FunctionOnSn":
-        return cls(n, {s: _ONE for s in all_perms(n)})
-
-    @classmethod
-    def indicator(cls, sigma: Perm) -> "FunctionOnSn":
-        return cls(sigma.n, {sigma: _ONE})
-
-    @classmethod
-    def p_entry(cls, n: int, i: int, j: int) -> "FunctionOnSn":
-        """The coordinate function sigma -> [sigma sends column j to row i] (1-based)."""
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError("matrix indices out of range")
-        return cls(n, {s: _ONE for s in all_perms(n) if s(j - 1) == i - 1})
-
     def __call__(self, sigma: Perm):
         return self.values.get(sigma, _ZERO)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FunctionOnSn(self.n, {s: Fraction(other) for s in all_perms(self.n)})
-        vals = dict(self.values)
-        for s, c in other.values.items():
-            v = vals.get(s, _ZERO) + c
-            if v:
-                vals[s] = v
-            else:
-                vals.pop(s, None)
-        return FunctionOnSn(self.n, vals)
-
-    def __neg__(self):
-        return FunctionOnSn(self.n, {s: -c for s, c in self.values.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FunctionOnSn(self.n, {s: c * other for s, c in self.values.items()})
-        vals = {}
-        small, big = (self.values, other.values) if len(self.values) <= len(other.values) \
-            else (other.values, self.values)
-        for s, c in small.items():
-            d = big.get(s)
-            if d:
-                vals[s] = c * d
-        return FunctionOnSn(self.n, vals)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self == (FunctionOnSn.one(self.n) * Fraction(other))
         return isinstance(other, FunctionOnSn) and self.n == other.n and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.values.items())))
 
     def __bool__(self):
         return bool(self.values)
@@ -194,24 +142,6 @@ class FunctionOnSn:
 
     def __repr__(self):
         return f"FunctionOnSn({self.render()})"
-
-
-def e_sigma_product_check(n: int) -> CertificateReport:
-    """Each permutation's indicator equals the product of its coordinate functions."""
-    perms = all_perms(n)
-    rows = []
-    for sigma in perms:
-        prod = FunctionOnSn.one(n)
-        for j in range(1, n + 1):
-            prod = prod * FunctionOnSn.p_entry(n, sigma(j - 1) + 1, j)
-        ok = prod == FunctionOnSn.indicator(sigma)
-        rows.append(IdentityCheck(
-            label=f"indicator[{sigma.cycle_string()}]",
-            polynomial="product of p[sigma(j),j] over columns j",
-            reduced_to_zero=ok))
-    return CertificateReport.from_identities(
-        f"indicator functions on S_{n} factor through coordinate functions", rows,
-        details={"n": n, "permutations": len(perms)})
 
 
 class FiniteAbelianGroup:

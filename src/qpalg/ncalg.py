@@ -296,12 +296,6 @@ class TensorAlgebra:
     def letter(self, base_index: int, factor: int) -> int:
         return factor * len(self.base) + base_index
 
-    def factor_of(self, letter: int) -> int:
-        return letter // len(self.base)
-
-    def base_letter(self, letter: int) -> int:
-        return letter % len(self.base)
-
     def inject(self, p: NCPoly, factor: int) -> NCPoly:
         """Image of p under A -> A^(tensor k) into the given factor."""
         if p.alphabet != self.base:
@@ -320,18 +314,6 @@ class TensorAlgebra:
         for t, part in enumerate(parts):
             acc = acc * self.inject(part, t)
         return acc
-
-    def split_word(self, w: Word) -> list[Word]:
-        """Per-factor words of a straightened (factor-sorted) word."""
-        parts: list[list[int]] = [[] for _ in range(self.factors)]
-        last = 0
-        for letter in w:
-            f = self.factor_of(letter)
-            if f < last:
-                raise ValueError("word is not straightened")
-            last = f
-            parts[f].append(self.base_letter(letter))
-        return [tuple(p) for p in parts]
 
 
 # -- text syntax: terms "coeff*gen1.gen2...", e.g. "1*u11.u12 - 1*u12.u11" --

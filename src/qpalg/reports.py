@@ -31,6 +31,17 @@ class IdentityCheck:
         }
 
 
+def rows_verdict(identities: list[IdentityCheck]) -> str:
+    """Verdict of a certificate with exactly these rows."""
+    if not identities:
+        return INCONCLUSIVE             # a certificate without rows shows nothing
+    if all(c.reduced_to_zero and not c.inconclusive for c in identities):
+        return VERIFIED
+    if any(not c.reduced_to_zero and not c.inconclusive for c in identities):
+        return REFUTED
+    return INCONCLUSIVE
+
+
 @dataclass
 class CertificateReport:
     claim: str
@@ -41,15 +52,7 @@ class CertificateReport:
     @classmethod
     def from_identities(cls, claim: str, identities, details=None) -> "CertificateReport":
         identities = list(identities)
-        if not identities:
-            verdict = INCONCLUSIVE          # a certificate without rows shows nothing
-        elif all(c.reduced_to_zero and not c.inconclusive for c in identities):
-            verdict = VERIFIED
-        elif any(not c.reduced_to_zero and not c.inconclusive for c in identities):
-            verdict = REFUTED
-        else:
-            verdict = INCONCLUSIVE
-        return cls(claim, identities, verdict, dict(details or {}))
+        return cls(claim, identities, rows_verdict(identities), dict(details or {}))
 
     @property
     def verified(self) -> bool:

@@ -13,11 +13,12 @@ from qpalg.cli import main as cli_main
 from qpalg.gradings import (classify_gradings, grading_from_partition,
                             orbit_decompose, partitions_desc, verify_grading)
 from qpalg.groups import (abelian_groups_of_order, all_perms, characters,
-                          e_sigma_product_check, transitive_abelian_subgroups)
+                          transitive_abelian_subgroups)
 from qpalg.ncalg import NCPoly
 from qpalg.qperm import (ALL_FAMILIES,
                          MatrixOverAlgebra, check_magic,
-                         coaction_algebra_map_check, gram_diagonal_check,
+                         coaction_algebra_map_check, e_sigma_product_check,
+                         gram_diagonal_check,
                          group_algebra_presentation, magic_presentation,
                          matrix_inverse_from_families, sn_isomorphism_check,
                          sn_relations_check, to_sn_function, verify_hopf_axioms,

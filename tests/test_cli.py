@@ -149,6 +149,8 @@ _FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,
     ("verify-grading", _FREE_PRODUCT_HEAD + "component b0:1: (1/0,-1,0)\n"),
     ("orbit-decompose", _FREE_PRODUCT_HEAD + "component b0:1: (1,-1,1/0)\n"),
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z0,-1)\n"),
+    ("verify-grading", "n: 2\ngroup: Z7\nblocks: 1 | 2\ngroups: Z1 | Z1\n"
+                       "component e: (1,0)\ncomponent e: (0,1)\n"),
     ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
     ("sn-image", "1/0*u11.u22\n"),
     ("sn-image", "1*u11.u99\n"),

@@ -175,6 +175,14 @@ def test_classification_counts():
     assert len(rep1.ergodic) == 1 and len(rep1.general) == 1
 
 
+def test_ergodic_entries_are_the_one_block_entries():
+    rep = classify_gradings(6)
+    one_block = [e for e in rep.general if e.partition == (6,)]
+    assert one_block and [id(e) for e in rep.ergodic] == [id(e) for e in one_block]
+    alone = classify_gradings(6, ergodic_only=True)
+    assert [e.to_dict() for e in alone.ergodic] == [e.to_dict() for e in rep.ergodic]
+
+
 def test_classification_cost_guard():
     with pytest.raises(ValueError, match="capped"):
         classify_gradings(13)

@@ -9,10 +9,12 @@ from qpalg.exactnum import Cyclotomic, zeta
 from qpalg.groups import (FiniteAbelianGroup, FunctionOnSn, Perm,
                           abelian_group_from_cyclic_orders,
                           abelian_groups_of_order, all_perms, character_table,
-                          characters, e_sigma_product_check, is_abelian,
+                          characters, is_abelian,
                           is_transitive, parse_group_descriptor,
                           regular_embedding, subgroup_closure,
                           transitive_abelian_subgroups)
+from qpalg.ncalg import Alphabet, parse_poly
+from qpalg.qperm import e_sigma_product_check, to_sn_function, u_names
 from qpalg.reports import VERIFIED
 from groups_reference import canonical_conjugate
 
@@ -47,28 +49,13 @@ def test_unchecked_products_match_checked_perms(data, n):
     assert a * a.inverse() == Perm.identity(n) == a.inverse() * a
 
 
-def test_function_algebra_idempotents():
-    n = 3
-    total = FunctionOnSn.zero(n)
-    for sigma in all_perms(n):
-        e = FunctionOnSn.indicator(sigma)
-        assert e * e == e
-        total = total + e
-        for tau in all_perms(n):
-            if tau != sigma:
-                assert e * FunctionOnSn.indicator(tau) == FunctionOnSn.zero(n)
-    assert total == FunctionOnSn.one(n)
-
-
 def test_e_sigma_examples():
     assert e_sigma_product_check(1).verdict == VERIFIED
     rep3 = e_sigma_product_check(3)
     assert rep3.verdict == VERIFIED
     cycle = Perm((1, 2, 0))
-    prod = FunctionOnSn.one(3)
-    for j in range(1, 4):
-        prod = prod * FunctionOnSn.p_entry(3, cycle(j - 1) + 1, j)
-    assert prod == FunctionOnSn.indicator(cycle)
+    monomial = parse_poly("u21.u32.u13", Alphabet(u_names(3)))
+    assert to_sn_function(monomial, 3) == FunctionOnSn(3, {cycle: 1})
     assert e_sigma_product_check(5).verdict == VERIFIED
 
 

@@ -125,14 +125,6 @@ def test_tensor_straightening_confluent():
     assert sys.status_label() == CONFLUENT
 
 
-def test_tensor_split_word():
-    T = TensorAlgebra(A, 3)
-    w = (T.letter(0, 0), T.letter(2, 1), T.letter(3, 2))
-    assert T.split_word(w) == [(0,), (2,), (3,)]
-    with pytest.raises(ValueError):
-        T.split_word((T.letter(0, 1), T.letter(0, 0)))
-
-
 def test_poly_text_roundtrip():
     rng = random.Random(3)
     for _ in range(40):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpalg import qperm
 from qpalg.groups import FunctionOnSn, Perm
 from qpalg.ncalg import NCPoly
 from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM,
@@ -16,7 +17,7 @@ from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM,
                          sn_relations_check, to_sn_function, trivial_presentation,
                          verify_hopf_axioms, wang_block_matrix, wang_image,
                          wang_target, wang_witness)
-from qpalg.reports import REFUTED, VERIFIED
+from qpalg.reports import INCONCLUSIVE, REFUTED, VERIFIED
 from qpalg.rewrite import complete, normal_form, quotient_basis
 
 F = Fraction
@@ -136,6 +137,47 @@ def test_generating_matrix_coaction(magic, completed_magic):
         rep = coaction_algebra_map_check(x, pres)
         assert rep.verdict == VERIFIED
         assert rep.details["multiplicative_precondition"] == VERIFIED
+
+
+def test_coaction_check_reduces_each_leg_once(magic, completed_magic, monkeypatch):
+    labels = []
+    reduce_row = qperm._reduce_row
+
+    def counting(label, poly, system):
+        labels.append(label)
+        return reduce_row(label, poly, system)
+
+    monkeypatch.setattr(qperm, "_reduce_row", counting)
+    pres = magic[3]
+    rep = coaction_algebra_map_check(pres.generating_matrix(completed_magic[3].system), pres)
+    assert rep.verdict == VERIFIED and rep.details["semi_magic"] == VERIFIED
+    # 9 comultiplication rows, then 27 orthogonality and 3 unit legs
+    assert len(labels) == 39
+
+
+def test_coaction_semi_magic_verdict_matches_check_semi_magic(magic, completed_magic):
+    hopf = group_algebra_presentation(2)
+    ambient = complete(hopf.system, 4).system
+    g = NCPoly.gen(ambient.alphabet, 0)
+    zero = NCPoly.zero(ambient.alphabet)
+    triv = trivial_presentation()
+    sigma = Perm((1, 2, 0))
+    cases = [
+        (MatrixOverAlgebra(2, ((g, zero), (zero, g)), ambient), hopf),
+        (MatrixOverAlgebra.from_scalars(
+            3, [[1 if sigma(j) == i else 0 for j in range(3)] for i in range(3)],
+            triv.system), triv),
+        (MatrixOverAlgebra.from_scalars(2, [[1, 1], [0, 1]], triv.system), triv),
+        (MatrixOverAlgebra.from_scalars(2, [[1, 1], [0, 1]], magic[2].system), magic[2]),
+        (magic[3].generating_matrix(), magic[3]),
+        (magic[3].generating_matrix(completed_magic[3].system), magic[3]),
+    ]
+    verdicts = set()
+    for x, h in cases:
+        semi = check_semi_magic(x).verdict
+        assert coaction_algebra_map_check(x, h).details["semi_magic"] == semi
+        verdicts.add(semi)
+    assert verdicts == {VERIFIED, REFUTED, INCONCLUSIVE}
 
 
 def test_permutation_matrix_coaction():
@@ -260,7 +302,7 @@ def test_pi_on_generators():
     ident = Perm((0, 1))
     swap = Perm((1, 0))
     assert f(ident) == 1 and f(swap) == 0
-    assert to_sn_function(pres.gen(1, 1) * pres.gen(1, 2), 2) == FunctionOnSn.zero(2)
+    assert to_sn_function(pres.gen(1, 1) * pres.gen(1, 2), 2) == FunctionOnSn(2)
 
 
 def test_pi_kills_relations():
@@ -299,6 +341,16 @@ def test_wang_witness_main():
     rep = wang_witness(4, depth=10)
     assert rep.verdict == VERIFIED
     assert rep.details["filtration"] == [2 * d + 1 for d in range(11)]
+
+
+def test_sn_certificates_build_no_presentation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a presentation was built")
+
+    monkeypatch.setattr(qperm, "presentation", refuse)
+    assert sn_relations_check(4).verdict == VERIFIED
+    assert wang_witness(4).verdict == VERIFIED
+    assert sn_isomorphism_check(4).verdict == VERIFIED
 
 
 def test_wang_witness_n5():
