@@ -24,8 +24,8 @@ from .qperm import (ALL_FAMILIES, MatrixOverAlgebra, coaction_algebra_map_check,
                     gram_diagonal_check, group_algebra_presentation,
                     magic_presentation, matrix_inverse_from_families,
                     semi_magic_presentation, sn_isomorphism_check,
-                    sn_relations_check, to_sn_function, verify_hopf_axioms,
-                    wang_witness)
+                    sn_relations_check, to_sn_function, u_alphabet,
+                    verify_hopf_axioms, wang_witness)
 from .reports import (INCONCLUSIVE, REFUTED, VERIFIED, CertificateReport,
                       RunReport, merge_verdicts)
 from .rewrite import (CONFLUENT, RewriteSystem, complete, format_presentation,
@@ -232,9 +232,9 @@ def _dispatch(args, argv, started) -> int:
     if cmd == "sn-image":
         n = args.n
         if args.poly:
-            pres = magic_presentation(n)
+            alphabet = u_alphabet(n)
             with open(args.poly) as fh:
-                poly = parse_poly(fh.read().strip(), pres.alphabet)
+                poly = parse_poly(fh.read().strip(), alphabet)
             image = to_sn_function(poly, n)
             report = CertificateReport(
                 claim=f"S_{n} image of {poly.render()}",

@@ -2,10 +2,12 @@
 
 Rationals are stdlib ``fractions.Fraction``.  An element of Q(zeta_m) is a
 coordinate vector over the power basis 1, z, ..., z^(phi(m)-1), reduced
-modulo the m-th cyclotomic polynomial, which makes the representation
-canonical at a fixed order.  Mixed-order arithmetic embeds both operands
-into Q(zeta_lcm) so callers never manage orders by hand.  All values are
-immutable and safe to share.
+modulo the m-th cyclotomic polynomial and kept as integer numerators over
+one common denominator in lowest terms, which makes the representation
+canonical at a fixed order.  Phi_m is monic with integer coefficients, so
+products reduce through a table of x^e mod Phi_m without any division.
+Mixed-order arithmetic embeds both operands into Q(zeta_lcm) so callers
+never manage orders by hand.  All values are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def divisors(m: int) -> list[int]:
     """Positive divisors of m in increasing order."""
@@ -55,93 +53,144 @@ def euler_phi(m: int) -> int:
     return math.prod(p ** (e - 1) * (p - 1) for p, e in prime_factorization(m).items())
 
 
-# -- dense polynomial helpers over Fraction (index = power) --
+# -- integer polynomials modulo Phi_m (index = power) --
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _polydivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _divide_monic(a: list[int], b: tuple[int, ...]) -> list[int]:
+    """Exact quotient of a by the monic integer polynomial b."""
     rem = list(a)
-    quot = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        k = len(rem) - len(b)
+    top = len(b) - 1
+    quot = [0] * (len(a) - top)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + top]
         if c:
             quot[k] = c
             for j, bj in enumerate(b):
                 rem[k + j] -= c * bj
-        rem.pop()
-        _trim(rem)
-        if not rem:
-            break
-    return _trim(quot), rem
+    if any(rem):
+        raise AssertionError("cyclotomic division left a remainder")
+    return quot
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, low power first.
+def _phi_ints(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m, low power first.
 
     Computed by the recursive exact division
-    x^m - 1 = product of Phi_d over divisors d of m.
+    x^m - 1 = product of Phi_d over divisors d of m; every Phi_d is monic
+    with integer coefficients, so the division never leaves Z.
     """
     if m < 1:
         raise ValueError("order must be positive")
-    num = [_ZERO] * (m + 1)
-    num[0], num[m] = Fraction(-1), _ONE
+    num = [-1] + [0] * (m - 1) + [1]
     for d in divisors(m)[:-1]:
-        num, rem = _polydivmod(num, list(cyclotomic_polynomial(d)))
-        if rem:
-            raise AssertionError("cyclotomic division left a remainder")
+        num = _divide_monic(num, _phi_ints(d))
     return tuple(num)
 
 
-def _reduce_mod_phi(order: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = euler_phi(order)
-    _, rem = _polydivmod(_trim(list(raw)), list(cyclotomic_polynomial(order)))
-    rem.extend([_ZERO] * (phi - len(rem)))
-    return tuple(rem)
+def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, low power first."""
+    return tuple(Fraction(c) for c in _phi_ints(m))
+
+
+@lru_cache(maxsize=None)
+def _powers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^e modulo Phi_m for 0 <= e < m, each as its nonzero (index, coefficient) pairs.
+
+    Phi_m divides x^m - 1, so x^e reduces like x^(e mod m); Phi_m is monic,
+    so every entry is an integer.
+    """
+    low = _phi_ints(m)[:-1]
+    vec = [1] + [0] * (len(low) - 1)
+    out = []
+    for _ in range(m):
+        out.append(tuple((i, c) for i, c in enumerate(vec) if c))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:                          # x^phi = -(low part of Phi_m)
+            for i, p in enumerate(low):
+                vec[i] -= top * p
+    return tuple(out)
+
+
+def _reduce(m: int, raw: list[int]) -> list[int]:
+    """Numerators of sum raw[e] x^e modulo Phi_m, of length phi(m)."""
+    phi = euler_phi(m)
+    out = raw[:phi] + [0] * (phi - len(raw))
+    powers = _powers(m)
+    for e in range(phi, len(raw)):
+        c = raw[e]
+        if c:
+            for i, p in powers[e % m]:
+                out[i] += c * p
+    return out
+
+
+def _convolve(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _conjugate(m: int, num, k: int) -> list[int]:
+    """Numerators of the Galois conjugate zeta_m -> zeta_m^k."""
+    raw = [0] * m
+    for j, c in enumerate(num):
+        raw[j * k % m] += c
+    return _reduce(m, raw)
 
 
 class Cyclotomic:
-    """Element of Q(zeta_order) in the reduced power basis."""
+    """Element of Q(zeta_order) in the reduced power basis.
 
-    __slots__ = ("order", "coeffs", "_min")
+    Stored as integer numerators over one positive common denominator in
+    lowest terms, so a value has one representation at each order;
+    ``coeffs`` is the same vector as a tuple of Fractions.  Products are
+    integer convolutions reduced with the table of x^e mod Phi_order, and
+    the inverse is the product of the other Galois conjugates over the
+    norm, so no arithmetic step leaves the integers.
+    """
+
+    __slots__ = ("order", "_num", "_den", "_min")
 
     def __init__(self, order: int, coeffs, reduce: bool = True):
         if order < 1:
             raise ValueError("order must be positive")
-        vec = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
+        vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in vec))
+        raw = [c.numerator * (den // c.denominator) for c in vec]
         if reduce:
-            self.coeffs = _reduce_mod_phi(order, vec)
-        else:
-            if len(vec) != euler_phi(order):
-                raise ValueError("coefficient vector has wrong length")
-            self.coeffs = tuple(vec)
-        self.order = order
-        self._min = None
+            raw = _reduce(order, raw)
+        elif len(raw) != euler_phi(order):
+            raise ValueError("coefficient vector has wrong length")
+        made = Cyclotomic._trusted(order, raw, den)
+        self.order, self._num, self._den, self._min = order, made._num, made._den, None
+
+    @classmethod
+    def _trusted(cls, order: int, num, den: int) -> "Cyclotomic":
+        """Wrap numerators already reduced mod Phi_order over a positive
+        denominator, unchecked; their common factor is cancelled."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        x = object.__new__(cls)
+        x.order, x._num, x._den, x._min = order, tuple(num), den, None
+        return x
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @classmethod
     def from_rational(cls, q) -> "Cyclotomic":
-        return cls(1, [Fraction(q)], reduce=False)
+        q = Fraction(q)
+        return cls._trusted(1, (q.numerator,), q.denominator)
 
     # -- promotion and order unification --
 
@@ -160,13 +209,14 @@ class Cyclotomic:
         if new_order == self.order:
             return self
         step = new_order // self.order
-        raw = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                raw[k * step] = c
-        return Cyclotomic(new_order, raw)
+        raw = [0] * ((len(self._num) - 1) * step + 1)
+        for k, c in enumerate(self._num):
+            raw[k * step] = c
+        return Cyclotomic._trusted(new_order, _reduce(new_order, raw), self._den)
 
     def _unify(self, other: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
+        if self.order == other.order:
+            return self, other
         m = math.lcm(self.order, other.order)
         return self.embed(m), other.embed(m)
 
@@ -193,8 +243,8 @@ class Cyclotomic:
         if self._min is not None:
             return self._min
         out = self
-        if all(not c for c in self.coeffs[1:]):
-            out = Cyclotomic(1, [self.coeffs[0] if self.coeffs else _ZERO], reduce=False)
+        if self.is_rational():
+            out = Cyclotomic._trusted(1, self._num[:1], self._den)
         else:
             for d in divisors(self.order)[:-1]:
                 try:
@@ -209,79 +259,86 @@ class Cyclotomic:
     # -- predicates --
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num)
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return Fraction(self._num[0], self._den)
 
     # -- ring/field operations --
 
+    def _combine(self, other, sign: int):
+        """self + sign * other, for sign 1 or -1."""
+        if isinstance(other, Cyclotomic):
+            a, b = self._unify(other)
+            da, db = a._den, b._den
+            if da == db:
+                num = [x + sign * y for x, y in zip(a._num, b._num)]
+            else:
+                num = [x * db + sign * y * da for x, y in zip(a._num, b._num)]
+                da *= db
+            return Cyclotomic._trusted(a.order, num, da)
+        if isinstance(other, (int, Fraction)):
+            q = other.denominator
+            num = [c * q for c in self._num]
+            num[0] += sign * other.numerator * self._den
+            return Cyclotomic._trusted(self.order, num, self._den * q)
+        return NotImplemented
+
     def __add__(self, other):
-        try:
-            other = self._promote(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._unify(other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)], reduce=False)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs], reduce=False)
-
     def __sub__(self, other):
-        try:
-            other = self._promote(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._combine(other, 1)
+
+    def __neg__(self):
+        return Cyclotomic._trusted(self.order, [-c for c in self._num], self._den)
+
+    def _scaled(self, p: int, q: int) -> "Cyclotomic":
+        """self * p/q for q > 0, at self's order."""
+        return Cyclotomic._trusted(self.order, [c * p for c in self._num], self._den * q)
 
     def __mul__(self, other):
-        try:
-            other = self._promote(other)
-        except TypeError:
+        if not isinstance(other, Cyclotomic):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
         if other.order == 1:
-            q = other.coeffs[0]
-            return Cyclotomic(self.order, [c * q for c in self.coeffs], reduce=False)
+            return self._scaled(other._num[0], other._den)
         if self.order == 1:
-            q = self.coeffs[0]
-            return Cyclotomic(other.order, [c * q for c in other.coeffs], reduce=False)
+            return other._scaled(self._num[0], self._den)
         a, b = self._unify(other)
-        return Cyclotomic(a.order, _polymul(list(a.coeffs), list(b.coeffs)))
+        return Cyclotomic._trusted(a.order, _reduce(a.order, _convolve(a._num, b._num)),
+                                a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via extended Euclid in Q[x] mod Phi_order."""
+        """Multiplicative inverse: the other Galois conjugates over the norm.
+
+        With self = a/d, the product P of sigma_k(a) over the units k != 1
+        mod order satisfies a * P = N(a), a nonzero integer, so
+        self^-1 = d * P / N(a).
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        if self.order == 1:
-            return Cyclotomic(1, [1 / self.coeffs[0]], reduce=False)
-        a = _trim(list(self.coeffs))
-        # invariants: s * self + (..) * Phi = r  for every (r, s) pair below
-        r0, s0 = list(cyclotomic_polynomial(self.order)), []
-        r1, s1 = a, [_ONE]
-        while len(r1) > 1:
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            qs1 = _polymul(q, s1)
-            news = [x - y for x, y in
-                    zip(s0 + [_ZERO] * max(0, len(qs1) - len(s0)),
-                        qs1 + [_ZERO] * max(0, len(s0) - len(qs1)))]
-            s0, s1 = s1, _trim(news)
-        if not r1:
-            raise ArithmeticError("element shares a factor with the cyclotomic polynomial")
-        g = r1[0]
-        return Cyclotomic(self.order, [c / g for c in s1])
+        m, a = self.order, self._num
+        rest = [1] + [0] * (len(a) - 1)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                rest = _reduce(m, _convolve(rest, _conjugate(m, a, k)))
+        norm = _reduce(m, _convolve(a, rest))[0]
+        d = self._den if norm > 0 else -self._den
+        return Cyclotomic._trusted(m, [d * c for c in rest], abs(norm))
 
     def __truediv__(self, other):
         try:
@@ -308,17 +365,17 @@ class Cyclotomic:
     # -- equality and hashing (consistent across orders and with Fraction) --
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic):
+            a, b = self._unify(other)
+            return a._den == b._den and a._num == b._num
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = self._unify(other)
-        return a.coeffs == b.coeffs
+            return self.is_rational() and self._num[0] == other * self._den
+        return NotImplemented
 
     def __hash__(self):
         m = self.minimal()
         if m.order == 1:
-            return hash(m.coeffs[0])
+            return hash(Fraction(m._num[0], m._den))
         return hash((m.order, m.coeffs))
 
     # -- rendering --
@@ -349,14 +406,17 @@ class Cyclotomic:
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "Cyclotomic":
         """The root of unity zeta_m^k."""
-        k %= m
-        raw = [_ZERO] * (k + 1)
-        raw[k] = _ONE
-        return cls(m, raw)
+        return zeta(m, k)
 
 
 def zeta(m: int, k: int = 1) -> Cyclotomic:
-    return Cyclotomic.zeta(m, k)
+    """The root of unity zeta_m^k; equal roots are one shared object."""
+    return _zeta(m, k % m)
+
+
+@lru_cache(maxsize=None)
+def _zeta(m: int, k: int) -> Cyclotomic:
+    return Cyclotomic(m, [0] * k + [1])
 
 
 def render_scalar(x) -> str:

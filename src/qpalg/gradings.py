@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -74,13 +75,20 @@ class FreeProductGroup:
         return tuple(out)
 
     def element_order(self, a: tuple):
-        """Order of a reduced word; None means infinite."""
+        """Order of a reduced word; None means infinite.
+
+        Conjugating x*u*y by x gives u*(y*x), a conjugate of the same
+        order, so the word is first cyclically reduced: conjugated by its
+        first letter while its first and last letters share a block.
+        """
+        while len(a) >= 2 and a[0][0] == a[-1][0]:
+            a = self.mul(a[1:], a[:1])
         if not a:
             return 1
         if len(a) == 1:
             i, c = a[0]
             return self.groups[i].element_order(c)
-        return None   # a reduced word of length >= 2 in a free product
+        return None   # a cyclically reduced word of length >= 2 in a free product
 
     def is_abelian(self) -> bool:
         return sum(1 for g in self.groups if g.order > 1) <= 1
@@ -211,7 +219,7 @@ def trivial_grading(n: int) -> Grading:
 
 
 def _pointwise(a, b):
-    return tuple(x * y for x, y in zip(a, b))
+    return tuple(x * y if x and y else _ZERO for x, y in zip(a, b))
 
 
 def verify_grading(grading: Grading) -> CertificateReport:
@@ -223,7 +231,9 @@ def verify_grading(grading: Grading) -> CertificateReport:
     the span of its target component (witness recorded on failure); every
     supported element has finite order; when the grading is both ergodic
     and faithful the group is abelian.  Ergodicity and faithfulness are
-    reported as flags in the details.
+    reported as flags in the details.  Each component is put in echelon
+    form once (`linalg.Span`), and every product is tested against its
+    target's form.
     """
     group = grading.group
     rows = []
@@ -234,29 +244,33 @@ def verify_grading(grading: Grading) -> CertificateReport:
         "direct sum spans K^n",
         f"rank {rk} of {len(all_vectors)} component basis vectors (need {grading.n})",
         rk == grading.n == len(all_vectors)))
+    spans = {key: linalg.Span(vecs) for key, vecs in grading.components.items()}
     ones = tuple(_ONE for _ in range(grading.n))
-    id_basis = grading.identity_basis()
+    identity = group.identity()
+    id_span = spans[identity] if identity in spans else linalg.Span()
     rows.append(IdentityCheck(
         "unit lies in the identity component",
         "all-ones vector against the identity component basis",
-        linalg.in_span(id_basis, ones) if id_basis else False))
+        id_span.rank > 0 and ones in id_span))
     witness = None
     for g in grading.support():
         for h in grading.support():
             target = group.mul(g, h)
-            target_basis = grading.components.get(target, [])
+            target_span = spans.get(target)
             for ai, a in enumerate(grading.components[g]):
                 for bi, b in enumerate(grading.components[h]):
                     prod = _pointwise(a, b)
                     if not any(prod):
                         ok = True
-                    elif target_basis:
-                        ok = linalg.in_span(target_basis, prod)
+                    elif target_span is not None:
+                        ok = prod in target_span
                     else:
                         ok = False
-                    label = (f"product law [{group.key_text(g)}][{ai}] * "
-                             f"[{group.key_text(h)}][{bi}] in "
-                             f"[{group.key_text(target)}]")
+                    # a classification repeats these labels across its gradings;
+                    # interned, each is stored once however many reports keep it
+                    label = sys.intern(f"product law [{group.key_text(g)}][{ai}] * "
+                                       f"[{group.key_text(h)}][{bi}] in "
+                                       f"[{group.key_text(target)}]")
                     rows.append(IdentityCheck(
                         label, "pointwise product against target component basis", ok))
                     if not ok and witness is None:
@@ -270,11 +284,11 @@ def verify_grading(grading: Grading) -> CertificateReport:
     for key in grading.support():
         order = group.element_order(key)
         rows.append(IdentityCheck(
-            f"finite order [{group.key_text(key)}]",
-            f"element order {order if order else 'infinite'}",
+            sys.intern(f"finite order [{group.key_text(key)}]"),
+            sys.intern(f"element order {order if order else 'infinite'}"),
             order is not None))
     faithful = group.generates(grading.support())
-    dim_identity = linalg.rank(id_basis)
+    dim_identity = id_span.rank
     ergodic = dim_identity == 1
     details["faithful"] = faithful
     details["ergodic"] = ergodic
@@ -329,7 +343,8 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
     grading restricts to an ergodic grading on each block.
     """
     id_basis = grading.identity_basis()
-    k = linalg.rank(id_basis)
+    id_span = linalg.Span(id_basis)
+    k = id_span.rank
     n = grading.n
     # points are equivalent when every coinvariant vector agrees on them
     reps: list[int] = []
@@ -352,7 +367,7 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
     fixed = []
     for b in blocks:
         vec = tuple(_ONE if i in b else _ZERO for i in range(n))
-        if not linalg.in_span(id_basis, vec):
+        if vec not in id_span:
             raise ValueError("block indicator is not coinvariant; "
                              "inconsistent identity component")
         fixed.append(vec)
@@ -360,13 +375,11 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
     for b in blocks:
         comps: dict = {}
         for key in grading.support():
+            span = linalg.Span()
             for v in grading.components[key]:
                 rv = tuple(v[i] for i in b)
-                if not any(rv):
-                    continue
-                bucket = comps.setdefault(key, [])
-                if not linalg.in_span(bucket, rv):
-                    bucket.append(rv)
+                if span.add(rv):
+                    comps.setdefault(key, []).append(rv)
         restrictions.append(_simplify_restriction(grading, comps, len(b)))
     reports = [verify_grading(r) for r in restrictions]
     return OrbitReport(

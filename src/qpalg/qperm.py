@@ -38,7 +38,8 @@ def u_names(n: int) -> list[str]:
     return [f"u{i}{sep}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def _u_alphabet(n: int) -> Alphabet:
+def u_alphabet(n: int) -> Alphabet:
+    """The n^2 generators u_ij of a size-n matrix presentation."""
     if n < 1:
         raise ValueError("matrix size must be positive")
     return Alphabet(u_names(n))
@@ -112,7 +113,7 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
     antipode images u_ij -> u_ji; with the two row families it is the
     semi-magic bialgebra (no antipode).
     """
-    alphabet = _u_alphabet(n)
+    alphabet = u_alphabet(n)
     labeled = family_relations(alphabet, n, families)
     system = RewriteSystem.from_relations(alphabet, [p for _, p in labeled])
     tensor2 = TensorAlgebra(alphabet, 2)
@@ -500,7 +501,7 @@ def to_sn_function(p: NCPoly, n: int) -> FunctionOnSn:
 
 def e_sigma_product_check(n: int) -> CertificateReport:
     """Each monomial u_{sigma(1)1} ... u_{sigma(n)n} maps to the indicator of sigma."""
-    alphabet = _u_alphabet(n)
+    alphabet = u_alphabet(n)
     perms = all_perms(n)
     rows = []
     for sigma in perms:
@@ -517,7 +518,7 @@ def e_sigma_product_check(n: int) -> CertificateReport:
 
 def sn_relations_check(n: int) -> CertificateReport:
     """Every defining relation of the magic presentation maps to the zero function."""
-    relations = family_relations(_u_alphabet(n), n, ALL_FAMILIES)
+    relations = family_relations(u_alphabet(n), n, ALL_FAMILIES)
     rows = []
     for label, rel in relations:
         image = to_sn_function(rel, n)
@@ -529,7 +530,7 @@ def sn_relations_check(n: int) -> CertificateReport:
 
 def _commutator_11_33(n: int) -> NCPoly:
     """[u11, u33] = u11 u33 - u33 u11 over the n x n generator alphabet."""
-    alphabet = _u_alphabet(n)
+    alphabet = u_alphabet(n)
     u11, u33 = NCPoly.gen(alphabet, 0), NCPoly.gen(alphabet, 2 * n + 2)
     return u11 * u33 - u33 * u11
 

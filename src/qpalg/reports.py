@@ -15,7 +15,7 @@ REFUTED = "refuted_with_witness"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityCheck:
     label: str
     polynomial: str

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qpalg import cli
 from qpalg.cli import (EXIT_INCONCLUSIVE, EXIT_REFUTED, EXIT_USAGE,
                        EXIT_VERIFIED, main)
 from qpalg.gradings import Grading, format_grading, grading_from_regular_abelian
@@ -186,6 +187,30 @@ def test_sn_image_poly_file(tmp_path, capsys):
     code, out, _ = run(["sn-image", "--n", "4", "--poly", str(path)], capsys)
     assert code == EXIT_VERIFIED
     assert "zero: True" in out
+
+
+def test_sn_image_poly_builds_no_presentation(tmp_path, capsys, monkeypatch):
+    def no_presentation(n):
+        raise AssertionError("sn-image --poly only needs the alphabet")
+
+    monkeypatch.setattr(cli, "magic_presentation", no_presentation)
+    path = tmp_path / "poly.txt"
+    path.write_text("1*u11.u22 - 1*u22.u11\n")
+    code, out, _ = run(["sn-image", "--n", "2", "--poly", str(path)], capsys)
+    assert code == EXIT_VERIFIED and "zero: True" in out
+    code, _, err = run(["sn-image", "--n", "0", "--poly", str(path)], capsys)
+    assert code == EXIT_USAGE and "matrix size must be positive" in err
+
+
+def test_conjugate_of_a_letter_has_finite_order(tmp_path, capsys):
+    path = tmp_path / "conjugate.grading"
+    path.write_text("n: 4\nblocks: 1,2 | 3,4\ngroups: Z2 | Z2\n"
+                    "component e: (1,1,0,0) (0,0,1,1)\n"
+                    "component b0:1: (1,-1,0,0)\n"
+                    "component b0:1*b1:1*b0:1: (0,0,1,-1)\n")
+    code, out, _ = run(["verify-grading", "--input", str(path)], capsys)
+    assert code == EXIT_VERIFIED
+    assert "identities: 21/21 reduced to zero" in out and "verdict: verified" in out
 
 
 def test_grade_save_and_orbit(tmp_path, capsys):

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cyclotomic_reference as ref
 from qpalg.exactnum import (Cyclotomic, cyclotomic_polynomial, divisors,
                             euler_phi, format_scalar, parse_scalar,
                             prime_factorization, zeta)
@@ -160,3 +162,58 @@ def test_rendering():
     assert format_scalar(F(3, 4)) == "3/4"
     assert "z4" in format_scalar(zeta(4) * 2)
     assert str(zeta(8) + 2).endswith("(order 8)")
+
+
+def test_cyclotomic_polynomials_match_reference():
+    for m in range(1, 61):
+        assert cyclotomic_polynomial(m) == tuple(ref.phi_poly(m))
+
+
+def test_roots_of_unity_are_shared():
+    assert zeta(12, 5) is zeta(12, 17) is Cyclotomic.zeta(12, -7)
+    assert zeta(12, 5).coeffs == ref.reduce(12, [0] * 5 + [1])[1]
+
+
+_SCALARS = st.one_of(st.just(F(0)), st.just(F(1)), st.just(F(-1)),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def _values(draw):
+    """A Cyclotomic of order 1..12 and its reference pair (order, coeffs)."""
+    m = draw(st.integers(1, 12))
+    coeffs = tuple(draw(st.lists(_SCALARS, min_size=euler_phi(m), max_size=euler_phi(m))))
+    return Cyclotomic(m, coeffs, reduce=False), (m, coeffs)
+
+
+def _agree(x, expected):
+    assert (x.order, x.coeffs) == expected
+    assert not any(isinstance(c, float) for c in x.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_values(), _values())
+def test_cyclotomic_agrees_with_reference(xa, ya):
+    (x, rx), (y, ry) = xa, ya
+    _agree(x + y, ref.add(rx, ry))
+    _agree(x - y, ref.add(rx, ref.neg(ry)))
+    _agree(-x, ref.neg(rx))
+    _agree(x * y, ref.mul(rx, ry))
+    assert (x == y) == ref.equal(rx, ry)
+    if y:
+        _agree(y.inverse(), ref.inverse(ry))
+        _agree(x / y, ref.mul(rx, ref.inverse(ry)))
+    assert str(x) == ref.render(rx)
+    assert parse_scalar(format_scalar(x)) == x
+    # equal values at different orders, or equal to a Fraction, hash alike
+    big = math.lcm(x.order, y.order)
+    _agree(x.embed(big), ref.embed(rx, big))
+    assert x.embed(big) == x and hash(x.embed(big)) == hash(x)
+    if x.is_rational():
+        assert x == x.as_rational() and hash(x) == hash(x.as_rational())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.lists(_SCALARS, max_size=30))
+def test_reduction_agrees_with_reference(m, raw):
+    _agree(Cyclotomic(m, raw), ref.reduce(m, raw))

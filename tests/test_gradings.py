@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpalg import linalg
 from qpalg.exactnum import zeta
 from qpalg.gradings import (FreeProductGroup, Grading,
                             classify_gradings, format_grading,
@@ -230,6 +231,34 @@ def test_free_product_group_words():
     assert not fp.is_abelian()
 
 
+def test_element_order_of_conjugates():
+    fp = _free_product((Z2, Z2))
+    a, b = ((0, (1,)),), ((1, (1,)),)
+    aba = fp.mul(a, fp.mul(b, a))
+    assert aba == ((0, (1,)), (1, (1,)), (0, (1,))) and fp.element_order(aba) == 2
+    fp = _free_product((Z3, Z2, Z4))
+    x, x2, y, z = ((0, (1,)),), ((0, (2,)),), ((1, (1,)),), ((2, (1,)),)
+    assert fp.element_order(fp.mul(x, fp.mul(z, x2))) == 4         # x z x^-1
+    assert fp.element_order(fp.mul(x, fp.mul(y, fp.mul(z, fp.mul(y, x2))))) == 4
+    assert fp.element_order(fp.mul(x, fp.mul(y, x))) is None        # ~ y x^2
+    assert fp.element_order(fp.mul(x, y)) is None                   # cyclically reduced
+    assert fp.element_order(fp.mul(x, fp.mul(y, fp.mul(x, z)))) is None
+
+
+@pytest.mark.parametrize("groups", [(Z2, Z2), (Z3, Z2), (Z2, Z2, Z3)])
+def test_element_order_against_powers(groups):
+    fp = _free_product(groups)
+    bound = max(G.order for G in groups)       # a finite order is a letter's order
+    for word in _reduced_words(fp, 4):
+        power, order = word, None
+        for k in range(1, bound + 1):
+            if power == ():
+                order = k
+                break
+            power = fp.mul(power, word)
+        assert fp.element_order(word) == order, fp.key_text(word)
+
+
 def _free_product(groups):
     blocks, start = [], 0
     for G in groups:
@@ -296,3 +325,26 @@ def test_relabelled_grading_file_round_trip(data, n):
     perm = data.draw(st.permutations(range(n)))
     text = format_grading(_relabel(grading_from_partition(partition, groups), perm))
     assert format_grading(parse_grading(text)) == text
+
+
+def test_verify_grading_echelonises_each_component_once(monkeypatch):
+    built = []
+
+    class CountingSpan(linalg.Span):
+        __slots__ = ()
+
+        def __init__(self, vectors=()):
+            built.append(self)
+            super().__init__(vectors)
+
+    def no_echelon(rows):
+        raise AssertionError("span queries must not re-eliminate")
+
+    monkeypatch.setattr(linalg, "Span", CountingSpan)
+    monkeypatch.setattr(linalg, "_echelon", no_echelon)
+    for grading in (grading_from_partition((4, 3, 2), (K4, Z3, Z2)),
+                    grading_from_regular_abelian(Z4), trivial_grading(3)):
+        built.clear()
+        assert verify_grading(grading).verdict == VERIFIED
+        # one form per component, plus one for the rank of all the vectors
+        assert len(built) == len(grading.components) + 1
