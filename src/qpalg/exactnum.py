@@ -8,6 +8,9 @@ canonical at a fixed order.  Phi_m is monic with integer coefficients, so
 products reduce through a table of x^e mod Phi_m without any division.
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm) so callers
 never manage orders by hand.  All values are immutable and safe to share.
+`str` (for reports, rational values print as Fractions) and
+`format_scalar` (the syntax `parse_scalar` reads back) share one term
+renderer and differ only in how z is spelt and in the term separator.
 """
 
 from __future__ import annotations
@@ -383,22 +386,7 @@ class Cyclotomic:
     def __str__(self):
         if self.is_rational():
             return str(self.as_rational())
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                z = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{c}*{z}")
-        body = " + ".join(parts).replace("+ -", "- ")
-        return f"{body} (order {self.order})"
+        return f"{_render_terms(self, 'z', ' + ')} (order {self.order})"
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coeffs)!r})"
@@ -419,11 +407,24 @@ def _zeta(m: int, k: int) -> Cyclotomic:
     return Cyclotomic(m, [0] * k + [1])
 
 
-def render_scalar(x) -> str:
-    """Uniform text rendering for Fraction and Cyclotomic report values."""
-    if isinstance(x, Cyclotomic) and x.is_rational():
-        return str(x.as_rational())
-    return str(x)
+def _render_terms(x: Cyclotomic, z: str, sep: str) -> str:
+    """The nonzero power-basis terms of x joined by sep, with z^k spelt
+    through the symbol z; a negative term turns the "+" of sep into "-"."""
+    parts = []
+    for k, c in enumerate(x.coeffs):
+        if not c:
+            continue
+        if k == 0:
+            parts.append(str(c))
+            continue
+        power = z if k == 1 else f"{z}^{k}"
+        if c == 1:
+            parts.append(power)
+        elif c == -1:
+            parts.append(f"-{power}")
+        else:
+            parts.append(f"{c}*{power}")
+    return sep.join(parts).replace(sep + "-", sep.replace("+", "-"))
 
 
 # -- parse-friendly scalar syntax: sums of "a/b" and "a/b*zM^k" terms --
@@ -439,21 +440,7 @@ def format_scalar(x) -> str:
         return str(Fraction(x))
     if x.is_rational():
         return str(x.as_rational())
-    parts = []
-    for k, c in enumerate(x.coeffs):
-        if not c:
-            continue
-        if k == 0:
-            parts.append(str(c))
-            continue
-        z = f"z{x.order}" if k == 1 else f"z{x.order}^{k}"
-        if c == 1:
-            parts.append(z)
-        elif c == -1:
-            parts.append(f"-{z}")
-        else:
-            parts.append(f"{c}*{z}")
-    return "+".join(parts).replace("+-", "-")
+    return _render_terms(x, f"z{x.order}", "+")
 
 
 def parse_scalar(text: str):

@@ -97,9 +97,28 @@ class FreeProductGroup:
         return "*".join(g.descriptor() for g in self.groups)
 
     def generates(self, support) -> bool:
-        """Do the supported letters generate the whole free product?"""
-        return all(g.generates({c for key in support for j, c in key if j == i})
-                   for i, g in enumerate(self.groups))
+        """Do the supported words generate the whole free product?
+
+        Grows, per block, a subgroup of letters known to lie in the
+        generated subgroup H: a letter joins when some supported word holds
+        it at the only position whose letter is not yet known, since it is
+        then a product of elements of H.  Only when every block group is
+        reached is H everything, so True is never said of a proper
+        subgroup.  The test is sound, not complete: {a*b, a^2*b} in Z3*Z2
+        generates (it holds a^-1) but no letter of it joins, so it gets
+        False.
+        """
+        known = [g.subgroup(()) for g in self.groups]
+        grown = True
+        while grown:
+            grown = False
+            for key in support:
+                unknown = [(i, c) for i, c in key if c not in known[i]]
+                if len(unknown) == 1:
+                    i, c = unknown[0]
+                    known[i] = self.groups[i].subgroup(known[i] | {c})
+                    grown = True
+        return all(len(h) == g.order for h, g in zip(known, self.groups))
 
     def key_text(self, key: tuple) -> str:
         """Element syntax: "e", or letters "b<block>:<element>" joined by "*"."""
@@ -543,6 +562,8 @@ def parse_grading(text: str) -> Grading:
             continue
         if line.startswith("n:"):
             n = int(line.split(":", 1)[1])
+            if n < 1:
+                raise ValueError("n must be positive")
         elif line.startswith("group:"):
             group = parse_group_descriptor(line.split(":", 1)[1].strip())
         elif line.startswith("blocks:"):

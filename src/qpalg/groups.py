@@ -188,16 +188,20 @@ class FiniteAbelianGroup:
     def is_abelian(self) -> bool:
         return True
 
-    def generates(self, support) -> bool:
-        """Do the given elements generate the whole group?"""
+    def subgroup(self, elems) -> set:
+        """The subgroup the given elements generate, as a set of elements."""
         closure = {self.identity()}
-        frontier = list(support)
+        frontier = list(elems)
         while frontier:
             x = frontier.pop()
             if x not in closure:
                 closure.add(x)
                 frontier.extend(self.add(x, y) for y in list(closure))
-        return len(closure) == self.order
+        return closure
+
+    def generates(self, support) -> bool:
+        """Do the given elements generate the whole group?"""
+        return len(self.subgroup(support)) == self.order
 
     def descriptor(self) -> str:
         if not self.invariant_factors:

@@ -2,10 +2,10 @@
 
 Works with any entries supporting +, -, *, bool and ``Fraction(1) / x``
 (int, Fraction and Cyclotomic mix freely, and int input never turns into
-floats).  Each pivot is inverted once and zero entries are skipped.  Span
-queries go through one incremental echelon form, `Span`; `_echelon`
-serves `solve_combination` only.  Matrices are lists of row lists;
-nothing here mutates its arguments.
+floats).  Each pivot is inverted once and zero entries are skipped.  One
+incremental echelon form, `Span`, serves span queries, `rank` and
+`solve_combination`.  Matrices are lists of row lists; nothing here
+mutates its arguments.
 """
 
 from __future__ import annotations
@@ -64,50 +64,22 @@ def rank(rows: list[list]) -> int:
     return Span(rows).rank
 
 
-def _echelon(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    row = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        inv = _ONE / mat[row][col]
-        mat[row] = [x * inv if x else x for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y if y else x for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return mat, pivots
-
-
 def solve_combination(vectors: list, target) -> list | None:
     """Coefficients c with sum(c_i * vectors[i]) == target, or None.
 
-    Vectors and target are equal-length sequences.  Free variables are set
-    to zero, so the answer is deterministic.
+    Vectors and target are equal-length sequences.  Each vector enters a
+    `Span` with the i-th unit vector appended, which keeps the rows
+    independent and records how each stored row combines the vectors; the
+    residue of (target, 0) is then (0, -c) exactly when the target lies in
+    their span.
     """
-    n = len(target)
-    k = len(vectors)
-    if k == 0:
-        return [] if not any(target) else None
-    zero = target[0] - target[0] if n else 0
-    aug = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    mat, pivots = _echelon(aug)
-    if k in pivots:
+    n, k = len(target), len(vectors)
+    span = Span()
+    for i, v in enumerate(vectors):
+        unit = [0] * k
+        unit[i] = 1
+        span.add([*v, *unit])
+    residue = span._residue([*target, *[0] * k])
+    if any(residue[:n]):
         return None
-    combo = [zero] * k
-    for r, col in enumerate(pivots):
-        combo[col] = mat[r][k]
-    return combo
+    return [-c for c in residue[n:]]

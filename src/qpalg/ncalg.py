@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exactnum import Cyclotomic, render_scalar
+from .exactnum import Cyclotomic
 
 Word = tuple
 
@@ -87,6 +87,15 @@ class NCPoly:
     # -- constructors --
 
     @classmethod
+    def _trusted(cls, alphabet: Alphabet, terms: dict) -> "NCPoly":
+        """Wrap a term map that is already clean (tuple words, nonzero exact
+        coefficients), unchecked."""
+        out = object.__new__(cls)
+        out.alphabet = alphabet
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, alphabet: Alphabet) -> "NCPoly":
         return cls(alphabet)
 
@@ -105,11 +114,6 @@ class NCPoly:
             raise IndexError(f"generator index {i} out of range")
         return cls(alphabet, {(i,): _ONE})
 
-    @classmethod
-    def word(cls, alphabet: Alphabet, letters, c=1) -> "NCPoly":
-        idx = tuple(alphabet.index(l) if isinstance(l, str) else l for l in letters)
-        return cls(alphabet, {idx: c})
-
     # -- inspection --
 
     def __bool__(self):
@@ -125,9 +129,6 @@ class NCPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=deglex_key)
-
-    def coeff(self, word: Word):
-        return self.terms.get(tuple(word), _ZERO)
 
     def sorted_terms(self):
         """Terms in descending deglex order."""
@@ -152,16 +153,12 @@ class NCPoly:
                 terms[w] = s
             else:
                 terms.pop(w, None)
-        out = NCPoly(self.alphabet)
-        out.terms = terms
-        return out
+        return NCPoly._trusted(self.alphabet, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = NCPoly(self.alphabet)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return NCPoly._trusted(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -178,9 +175,7 @@ class NCPoly:
             c = coeff_value(other)
             if not c:
                 return NCPoly.zero(self.alphabet)
-            out = NCPoly(self.alphabet)
-            out.terms = {w: v * c for w, v in self.terms.items()}
-            return out
+            return NCPoly._trusted(self.alphabet, {w: v * c for w, v in self.terms.items()})
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._check(other)
@@ -193,9 +188,7 @@ class NCPoly:
                     terms[w] = s
                 else:
                     del terms[w]
-        out = NCPoly(self.alphabet)
-        out.terms = terms
-        return out
+        return NCPoly._trusted(self.alphabet, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -219,7 +212,7 @@ class NCPoly:
             return "0"
         parts = []
         for w, c in self.sorted_terms():
-            cs = render_scalar(c)
+            cs = str(c)
             if any(ch in cs for ch in "+- ") and not cs.lstrip("-").replace("/", "").isdigit():
                 cs = f"({cs})"
             body = cs if not w else f"{cs}*" + ".".join(self.alphabet.names[i] for i in w)
@@ -303,9 +296,8 @@ class TensorAlgebra:
         if not 0 <= factor < self.factors:
             raise ValueError("factor out of range")
         shift = factor * len(self.base)
-        out = NCPoly(self.alphabet)
-        out.terms = {tuple(i + shift for i in w): c for w, c in p.terms.items()}
-        return out
+        return NCPoly._trusted(self.alphabet,
+                               {tuple(i + shift for i in w): c for w, c in p.terms.items()})
 
     def pure_tensor(self, *parts: NCPoly) -> NCPoly:
         if len(parts) != self.factors:

@@ -71,13 +71,25 @@ def _family_relations(entry, zero: NCPoly, n: int, families) -> list[tuple[str, 
     return rels
 
 
+def _coproduct(entry, tensor: TensorAlgebra, n: int, i: int, j: int) -> NCPoly:
+    """sum_k entry(i, k) (x) entry(k, j) in the tensor square."""
+    return sum((tensor.inject(entry(i, k), 0) * tensor.inject(entry(k, j), 1)
+                for k in range(1, n + 1)), NCPoly.zero(tensor.alphabet))
+
+
+def _gram(entry, zero: NCPoly, n: int, i: int, j: int) -> NCPoly:
+    """sum_k entry(k, i) entry(k, j), the (i, j) entry of x^t x."""
+    return sum((entry(k, i) * entry(k, j) for k in range(1, n + 1)), zero)
+
+
+def _generators(alphabet: Alphabet, n: int):
+    """The entry callback (i, j) -> u_ij over a size-n generator alphabet."""
+    return lambda i, j: NCPoly.gen(alphabet, (i - 1) * n + (j - 1))
+
+
 def family_relations(alphabet: Alphabet, n: int, families) -> list[tuple[str, NCPoly]]:
     """Labeled defining relation instances for the chosen families."""
-
-    def u(i, j):
-        return NCPoly.gen(alphabet, (i - 1) * n + (j - 1))
-
-    return _family_relations(u, NCPoly.zero(alphabet), n, families)
+    return _family_relations(_generators(alphabet, n), NCPoly.zero(alphabet), n, families)
 
 
 @dataclass
@@ -98,7 +110,7 @@ class HopfPresentation:
         return self.system.alphabet
 
     def gen(self, i: int, j: int) -> NCPoly:
-        return NCPoly.gen(self.alphabet, (i - 1) * self.n + (j - 1))
+        return _generators(self.alphabet, self.n)(i, j)
 
     def generating_matrix(self, system: RewriteSystem | None = None) -> "MatrixOverAlgebra":
         entries = tuple(tuple(self.gen(i, j) for j in range(1, self.n + 1))
@@ -114,7 +126,8 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
     semi-magic bialgebra (no antipode).
     """
     alphabet = u_alphabet(n)
-    labeled = family_relations(alphabet, n, families)
+    u = _generators(alphabet, n)
+    labeled = _family_relations(u, NCPoly.zero(alphabet), n, families)
     system = RewriteSystem.from_relations(alphabet, [p for _, p in labeled])
     tensor2 = TensorAlgebra(alphabet, 2)
     delta = {}
@@ -123,15 +136,10 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             g = (i - 1) * n + (j - 1)
-            total = NCPoly.zero(tensor2.alphabet)
-            for k in range(1, n + 1):
-                left = tensor2.inject(NCPoly.gen(alphabet, (i - 1) * n + (k - 1)), 0)
-                right = tensor2.inject(NCPoly.gen(alphabet, (k - 1) * n + (j - 1)), 1)
-                total = total + left * right
-            delta[g] = total
+            delta[g] = _coproduct(u, tensor2, n, i, j)
             counit[g] = Fraction(1 if i == j else 0)
             if antipode is not None:
-                antipode[g] = NCPoly.gen(alphabet, (j - 1) * n + (i - 1))
+                antipode[g] = u(j, i)
     return HopfPresentation(n, system, labeled, tensor2, delta, counit, antipode,
                             tuple(families))
 
@@ -239,10 +247,7 @@ def check_multiplicative(x: MatrixOverAlgebra, hopf: HopfPresentation) -> Certif
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             image = substitute(x.entry(i, j), hopf.delta, target=tensor.alphabet)
-            expected = NCPoly.zero(tensor.alphabet)
-            for k in range(1, n + 1):
-                expected = expected + tensor.inject(x.entry(i, k), 0) * \
-                    tensor.inject(x.entry(k, j), 1)
+            expected = _coproduct(x.entry, tensor, n, i, j)
             rows.append(_reduce_row(f"comultiplication[i={i},j={j}]",
                                     image - expected, tensor_system))
     for i in range(1, n + 1):
@@ -300,6 +305,12 @@ def coaction_algebra_map_check(x: MatrixOverAlgebra, hopf: HopfPresentation) -> 
         })
 
 
+def _legs(tensor2: TensorAlgebra, left, right) -> dict:
+    """Images of the tensor-square letters: g@0 -> left[g], g@1 -> right[g]."""
+    return {tensor2.letter(g, factor): image
+            for factor, images in enumerate((left, right)) for g, image in enumerate(images)}
+
+
 def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateReport:
     """Well-definedness of the structure maps plus the axioms on generators.
 
@@ -331,62 +342,46 @@ def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateRepor
                                     base))
     alphabet = hopf.alphabet
     nb = len(alphabet)
-    # (Delta (x) id) Delta = (id (x) Delta) Delta, checked per generator in A^(x)3
-    left_images = {}
-    right_images = {}
-    for g in range(nb):
-        d = hopf.delta[g]
-        spread01 = NCPoly(tensor3.alphabet)
-        spread12 = NCPoly(tensor3.alphabet)
-        spread01.terms = dict(d.terms)          # factor indices 0,1 already match
-        spread12.terms = {tuple(l + nb for l in w): c for w, c in d.terms.items()}
-        left_images[tensor2.letter(g, 0)] = spread01
-        left_images[tensor2.letter(g, 1)] = tensor3.inject(NCPoly.gen(alphabet, g), 2)
-        right_images[tensor2.letter(g, 0)] = tensor3.inject(NCPoly.gen(alphabet, g), 0)
-        right_images[tensor2.letter(g, 1)] = spread12
+    gens = [NCPoly.gen(alphabet, g) for g in range(nb)]
+    eps = [NCPoly.scalar(alphabet, hopf.counit[g]) for g in range(nb)]
+    # (Delta (x) id) Delta = (id (x) Delta) Delta, checked per generator in A^(x)3;
+    # Delta(g) sits in factors (0, 1) as it is and in (1, 2) shifted by one factor
+    spread01, spread12 = ([NCPoly._trusted(tensor3.alphabet, {
+        tuple(l + shift for l in w): c for w, c in hopf.delta[g].terms.items()})
+        for g in range(nb)] for shift in (0, nb))
+    left_images = _legs(tensor2, spread01, [tensor3.inject(x, 2) for x in gens])
+    right_images = _legs(tensor2, [tensor3.inject(x, 0) for x in gens], spread12)
     for g in range(nb):
         lhs = substitute(hopf.delta[g], left_images)
         rhs = substitute(hopf.delta[g], right_images)
         rows.append(_reduce_row(f"coassociativity[{alphabet.names[g]}]",
                                 lhs - rhs, t3sys))
     # counit laws (eps (x) id) Delta = id = (id (x) eps) Delta on generators
-    eps_left = {}
-    eps_right = {}
+    eps_left = _legs(tensor2, eps, gens)
+    eps_right = _legs(tensor2, gens, eps)
     for g in range(nb):
-        eps_left[tensor2.letter(g, 0)] = NCPoly.scalar(alphabet, hopf.counit[g])
-        eps_left[tensor2.letter(g, 1)] = NCPoly.gen(alphabet, g)
-        eps_right[tensor2.letter(g, 0)] = NCPoly.gen(alphabet, g)
-        eps_right[tensor2.letter(g, 1)] = NCPoly.scalar(alphabet, hopf.counit[g])
-    for g in range(nb):
-        gen = NCPoly.gen(alphabet, g)
         rows.append(_reduce_row(f"counit law left[{alphabet.names[g]}]",
-                                substitute(hopf.delta[g], eps_left) - gen, base))
+                                substitute(hopf.delta[g], eps_left) - gens[g], base))
         rows.append(_reduce_row(f"counit law right[{alphabet.names[g]}]",
-                                substitute(hopf.delta[g], eps_right) - gen, base))
+                                substitute(hopf.delta[g], eps_right) - gens[g], base))
     if hopf.antipode is not None:
-        s_left = {}
-        s_right = {}
+        antipode = [hopf.antipode[g] for g in range(nb)]
+        s_left = _legs(tensor2, antipode, gens)
+        s_right = _legs(tensor2, gens, antipode)
         for g in range(nb):
-            s_left[tensor2.letter(g, 0)] = hopf.antipode[g]
-            s_left[tensor2.letter(g, 1)] = NCPoly.gen(alphabet, g)
-            s_right[tensor2.letter(g, 0)] = NCPoly.gen(alphabet, g)
-            s_right[tensor2.letter(g, 1)] = hopf.antipode[g]
-        for g in range(nb):
-            target = NCPoly.scalar(alphabet, hopf.counit[g])
             rows.append(_reduce_row(f"antipode law left[{alphabet.names[g]}]",
-                                    substitute(hopf.delta[g], s_left) - target, base))
+                                    substitute(hopf.delta[g], s_left) - eps[g], base))
             rows.append(_reduce_row(f"antipode law right[{alphabet.names[g]}]",
-                                    substitute(hopf.delta[g], s_right) - target, base))
+                                    substitute(hopf.delta[g], s_right) - eps[g], base))
         for g in range(nb):
-            twice = substitute(hopf.antipode[g], hopf.antipode, antihom=True)
-            gen = NCPoly.gen(alphabet, g)
-            if twice == gen:   # literal fixed point, no reduction needed
+            twice = substitute(antipode[g], hopf.antipode, antihom=True)
+            if twice == gens[g]:   # literal fixed point, no reduction needed
                 rows.append(IdentityCheck(
                     f"S^2[{alphabet.names[g]}]",
                     f"S(S({alphabet.names[g]})) = {twice.render()}", True))
             else:
                 rows.append(_reduce_row(f"S^2[{alphabet.names[g]}]",
-                                        twice - gen, base))
+                                        twice - gens[g], base))
     if nb == 0:
         # no generator carries the laws, so check them on the unit itself
         one = NCPoly.scalar(alphabet, 1)
@@ -431,16 +426,14 @@ def matrix_inverse_from_families(n: int, families) -> CertificateReport:
     system = pres.system
     use_xxt = missing in (ROW_ORTH, COL_SUM)
     label = "x*xt" if use_xxt else "xt*x"
+    # x x^t is the x^t x of the transpose
+    entry = (lambda i, j: pres.gen(j, i)) if use_xxt else pres.gen
+    zero = NCPoly.zero(pres.alphabet)
     rows = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             d = 1 if i == j else 0
-            total = NCPoly.zero(pres.alphabet)
-            for k in range(1, n + 1):
-                if use_xxt:
-                    total = total + pres.gen(i, k) * pres.gen(j, k)
-                else:
-                    total = total + pres.gen(k, i) * pres.gen(k, j)
+            total = _gram(entry, zero, n, i, j)
             rows.append(_reduce_row(f"({label})[i={i},j={j}] = delta", total - d, system))
     return CertificateReport.from_identities(
         f"families {sorted(families)} give {label} = I at n={n}", rows,
@@ -460,12 +453,11 @@ def gram_diagonal_check(n: int) -> CertificateReport:
     orthogonality and diagonal entries collapse to the column sums.
     """
     pres = semi_magic_presentation(n)
+    zero = NCPoly.zero(pres.alphabet)
     rows = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            total = NCPoly.zero(pres.alphabet)
-            for k in range(1, n + 1):
-                total = total + pres.gen(k, i) * pres.gen(k, j)
+            total = _gram(pres.gen, zero, n, i, j)
             if i == j:
                 for k in range(1, n + 1):
                     total = total - pres.gen(k, i)

@@ -57,11 +57,10 @@ class RewriteRule:
 class RewriteSystem:
     """Frozen inter-reduced rule set with a completion status."""
 
-    __slots__ = ("alphabet", "order", "rules", "status", "status_degree", "_by_first")
+    __slots__ = ("alphabet", "rules", "status", "status_degree", "_by_first")
 
     def __init__(self, alphabet: Alphabet, rules, status: str = RAW, status_degree=None):
         self.alphabet = alphabet
-        self.order = "deglex"
         self.rules = tuple(sorted(rules, key=lambda r: deglex_key(r.lhs)))
         self.status = status
         self.status_degree = status_degree
@@ -192,8 +191,7 @@ class _RuleTable:
         Returns the new rule id (None when p reduces to zero) and the
         retired rules as relations, in id order.
         """
-        q = NCPoly(self.alphabet)
-        q.terms = _reduce_terms(p.terms, self.by_first)
+        q = NCPoly._trusted(self.alphabet, _reduce_terms(p.terms, self.by_first))
         if not q:
             return None, []
         lhs, rhs = _orient(q)
@@ -208,8 +206,7 @@ class _RuleTable:
         """The rules in deglex order of lhs, each rhs fully reduced."""
         out = []
         for rule in sorted(self.active.values(), key=lambda r: deglex_key(r.lhs)):
-            rhs = NCPoly(self.alphabet)
-            rhs.terms = _reduce_terms(rule.rhs.terms, self.by_first)
+            rhs = NCPoly._trusted(self.alphabet, _reduce_terms(rule.rhs.terms, self.by_first))
             out.append(RewriteRule(rule.lhs, rhs))
         return out
 
@@ -285,9 +282,7 @@ class TensorPowerSystem:
 def normal_form(p: NCPoly, system: RewriteSystem | TensorPowerSystem) -> NCPoly:
     if p.alphabet != system.alphabet:
         raise ValueError("polynomial and system alphabets differ")
-    out = NCPoly(system.alphabet)
-    out.terms = system.reduce_terms(p.terms)
-    return out
+    return NCPoly._trusted(system.alphabet, system.reduce_terms(p.terms))
 
 
 def reduces_to_zero(p: NCPoly, system: RewriteSystem) -> bool:

@@ -165,6 +165,17 @@ def test_malformed_input_is_a_usage_error(command, text, tmp_path, capsys):
     assert err.startswith("error:") and "overall:" not in out
 
 
+@pytest.mark.parametrize("command", ["verify-grading", "orbit-decompose"])
+@pytest.mark.parametrize("n", [-2, 0])
+def test_non_positive_grading_size_is_a_usage_error(command, n, tmp_path, capsys):
+    path = tmp_path / "empty.grading"
+    path.write_text(f"n: {n}\ngroup: Z1\n")
+    code, out, err = run([command, "--input", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "n must be positive" in err
+    assert "overall:" not in out
+
+
 def test_present_prints_presentation(capsys):
     code, out, _ = run(["present", "--n", "2"], capsys)
     assert code == EXIT_VERIFIED

@@ -4,28 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from qpalg import linalg
 from qpalg.exactnum import Cyclotomic, zeta
-from qpalg.linalg import Span, _echelon, rank, solve_combination
+from qpalg.linalg import Span, rank, solve_combination
+from linalg_reference import reference_rank
 
 F = Fraction
-
-
-def _reference_rank(rows):
-    """Plain Gauss elimination with `/` on every entry, as a cross-check."""
-    mat = [list(r) for r in rows]
-    rk = 0
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((r for r in range(rk, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rk], mat[pivot] = mat[pivot], mat[rk]
-        p = mat[rk][col]
-        mat[rk] = [F(1) * x / p for x in mat[rk]]
-        for r in range(len(mat)):
-            if r != rk:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rk])]
-        rk += 1
-    return rk
 
 
 def _no_floats(values):
@@ -33,17 +15,16 @@ def _no_floats(values):
 
 
 def test_int_input_stays_exact():
-    mat, pivots = _echelon([[2, 1], [1, 3]])
-    assert pivots == [0, 1] and mat == [[1, 0], [0, 1]]
-    assert all(_no_floats(row) for row in mat)
     combo = solve_combination([[3, 0], [0, 3]], [1, 2])
     assert combo == [F(1, 3), F(2, 3)] and _no_floats(combo)
+    combo = solve_combination([[2, 1], [1, 3]], [3, 4])
+    assert combo == [1, 1] and _no_floats(combo)
     for rows in ([[2, 1], [1, 3]], [[F(2), F(1, 2)], [F(1), F(3)]],
                  [[zeta(3), 2], [1, zeta(3, 2)]]):
         span = Span(rows)
         assert span.rank == 2
         assert all(_no_floats(x for _, x in row) for _, row in span._rows)
-        assert all(_no_floats(row) for row in _echelon(rows)[0])
+        assert _no_floats(span._residue([1, 7]))
 
 
 def test_span_queries():
@@ -66,18 +47,18 @@ _ENTRIES = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3),
 def test_span_agrees_with_reference_elimination(case):
     rows, v = case
     span = Span(rows)
-    assert span.rank == _reference_rank(rows) == rank(rows)
-    assert (v in span) == (_reference_rank(rows + [v]) == _reference_rank(rows))
+    assert span.rank == reference_rank(rows) == rank(rows)
+    assert (v in span) == (reference_rank(rows + [v]) == reference_rank(rows))
     # add() reports exactly the vectors that raise the rank
     grown = Span()
     for i, row in enumerate(rows):
-        assert grown.add(row) == (_reference_rank(rows[:i + 1]) > _reference_rank(rows[:i]))
+        assert grown.add(row) == (reference_rank(rows[:i + 1]) > reference_rank(rows[:i]))
 
 
 def test_rank_inverts_each_pivot_once(monkeypatch):
     n = 5
     rows = [[zeta(7, i * j) + i for j in range(n)] for i in range(n)]
-    expected = _reference_rank(rows)
+    expected = reference_rank(rows)
     calls = []
     inverse = Cyclotomic.inverse
 
@@ -88,3 +69,18 @@ def test_rank_inverts_each_pivot_once(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "inverse", counting)
     assert linalg.rank(rows) == expected == n
     assert len(calls) <= n
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), max_size=4),
+    st.lists(_ENTRIES, min_size=n, max_size=n))))
+def test_solve_combination_agrees_with_reference_elimination(case):
+    vectors, target = case
+    combo = solve_combination(vectors, target)
+    if reference_rank(vectors + [target]) > reference_rank(vectors):
+        assert combo is None
+        return
+    assert combo is not None and len(combo) == len(vectors) and _no_floats(combo)
+    for j, t in enumerate(target):
+        assert sum((c * v[j] for c, v in zip(combo, vectors)), F(0)) == t
