@@ -4,6 +4,13 @@ Words are tuples of generator indices (the empty tuple is the unit
 monomial); polynomials are sparse maps word -> nonzero coefficient.
 The default monomial order is deglex: degree first, then lexicographic
 on letter indices, which is total and compatible with concatenation.
+
+A rational coefficient is a plain ``int`` when it is integral and a
+``Fraction`` only when it is not, so the magic-matrix relations and their
+normal forms run on int arithmetic.  The constructor and `parse_poly`
+store integral rationals as ``int``; arithmetic on a ``Fraction`` may
+still return an integral ``Fraction``, which compares and hashes equal to
+the ``int``.  Cyclotomic coefficients pass through as they are.
 """
 
 from __future__ import annotations
@@ -15,15 +22,17 @@ from .exactnum import Cyclotomic
 
 Word = tuple
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def coeff_value(c):
-    """Promote plain ints to Fraction; pass Fraction/Cyclotomic through."""
+    """Canonical coefficient: integral rationals (bool included) as int,
+    other rationals as Fraction, Cyclotomic unchanged."""
+    if type(c) is int:
+        return c
     if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, Cyclotomic)):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Cyclotomic):
         return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
@@ -101,7 +110,7 @@ class NCPoly:
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet, {(): _ONE})
+        return cls(alphabet, {(): 1})
 
     @classmethod
     def scalar(cls, alphabet: Alphabet, c) -> "NCPoly":
@@ -112,7 +121,7 @@ class NCPoly:
         i = alphabet.index(g) if isinstance(g, str) else g
         if not 0 <= i < len(alphabet):
             raise IndexError(f"generator index {i} out of range")
-        return cls(alphabet, {(i,): _ONE})
+        return cls(alphabet, {(i,): 1})
 
     # -- inspection --
 
@@ -148,7 +157,7 @@ class NCPoly:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, _ZERO) + c
+            s = terms.get(w, 0) + c
             if s:
                 terms[w] = s
             else:
@@ -183,7 +192,7 @@ class NCPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = terms.get(w, _ZERO) + c1 * c2
+                s = terms.get(w, 0) + c1 * c2
                 if s:
                     terms[w] = s
                 else:
@@ -258,7 +267,7 @@ def substitute(p: NCPoly, images: dict, antihom: bool = False,
 
 def evaluate_scalar(p: NCPoly, images: dict):
     """Evaluate p at scalar generator images (e.g. a counit)."""
-    total = _ZERO
+    total = 0
     for w, c in p.terms.items():
         acc = c
         for letter in w:
@@ -320,14 +329,14 @@ def parse_poly(text: str, alphabet: Alphabet) -> NCPoly:
     text = text.strip()
     if not text or text == "0":
         return NCPoly.zero(alphabet)
-    poly = NCPoly.zero(alphabet)
+    terms: dict = {}
     pos = 0
     first = True
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or (not first and m.group(1) == ""):
             raise ValueError(f"cannot parse polynomial at {text[pos:]!r}")
-        sign = Fraction(-1) if m.group(1) == "-" else Fraction(1)
+        sign = -1 if m.group(1) == "-" else 1
         body = m.group(2).strip()
         if "*" in body:
             coeff_str, word_str = body.split("*", 1)
@@ -341,7 +350,7 @@ def parse_poly(text: str, alphabet: Alphabet) -> NCPoly:
         if word_str and not _WORD_RE.match(word_str):
             raise ValueError(f"bad word {word_str!r} in {body!r}")
         letters = tuple(alphabet.index(nm) for nm in word_str.split(".")) if word_str else ()
-        poly = poly + NCPoly(alphabet, {letters: sign * Fraction(coeff_str)})
+        terms[letters] = terms.get(letters, 0) + sign * Fraction(coeff_str)
         pos = m.end()
         first = False
-    return poly
+    return NCPoly(alphabet, terms)

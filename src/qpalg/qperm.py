@@ -101,7 +101,7 @@ class HopfPresentation:
     relations: list[tuple[str, NCPoly]]
     tensor2: TensorAlgebra
     delta: dict[int, NCPoly]
-    counit: dict[int, Fraction]
+    counit: dict[int, int]
     antipode: dict[int, NCPoly] | None
     families: tuple[str, ...] = ALL_FAMILIES
 
@@ -137,7 +137,7 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
         for j in range(1, n + 1):
             g = (i - 1) * n + (j - 1)
             delta[g] = _coproduct(u, tensor2, n, i, j)
-            counit[g] = Fraction(1 if i == j else 0)
+            counit[g] = 1 if i == j else 0
             if antipode is not None:
                 antipode[g] = u(j, i)
     return HopfPresentation(n, system, labeled, tensor2, delta, counit, antipode,
@@ -165,7 +165,7 @@ def group_algebra_presentation(m: int) -> HopfPresentation:
     system = RewriteSystem.from_relations(alphabet, [p for _, p in relations])
     tensor2 = TensorAlgebra(alphabet, 2)
     delta = {0: tensor2.inject(g, 0) * tensor2.inject(g, 1)}
-    counit = {0: Fraction(1)}
+    counit = {0: 1}
     spoly = NCPoly.one(alphabet)
     for _ in range(m - 1):
         spoly = spoly * g
@@ -253,7 +253,7 @@ def check_multiplicative(x: MatrixOverAlgebra, hopf: HopfPresentation) -> Certif
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             val = evaluate_scalar(x.entry(i, j), hopf.counit)
-            d = Fraction(1 if i == j else 0)
+            d = 1 if i == j else 0
             rows.append(IdentityCheck(
                 f"counit[i={i},j={j}]",
                 f"eps(x[{i},{j}]) = {val} (expected {d})",

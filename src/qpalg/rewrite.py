@@ -31,9 +31,6 @@ from fractions import Fraction
 from .exactnum import Cyclotomic
 from .ncalg import Alphabet, NCPoly, TensorAlgebra, Word, deglex_key, parse_poly
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 RAW = "raw"
 TRUNCATED = "truncated"
 CONFLUENT = "confluent"
@@ -99,8 +96,11 @@ def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
     if not lhs:
         raise InconsistentPresentation("relation reduces to a nonzero scalar")
     lc = p.terms[lhs]
-    rhs = NCPoly(p.alphabet, {lhs: 1}) - p * (1 / lc)
-    return lhs, rhs
+    if isinstance(lc, int):     # int / int would be a float; +-1 is its own inverse
+        scale = -lc if lc in (1, -1) else Fraction(-1, lc)
+    else:
+        scale = -1 / lc
+    return lhs, NCPoly(p.alphabet, {w: c * scale for w, c in p.terms.items() if w != lhs})
 
 
 def _contains(big: Word, small: Word) -> bool:
@@ -249,7 +249,7 @@ class TensorPowerSystem:
         if nf is None:
             word = tuple(l - shift for l in part)
             nf = {tuple(l + shift for l in w): c for w, c in
-                  _reduce_terms({word: _ONE}, self.base._by_first).items()}
+                  _reduce_terms({word: 1}, self.base._by_first).items()}
             self._memo[part] = nf
         return nf
 
@@ -271,7 +271,7 @@ class TensorPowerSystem:
                 if not acc:
                     break
             for aw, ac in acc.items():
-                s = out.get(aw, _ZERO) + ac
+                s = out.get(aw, 0) + ac
                 if s:
                     out[aw] = s
                 else:
@@ -344,7 +344,7 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
             f"{system.max_rule_degree}")
     for r in system.rules:
         for c in r.rhs.terms.values():
-            if not isinstance(c, (Fraction, Cyclotomic)):
+            if not isinstance(c, (int, Fraction, Cyclotomic)):
                 raise ValueError(
                     f"rule coefficients live in incompatible fields: "
                     f"{type(c).__name__} is not rational or cyclotomic")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, compare_words,
+from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, coeff_value, compare_words,
                          evaluate_scalar, parse_poly, substitute)
 from qpalg.rewrite import CONFLUENT, RewriteSystem, TensorPowerSystem, normal_form
 from tensor_reference import reference_tensor_system
@@ -135,6 +135,27 @@ def test_poly_text_roundtrip():
     assert parse_poly("1*u11.u12 - 1*u12.u11", A) == u11 * u12 - u12 * u11
     assert parse_poly("3/2 - u11", A) == NCPoly.scalar(A, F(3, 2)) - u11
     assert parse_poly("0", A) == NCPoly.zero(A)
+
+
+def test_integral_rationals_are_stored_as_int():
+    for c in (3, F(6, 2), F(-4, 1)):
+        assert type(coeff_value(c)) is int and coeff_value(c) == c
+    assert coeff_value(F(1, 2)) == F(1, 2)
+    p = parse_poly("4/2*u11 - 3 + 1/2*u12 + 1/2*u12 + 1/3*u21", A)
+    assert p.terms == {(0,): 2, (): -3, (1,): 1, (2,): F(1, 3)}
+    assert [type(c) for c in p.terms.values()] == [int, int, int, Fraction]
+
+
+def test_bool_coefficients_act_as_integers():
+    true_poly = NCPoly(A, {(0,): True, (): True})
+    assert true_poly.render() == "1*u11 + 1"
+    assert true_poly == u11 + 1 and hash(true_poly) == hash(u11 + 1)
+    assert all(type(c) is int for c in true_poly.terms.values())
+    false_poly = NCPoly(A, {(0,): False})
+    assert false_poly.render() == "0" and false_poly == 0 and not false_poly
+    assert (u12 * True).render() == "1*u12" and u12 * False == 0
+    assert (u12 + True).render() == "1*u12 + 1"
+    assert type(coeff_value(True)) is int and coeff_value(False) == 0
 
 
 def test_poly_parse_rejects_garbage():

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpalg.exactnum import zeta
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key
 from qpalg.qperm import magic_presentation
-from qpalg.rewrite import (CONFLUENT, RewriteSystem, TensorPowerSystem, complete,
+from qpalg.rewrite import (CONFLUENT, RewriteRule, RewriteSystem, TensorPowerSystem, complete,
                            filtration_dimension, format_presentation,
                            interreduce, irreducible_words_by_length, normal_form,
                            parse_presentation, quotient_basis, reduces_to_zero)
@@ -53,6 +54,27 @@ def test_normal_form_idempotent_and_linear(magic):
         nfp, nfq = normal_form(p, pres.system), normal_form(q, pres.system)
         assert normal_form(nfp, pres.system) == nfp
         assert normal_form(a * p + b * q, pres.system) == a * nfp + b * nfq
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms=st.dictionaries(st.lists(st.integers(0, 8), max_size=5).map(tuple),
+                             st.integers(-4, 4).filter(bool), max_size=5),
+       spelt=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_normal_form_same_for_int_and_fraction_spelling(completed_magic, terms, spelt):
+    """Integral coefficients reduce alike whether they are int or Fraction."""
+    system = completed_magic[3].system
+    alpha = system.alphabet
+    as_int = NCPoly(alpha, terms)
+    as_fraction = NCPoly._trusted(alpha, {w: F(c) for w, c in terms.items()})
+    mixed = NCPoly._trusted(alpha, {w: F(c) if f else c
+                                    for (w, c), f in zip(terms.items(), spelt)})
+    nf = normal_form(as_int, system)
+    assert all(type(c) is int for c in nf.terms.values())
+    for p in (as_fraction, mixed):
+        nfp = normal_form(p, system)
+        assert nfp == nf
+        assert normal_form(nfp, system) == nfp
+    assert normal_form(nf, system) == nf
 
 
 TENSOR_CASES = ((2, 2), (3, 2), (2, 3))   # (matrix size n, tensor factors k)
@@ -149,13 +171,58 @@ def test_complete_rejects_low_cap(magic):
 
 
 def test_complete_with_cyclotomic_coefficients():
-    from qpalg.exactnum import zeta
     A = Alphabet(["x"])
     x = NCPoly.gen(A, 0)
     sys0 = RewriteSystem.from_relations(A, [x * x - zeta(4) * x])
     res = complete(sys0, 8)
     assert res.status == CONFLUENT
     assert normal_form(x * x * x, res.system) == -x
+
+
+def _rule_coefficients(system):
+    return [c for r in system.rules for c in r.rhs.terms.values()]
+
+
+def test_orient_divides_exactly():
+    """Orientation by a leading coefficient other than +-1 gives an int when
+    the quotient is integral and a Fraction in lowest terms otherwise."""
+    A = Alphabet(["x", "y"])
+    x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
+    cases = [([2 * x * y - 3 * y * x, 3 * y * y - 1], ["y.x -> 2/3*x.y", "y.y -> 1/3"]),
+             ([2 * y * x - 4 * x * y, 3 * y * y - 1], ["y.x -> 2*x.y", "y.y -> 1/3"])]
+    for relations, rendered in cases:
+        sys0 = RewriteSystem.from_relations(A, relations)
+        assert [r.render() for r in sys0.rules] == rendered
+        res = complete(sys0, 8)
+        assert res.status == CONFLUENT
+        # yx = q xy with q*q != 1 and yy = 1/3: yyx = x/3 = q*q x/3, so x = 0
+        assert normal_form(x, res.system) == 0
+        coeffs = _rule_coefficients(sys0) + _rule_coefficients(res.system)
+        assert any(type(c) is F for c in coeffs)
+        for c in coeffs:
+            assert type(c) is int or (type(c) is F and c.denominator > 1)
+    # leading coefficient -1: the rules keep int coefficients
+    sys1 = RewriteSystem.from_relations(A, [x * y - y * x, x * x - y * y - 2 * x])
+    assert [r.render() for r in sys1.rules] == ["y.x -> 1*x.y", "y.y -> 1*x.x - 2*x"]
+    assert all(type(c) is int for c in _rule_coefficients(sys1))
+
+
+def test_magic_rule_sets_have_int_coefficients(completed_magic, semi_magic):
+    for system in (completed_magic[3].system, completed_magic[4].system,
+                   semi_magic[4].system):
+        assert all(type(c) is int for c in _rule_coefficients(system))
+
+
+def test_complete_coefficient_guard():
+    A = Alphabet(["x"])
+
+    def one_rule(c):
+        return RewriteSystem(A, [RewriteRule((0, 0), NCPoly._trusted(A, {(0,): c}))])
+
+    with pytest.raises(ValueError, match="incompatible fields"):
+        complete(one_rule(0.5), 4)
+    for c in (2, F(1, 2), zeta(4)):
+        assert complete(one_rule(c), 4).status == CONFLUENT
 
 
 def test_completion_result_report_shape(completed_magic):
