@@ -1,6 +1,6 @@
 import pytest
 
-from qpalg.qperm import magic_presentation, semi_magic_presentation, wang_target
+from qpalg.qperm import magic_presentation, semi_magic_presentation
 from qpalg.rewrite import complete
 
 
@@ -17,8 +17,3 @@ def completed_magic(magic):
 @pytest.fixture(scope="session")
 def semi_magic():
     return {n: semi_magic_presentation(n) for n in range(1, 6)}
-
-
-@pytest.fixture(scope="session")
-def idempotent_pair():
-    return wang_target()

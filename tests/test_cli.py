@@ -317,17 +317,17 @@ _GOLDEN_SHA256 = {
     "iso-check --n 3":
         "575b810fa1e4c68f3cab4726c9563aba102b5c3095dc7293b8ab2625bba02b01",
     "iso-check --n 4":
-        "dc08d7ee6519c862b33ec6d846229fd9dcac64deb8eaa96c8f95c1f5d9e6bada",
+        "ac9846a6480afac18e20bc88e646d0a9717e9eb56150d8534e7fc4f41fb92601",
     "wang --n 4 --depth 10":
-        "257ec5f79feffa53098b030f91eb3a113e6770c9659e5a058f517282f2ccd1ef",
+        "b3cf864f2bab58b388e511f21055c4b558fe619f7248dde6642532a09a29e32f",
     "coaction-check --n 2":
-        "10dce6763589908cbc822172cac617fb7458dbc8d4711b78617b061fca28f78e",
+        "5729dde6620086fb56ae49d9062ce9dcb2a2eea40f7935669d993818d9cffc21",
     "coaction-check --n 3":
-        "c78cc06db2cb2b33dad4406322fa7f0b6b482a7dc682d93673011d90226378ad",
+        "fdbb8c349680040258357127792fb28f85fa6fbee95573b2202c56f692d52090",
     "coaction-check --n 4":
-        "6381c8ced4172ab876085e046bd56c4f17cd7e26fc1fbda123aaab4d4f05a20e",
+        "52d337fa239cfd915db85bd08121af464ba7f7103ba8431c18797e3130addb96",
     "coaction-check --counterexample":
-        "6195371aeeffd06ff3793e3297a61896fccb1a950641d1bc4967954baae6f0e5",
+        "4bb7f98d0bd278916116bc76950e7d2aefe1852e9c91c51725ff4fef7b03d6fc",
     "classify --n 6":
         "4e4f4da9223dbdced100029b3fcbd33e6de6ec7ed4d5b231ea69cdf3c3ca9fb1",
     "grade --blocks 3,2 --groups Z3,Z2 --save g.grading":

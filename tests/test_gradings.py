@@ -89,6 +89,15 @@ def test_non_direct_sum_refuted():
     assert not rep.identities[0].reduced_to_zero
 
 
+def test_unit_outside_identity_component_refuted():
+    # K^2 over Z2 with A_e = span(e1), A_1 = span(e2): a nonzero identity
+    # component that misses the all-ones unit
+    rep = verify_grading(Grading(2, Z2, {(0,): [(F(1), F(0))], (1,): [(F(0), F(1))]}))
+    unit = [c for c in rep.identities if c.label == "unit lies in the identity component"]
+    assert len(unit) == 1 and not unit[0].reduced_to_zero
+    assert rep.verdict == REFUTED
+
+
 def test_trivial_grading():
     rep = verify_grading(trivial_grading(3))
     assert rep.verdict == VERIFIED

@@ -2,23 +2,25 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpalg import qperm
 from qpalg.groups import FunctionOnSn, Perm
-from qpalg.ncalg import NCPoly
+from qpalg.ncalg import NCPoly, substitute
 from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM,
                          MatrixOverAlgebra, check_families, check_magic,
                          check_multiplicative, check_semi_magic,
-                         coaction_algebra_map_check, family_relations,
+                         block_quotient, coaction_algebra_map_check, family_relations,
                          family_relations_for_matrix,
                          gram_diagonal_check, group_algebra_presentation,
                          magic_presentation, matrix_inverse_from_families,
                          semi_magic_presentation, sn_isomorphism_check,
                          sn_relations_check, to_sn_function, trivial_presentation,
-                         verify_hopf_axioms, wang_block_matrix, wang_image,
-                         wang_target, wang_witness)
+                         verify_hopf_axioms, wang_witness)
 from qpalg.reports import INCONCLUSIVE, REFUTED, VERIFIED
-from qpalg.rewrite import complete, normal_form, quotient_basis
+from qpalg.rewrite import (CONFLUENT, TRUNCATED, RewriteSystem, complete,
+                           filtration_dimension, normal_form, quotient_basis)
+from wang_reference import block_matrix, image_under_w, two_idempotents
 
 F = Fraction
 
@@ -93,10 +95,11 @@ def test_diag_gg_semi_magic_refuted():
 
 
 def test_wang_block_matrix_is_magic():
-    target = wang_target()
+    # the reference map u_ij -> W_ij kills every defining relation
+    target = two_idempotents()
     for n in (4, 5):
-        rep = check_magic(wang_block_matrix(n, target))
-        assert rep.verdict == VERIFIED
+        w = MatrixOverAlgebra(n, tuple(map(tuple, block_matrix(n, target))), target)
+        assert check_magic(w).verdict == VERIFIED
 
 
 # -- multiplicativity and the coaction equivalence --
@@ -126,8 +129,10 @@ def test_diag_gg_multiplicative_but_not_coaction():
     # both legs fail consistently: unit preservation and semi-magic
     unit_rows = [c for c in rep.identities if c.label.startswith("beta(1)")]
     assert unit_rows and all(not c.reduced_to_zero for c in unit_rows)
+    assert all(not c.inconclusive for c in unit_rows)   # refuted, definitely
     assert rep.details["semi_magic"] == REFUTED
-    assert rep.identities[-1].reduced_to_zero   # the equivalence held
+    assert rep.details["algebra_map_legs"] == "fail"
+    assert not any(c.label.startswith("equivalence") for c in rep.identities)
 
 
 def test_generating_matrix_coaction(magic, completed_magic):
@@ -363,13 +368,101 @@ def test_wang_rejects_small_n():
 
 
 def test_wang_image_examples():
-    target = wang_target()
+    # in the (2, 2) block quotient u12 is 1 - u11, an idempotent again
+    quotient = block_quotient(4, (2, 2))
     pres = magic_presentation(4)
-    p = NCPoly.gen(target.alphabet, 0)
-    q = NCPoly.gen(target.alphabet, 1)
-    # u12 maps to 1 - p whose square reduces back to 1 - p
-    img = wang_image(pres.gen(1, 2), 4, target)
-    assert img == 1 - p
-    assert normal_form(img * img - img, target) == 0
-    comm = pres.gen(1, 1) * pres.gen(3, 3) - pres.gen(3, 3) * pres.gen(1, 1)
-    assert wang_image(comm, 4, target) == p * q - q * p
+    u11, u33 = pres.gen(1, 1), pres.gen(3, 3)
+    img = normal_form(pres.gen(1, 2), quotient)
+    assert img == 1 - u11
+    assert normal_form(img * img - img, quotient) == 0
+    comm = u11 * u33 - u33 * u11
+    assert normal_form(comm, quotient) == comm
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_wang_witness_larger_sizes(n):
+    rep = wang_witness(n, depth=6)
+    assert rep.verdict == VERIFIED
+    assert rep.details["blocks"] == [2, 2] + [1] * (n - 4)
+    assert rep.details["target_status"] == "confluent"
+    assert [c.label for c in rep.identities] == ["noncommutativity witness",
+                                                 "infinite dimension"]
+
+
+def test_wang_witness_needs_a_confluent_quotient(monkeypatch):
+    def truncated(system, cap):
+        res = complete(system, cap)
+        return dataclasses.replace(res, system=RewriteSystem(
+            system.alphabet, res.system.rules, status=TRUNCATED, status_degree=cap))
+
+    monkeypatch.setattr(qperm, "complete", truncated)
+    rep = wang_witness(4, depth=2)
+    witness = rep.identities[0]
+    assert witness.reduced_to_zero and witness.inconclusive
+    assert rep.verdict == INCONCLUSIVE
+    upstream = [c for c in sn_isomorphism_check(4).identities
+                if c.label == "kernel witness is nonzero upstream"]
+    assert upstream[0].inconclusive
+
+
+def test_block_quotient_rejects_bad_sizes():
+    for n, sizes in ((4, (2, 1)), (4, (2, 2, 1)), (3, (3, 0)), (2, ())):
+        with pytest.raises(ValueError, match="partition"):
+            block_quotient(n, sizes)
+
+
+def _rename_p_q(poly: NCPoly, n: int, target: RewriteSystem) -> NCPoly:
+    """u11 -> p and u33 -> q, for a normal form in the (2, 2, 1, ...) quotient."""
+    return substitute(poly, {0: NCPoly.gen(target.alphabet, 0),
+                             2 * n + 2: NCPoly.gen(target.alphabet, 1)},
+                      target=target.alphabet)
+
+
+@pytest.fixture(scope="module")
+def wang_quotients():
+    return {n: block_quotient(n, (2, 2) + (1,) * (n - 4)) for n in (4, 5)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([4, 5]))
+def test_block_quotient_matches_wang_map(wang_quotients, data, n):
+    """The quotient's normal form is the normal form of Wang's image."""
+    quotient, target = wang_quotients[n], two_idempotents()
+    letters = st.integers(0, n * n - 1)
+    terms = data.draw(st.dictionaries(st.lists(letters, max_size=5).map(tuple),
+                                      st.integers(-3, 3), max_size=4))
+    p = NCPoly(quotient.alphabet, terms)
+    assert quotient.status == CONFLUENT
+    assert _rename_p_q(normal_form(p, quotient), n, target) == image_under_w(p, n, target)
+
+
+def _hilbert_coefficients(sizes, d: int) -> list[int]:
+    """Degree 0..d coefficients of H with 1/H = sum_i 1/H_i - (k - 1).
+
+    Each H_i is the polynomial of word lengths in the finite basis of
+    completed A_s(n_i); series are truncated power series with H(0) = 1.
+    """
+    def inverse(h):
+        out = [1] + [0] * d
+        for e in range(1, d + 1):
+            out[e] = -sum(h[i] * out[e - i] for i in range(1, min(e, len(h) - 1) + 1))
+        return out
+
+    total = [1 - len(sizes)] + [0] * d
+    for size in sizes:
+        basis = quotient_basis(complete(magic_presentation(size).system, 8).system)
+        h = [sum(1 for w in basis if len(w) == e) for e in range(d + 1)]
+        total = [a + b for a, b in zip(total, inverse(h))]
+    return inverse(total)
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 2, 1), (3, 3)])
+def test_block_quotient_is_the_free_product(sizes):
+    depth = 5
+    quotient = block_quotient(sum(sizes), sizes)
+    assert quotient.status == CONFLUENT
+    dims = filtration_dimension(quotient, depth)
+    coefficients = _hilbert_coefficients(sizes, depth)
+    assert dims == [sum(coefficients[:e + 1]) for e in range(depth + 1)]
+    if sizes == (3, 2):
+        assert dims == [1, 6, 15, 37, 78, 175]

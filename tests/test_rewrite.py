@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import zeta
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key
-from qpalg.qperm import magic_presentation
+from qpalg.qperm import block_quotient, magic_presentation
 from qpalg.rewrite import (CONFLUENT, RewriteRule, RewriteSystem, TensorPowerSystem, complete,
                            filtration_dimension, format_presentation,
                            interreduce, irreducible_words_by_length, normal_form,
@@ -392,11 +392,11 @@ GOLDEN_RULES = {
     "complete magic 3 cap 8": "9520a0166dd7622112ffc9e02f8323d44b086ee1fc0f42e4e3b4dc321f1f9a96",
     "complete magic 4 cap 8": "5a8d70910476ad341212ae4643093c119acb93dae95d3220e17193e68542074c",
     "complete magic 5 cap 3": "51b8ce959f67784ecc9d962f08fe568f6dda32a75482dcfbe8f612f7f7c2ed66",
-    "wang target": "ebe0ad4f20cb1f01db4a19d8b1c91d263f485a9b70d5cd271c74d491837c3494",
+    "block quotient 4 (2, 2)": "bad01bb6a95003b2d1a0db5392637377384c354f0f7aa4a2d2f08a14db8d238f",
 }
 
 
-def test_golden_rule_sets(magic, semi_magic, completed_magic, idempotent_pair):
+def test_golden_rule_sets(magic, semi_magic, completed_magic):
     def render(system):
         return "\n".join([system.status_label()] + [r.render() for r in system.rules])
 
@@ -416,6 +416,6 @@ def test_golden_rule_sets(magic, semi_magic, completed_magic, idempotent_pair):
     texts["complete magic 3 cap 8"] = completed(completed_magic[3])
     texts["complete magic 4 cap 8"] = completed(completed_magic[4])
     texts["complete magic 5 cap 3"] = completed(complete(magic5.system, 3))
-    texts["wang target"] = render(idempotent_pair)
+    texts["block quotient 4 (2, 2)"] = render(block_quotient(4, (2, 2)))
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
     assert digests == GOLDEN_RULES
