@@ -27,7 +27,7 @@ from .qperm import (ALL_FAMILIES, MatrixOverAlgebra, coaction_algebra_map_check,
                     sn_relations_check, to_sn_function, u_alphabet,
                     verify_hopf_axioms, wang_witness)
 from .reports import (INCONCLUSIVE, REFUTED, VERIFIED, CertificateReport,
-                      RunReport, merge_verdicts)
+                      IdentityCheck, RunReport, merge_verdicts)
 from .rewrite import (CONFLUENT, RewriteSystem, complete, format_presentation,
                       irreducible_words_by_length, parse_presentation)
 
@@ -95,7 +95,6 @@ def _build_parser() -> _Parser:
     p = add_parser("iso-check",
                        help="S_n quotient: dimension/rank for n<=3, kernel witness for n>=4")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=8)
 
     p = add_parser("wang", help="noncommutativity/infinite-dimension certificate")
     p.add_argument("--n", type=int, required=True)
@@ -206,12 +205,13 @@ def _dispatch(args, argv, started) -> int:
             payload["irreducible_words"] = [
                 ".".join(result.system.alphabet.names[i] for i in w) or "1"
                 for level in levels for w in level]
-        verdict = VERIFIED if result.status == CONFLUENT else INCONCLUSIVE
+        row = IdentityCheck(f"critical pairs resolve up to degree {args.cap}",
+                            f"{len(result.system.rules)} rules, {result.system.status_label()}",
+                            result.status == CONFLUENT, inconclusive=result.status != CONFLUENT)
+        report = CertificateReport.from_identities(
+            f"completion of {source} at cap {args.cap}", [row], details=payload)
         config = {"cap": args.cap, "source": source}
-        report = CertificateReport(
-            claim=f"completion of {source} at cap {args.cap}",
-            identities=[], verdict=verdict, details=payload)
-        return _emit(args, argv, config, [report], verdict, started)
+        return _emit(args, argv, config, [report], report.verdict, started)
 
     if cmd == "verify-hopf":
         pres = _presentation(args)
@@ -246,9 +246,8 @@ def _dispatch(args, argv, started) -> int:
         return _emit(args, argv, {"n": n}, [report], report.verdict, started)
 
     if cmd == "iso-check":
-        report = sn_isomorphism_check(args.n, cap=args.cap)
-        config = {"n": args.n, "cap": args.cap}
-        return _emit(args, argv, config, [report], report.verdict, started)
+        report = sn_isomorphism_check(args.n)
+        return _emit(args, argv, {"n": args.n}, [report], report.verdict, started)
 
     if cmd == "wang":
         report = wang_witness(args.n, depth=args.depth)

@@ -519,9 +519,10 @@ def _commutator_11_33(n: int) -> NCPoly:
     return u11 * u33 - u33 * u11
 
 
-def sn_isomorphism_check(n: int, cap: int = 8) -> CertificateReport:
+def sn_isomorphism_check(n: int) -> CertificateReport:
     """Surjectivity always; basis count and evaluation rank for n <= 3;
-    an explicit kernel element for n >= 4."""
+    an explicit kernel element for n >= 4.  Both read `block_quotient`: on
+    the one block (n,) it is A_s(n) itself, confluent at cap 4 for n <= 3."""
     rows = []
     details: dict = {"n": n}
     surj = e_sigma_product_check(n)
@@ -535,19 +536,19 @@ def sn_isomorphism_check(n: int, cap: int = 8) -> CertificateReport:
         f"{len(rel.identities)} defining relations",
         rel.verdict == VERIFIED))
     if n <= 3:
-        comp = complete(magic_presentation(n).system, cap)
-        basis = quotient_basis(comp.system)
+        quotient = block_quotient(n, (n,))
+        basis = quotient_basis(quotient)
         target = len(all_perms(n))
         details["basis_count"] = len(basis)
-        details["completion_status"] = comp.system.status_label()
+        details["completion_status"] = quotient.status_label()
         rows.append(IdentityCheck(
             "quotient dimension",
             f"basis size {len(basis)} (expected {target})",
             len(basis) == target,
-            inconclusive=(comp.system.status != CONFLUENT)))
+            inconclusive=(quotient.status != CONFLUENT)))
         matrix = []
         for w in basis:
-            poly = NCPoly(comp.system.alphabet, {w: 1})
+            poly = NCPoly(quotient.alphabet, {w: 1})
             f = to_sn_function(poly, n)
             matrix.append([f(sigma) for sigma in all_perms(n)])
         rnk = linalg.rank(matrix)

@@ -54,10 +54,6 @@ class CertificateReport:
         identities = list(identities)
         return cls(claim, identities, rows_verdict(identities), dict(details or {}))
 
-    @property
-    def verified(self) -> bool:
-        return self.verdict == VERIFIED
-
     def to_dict(self) -> dict:
         out = {
             "claim": self.claim,

@@ -12,19 +12,20 @@ own rules and carry its status.
 
 Every rule set, whether interreduced, mid-completion or frozen, lives in
 one `_RuleTable`: insertion-ordered rules whose ids count insertions,
-indexed by the first letter of their lhs for normal forms.  Adding a
-relation reduces it, orients it and retires each rule whose lhs contains
-the new lhs; the caller decides what happens to the retired relations (a
-deglex heap in `interreduce`, a FIFO cascade in `complete`).  Irreducible
-words are enumerated level by level in `irreducible_words_by_length`,
-which the filtration counts and quotient bases share.
+indexed by the first letter of their lhs; a frozen `RewriteSystem` owns
+one.  Adding a relation runs the one retirement cascade: reduce, orient,
+retire each rule whose lhs contains the new lhs, then add the retired
+relations back, first retired first.  `interreduce` is a loop of adds and
+`complete` pairs every rule an add inserted.  Irreducible words are
+enumerated level by level in `irreducible_words_by_length`, which the
+filtration counts and quotient bases share.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from itertools import accumulate, count
+from itertools import accumulate
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,17 +55,16 @@ class RewriteRule:
 class RewriteSystem:
     """Frozen inter-reduced rule set with a completion status."""
 
-    __slots__ = ("alphabet", "rules", "status", "status_degree", "_by_first")
+    __slots__ = ("alphabet", "rules", "status", "status_degree", "_table")
 
     def __init__(self, alphabet: Alphabet, rules, status: str = RAW, status_degree=None):
         self.alphabet = alphabet
         self.rules = tuple(sorted(rules, key=lambda r: deglex_key(r.lhs)))
         self.status = status
         self.status_degree = status_degree
-        table = _RuleTable(alphabet)
+        self._table = _RuleTable(alphabet)
         for r in self.rules:
-            table.insert(r)
-        self._by_first = table.by_first
+            self._table.insert(r)
 
     @classmethod
     def from_relations(cls, alphabet: Alphabet, relations, status: str = RAW) -> "RewriteSystem":
@@ -80,7 +80,7 @@ class RewriteSystem:
         return self.status
 
     def reduce_terms(self, terms: dict) -> dict:
-        return _reduce_terms(terms, self._by_first)
+        return _reduce_terms(terms, self._table.by_first)
 
     def __repr__(self):
         return (f"RewriteSystem({len(self.alphabet)} generators, "
@@ -185,22 +185,27 @@ class _RuleTable:
                key=lambda t: deglex_key(t[0]))
         return rid
 
-    def add(self, p: NCPoly) -> tuple[int | None, list[NCPoly]]:
-        """Reduce p, orient it and retire every rule whose lhs contains its lhs.
+    def add(self, p: NCPoly) -> list[int]:
+        """Add the relation p and run the retirement cascade.
 
-        Returns the new rule id (None when p reduces to zero) and the
-        retired rules as relations, in id order.
+        Each pending relation is reduced and oriented, and every rule whose
+        lhs contains the new lhs is retired; the retired relations are
+        added back, first retired first.  Returns the inserted rule ids in
+        order (none when everything reduces to zero).
         """
-        q = NCPoly._trusted(self.alphabet, _reduce_terms(p.terms, self.by_first))
-        if not q:
-            return None, []
-        lhs, rhs = _orient(q)
-        retired = []
-        for rid in [k for k, r in self.active.items() if _contains(r.lhs, lhs)]:
-            rule = self.active.pop(rid)
-            self.by_first[rule.lhs[0]].remove((rule.lhs, rule.rhs.terms))
-            retired.append(rule.as_relation())
-        return self.insert(RewriteRule(lhs, rhs)), retired
+        inserted = []
+        pending = [p]
+        for rel in pending:             # grows as rules retire
+            q = NCPoly._trusted(self.alphabet, _reduce_terms(rel.terms, self.by_first))
+            if not q:
+                continue
+            lhs, rhs = _orient(q)
+            for rid in [k for k, r in self.active.items() if _contains(r.lhs, lhs)]:
+                rule = self.active.pop(rid)
+                self.by_first[rule.lhs[0]].remove((rule.lhs, rule.rhs.terms))
+                pending.append(rule.as_relation())
+            inserted.append(self.insert(RewriteRule(lhs, rhs)))
+        return inserted
 
     def final_rules(self) -> list[RewriteRule]:
         """The rules in deglex order of lhs, each rhs fully reduced."""
@@ -249,7 +254,7 @@ class TensorPowerSystem:
         if nf is None:
             word = tuple(l - shift for l in part)
             nf = {tuple(l + shift for l in w): c for w, c in
-                  _reduce_terms({word: 1}, self.base._by_first).items()}
+                  self.base.reduce_terms({word: 1}).items()}
             self._memo[part] = nf
         return nf
 
@@ -299,17 +304,12 @@ def interreduce(alphabet: Alphabet, relations) -> list[RewriteRule]:
     """Orient relations into a rule set with pairwise non-overlapping lhs.
 
     No lhs contains another lhs as a factor and every rhs is fully reduced
-    against the final rule set.  Pending relations are added smallest
-    leading word first; a retired rule goes back on the heap.
+    against the final rule set.  The relations are added smallest leading
+    word first (ties in input order), each with its retirement cascade.
     """
-    tie = count()
-    heap = [(deglex_key(p.leading_word()), next(tie), p) for p in relations if p]
-    heapq.heapify(heap)
     table = _RuleTable(alphabet)
-    while heap:
-        _, retired = table.add(heapq.heappop(heap)[2])
-        for rel in retired:
-            heapq.heappush(heap, (deglex_key(rel.leading_word()), next(tie), rel))
+    for p in sorted((p for p in relations if p), key=lambda p: deglex_key(p.leading_word())):
+        table.add(p)
     return table.final_rules()
 
 
@@ -354,31 +354,23 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
     active = table.active
     heap: list = []
 
-    def _push_overlaps(i: int, j: int):
-        a, b = active[i].lhs, active[j].lhs
-        for olap in range(1, min(len(a), len(b))):
-            if a[-olap:] == b[:olap]:
-                w = a + b[olap:]
-                heapq.heappush(heap, (len(w), w, i, j, olap))
-
-    def _add_relation(p: NCPoly):
-        """Add p (already a consequence) and cascade retirements."""
-        pending = [p]
-        while pending:
-            new_id, retired = table.add(pending.pop(0))
-            if new_id is None:
+    def _push_pairs(inserted: list[int]):
+        """Push the overlaps of each inserted id still active with every
+        active id <= it, in both orders."""
+        for i in inserted:
+            if i not in active:
                 continue
-            pending.extend(retired)
-            for other in active:
-                _push_overlaps(new_id, other)
-                if other != new_id:
-                    _push_overlaps(other, new_id)
+            for j in active:            # id order
+                if j > i:
+                    break
+                for x, y in {(i, j), (j, i)}:
+                    a, b = active[x].lhs, active[y].lhs
+                    for olap in range(1, min(len(a), len(b))):
+                        if a[-olap:] == b[:olap]:
+                            w = a + b[olap:]
+                            heapq.heappush(heap, (len(w), w, x, y, olap))
 
-    for rule in system.rules:
-        table.insert(rule)
-    for i in active:
-        for j in active:
-            _push_overlaps(i, j)
+    _push_pairs([table.insert(rule) for rule in system.rules])
 
     history: list[tuple[int, int]] = []
     last_degree = None
@@ -400,7 +392,7 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
         s2 = NCPoly(alphabet, {prefix + rw: rc for rw, rc in rb.terms.items()})
         spoly = s1 - s2
         if spoly:
-            _add_relation(spoly)
+            _push_pairs(table.add(spoly))
     if last_degree is not None:
         history.append((last_degree, len(active)))
 

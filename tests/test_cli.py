@@ -85,6 +85,19 @@ def test_confluent_completion_exits_zero(capsys):
     assert "'1', 'u11'" in out
 
 
+def test_complete_report_has_one_row(tmp_path, capsys):
+    for cap, code, verdict, row in ((8, EXIT_VERIFIED, "verified", (True, False)),
+                                    (4, EXIT_INCONCLUSIVE, "inconclusive", (False, True))):
+        path = tmp_path / f"c{cap}.json"
+        assert run(["complete", "--n", "4", "--cap", str(cap), "--json", str(path)],
+                   capsys)[0] == code
+        report = json.loads(path.read_text())["reports"][0]
+        assert report["verdict"] == verdict
+        [identity] = report["identities"]
+        assert identity["label"] == f"critical pairs resolve up to degree {cap}"
+        assert (identity["reduced_to_zero"], identity["inconclusive"]) == row
+
+
 def test_usage_errors(capsys):
     assert run(["no-such-command"], capsys)[0] == EXIT_USAGE
     assert run([], capsys)[0] == EXIT_USAGE
@@ -93,6 +106,7 @@ def test_usage_errors(capsys):
     assert run(["transpose-inverse", "--n", "3", "--families", "row-orth"],
                capsys)[0] == EXIT_USAGE
     assert run(["wang", "--n", "3"], capsys)[0] == EXIT_USAGE
+    assert run(["iso-check", "--n", "3", "--cap", "8"], capsys)[0] == EXIT_USAGE
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,9 +307,9 @@ _GOLDEN_SHA256 = {
     "present --n 2":
         "bca9f6516ea77e309b43039360eed98214ec6ceb322e54ebd47ea7fe14e1aa42",
     "complete --n 3":
-        "c07b8bf5b9cf1af68c4d595357c7cb316595b9aa9262b76bad152ca15421dd54",
+        "b1caa7a35f2c3effb665a0f19eb1f9c670ad0e93c9fa1b478f6dedbaa502b538",
     "complete --n 4":
-        "13ba8c3a12f3e2c714cb20df6d4c3e381a7118935fa851c0fba9c1588a8f745e",
+        "2ba2b4bad575bb39b88d7d326ab70a248c600cc1dddc02986732a739442d6ed2",
     "verify-hopf --n 1":
         "e62ef64739aab0d512b878bd2f66da4e9aaf94192653e0e418a23864829fbcd9",
     "verify-hopf --n 2":
@@ -315,9 +329,9 @@ _GOLDEN_SHA256 = {
     "sn-image --n 3":
         "e1bdce169c91db90c43db7946eff8638d70bbfa97293d05482fd20230cecda7a",
     "iso-check --n 3":
-        "575b810fa1e4c68f3cab4726c9563aba102b5c3095dc7293b8ab2625bba02b01",
+        "1e7fa53b30e7da821c846780ba9ce358f3e7d3efbcd834369d5a23fcee4b8c23",
     "iso-check --n 4":
-        "ac9846a6480afac18e20bc88e646d0a9717e9eb56150d8534e7fc4f41fb92601",
+        "0708184908243fdd6288caac16895fa966f2f06e2481c65d39bbe93a1cc17774",
     "wang --n 4 --depth 10":
         "b3cf864f2bab58b388e511f21055c4b558fe619f7248dde6642532a09a29e32f",
     "coaction-check --n 2":

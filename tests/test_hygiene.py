@@ -3,8 +3,12 @@
 No lint tool ships with the project, so this walks each module's syntax
 tree with the stdlib `ast`: an import that nothing reads is a leftover of
 a deletion, and it keeps the deleted code's dependencies alive; so is a
-module-level function or class that neither the package nor the tests
-name anywhere.
+module-level function or class that nothing reads from its own module.
+Each definition is resolved against the module that defines it: a bare
+name in that module, an import from it, an attribute of it, or a
+`setattr` on it, in the package or the tests.  A name that only matches
+something elsewhere (a test helper, an attribute of another object) does
+not keep a definition alive.
 """
 
 import ast
@@ -44,28 +48,60 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def _named(tree) -> set:
-    """Identifiers a module refers to: reads, attributes, imports and the
-    identifier strings handed to getattr-style helpers such as monkeypatch."""
-    names = set()
+STEMS = {path.stem for path in MODULES}
+
+
+def _dotted(node) -> str | None:
+    """`a.b.c` of a chain of names and attributes, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _module_uses(tree) -> set:
+    """(module stem, name) for each name this file reads from a qpalg
+    module: by `from ..m import name`, by `m.name` on a module alias, and
+    by the name handed to `setattr` on it (`monkeypatch.setattr` too)."""
+    aliases = {f"qpalg.{stem}": stem for stem in STEMS}
+    uses = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
-            names.add(node.value)
-    return names
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("qpalg")):
+            stem = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if stem in STEMS:
+                    uses.add((stem, alias.name))
+                elif alias.name in STEMS:       # from qpalg import m [as x]
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _dotted(node.value) in aliases:
+            uses.add((aliases[_dotted(node.value)], node.attr))
+        elif isinstance(node, ast.Call) and (_dotted(node.func) or "").endswith("setattr"):
+            target, name = (node.args + [None, None])[:2]
+            if isinstance(target, ast.Constant):        # setattr("qpalg.m.name", ...)
+                module, _, attr = str(target.value).rpartition(".")
+                if module in aliases:
+                    uses.add((aliases[module], attr))
+            elif _dotted(target) in aliases and isinstance(name, ast.Constant):
+                uses.add((aliases[_dotted(target)], name.value))
+    return uses
+
+
+def _read_outside(tree, definition) -> set:
+    """Bare names a module reads anywhere but inside the definition itself."""
+    return {name for node in tree.body if node is not definition for name in _read(node)}
 
 
 def test_every_definition_is_named():
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in MODULES + TESTS}
-    named = set().union(*(_named(tree) for tree in trees.values()))
+    uses = set().union(*(_module_uses(tree) for tree in trees.values()))
     dead = [f"{path.name}:{node.lineno} {node.name}"
             for path in MODULES for node in trees[path].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and (path.stem, node.name) not in uses
+            and node.name not in _read_outside(trees[path], node)]
     assert not dead, f"definitions nothing names: {dead}"

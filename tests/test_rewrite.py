@@ -13,7 +13,8 @@ from qpalg.qperm import block_quotient, magic_presentation
 from qpalg.rewrite import (CONFLUENT, RewriteRule, RewriteSystem, TensorPowerSystem, complete,
                            filtration_dimension, format_presentation,
                            interreduce, irreducible_words_by_length, normal_form,
-                           parse_presentation, quotient_basis, reduces_to_zero)
+                           parse_presentation, quotient_basis, reduces_to_zero,
+                           _RuleTable)
 from tensor_reference import reference_tensor_system
 
 F = Fraction
@@ -342,6 +343,18 @@ def test_interreduce_invariants(magic):
             assert renf == r.rhs
 
 
+def test_rule_table_add_returns_the_cascade():
+    A = Alphabet(["x", "y"])
+    x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
+    table = _RuleTable(A)
+    assert table.add(x * y * x - x) == [0]
+    # y.x -> y retires x.y.x, which comes back as x.y -> x
+    assert table.add(y * x - y) == [1, 2]
+    assert {rid: r.render() for rid, r in table.active.items()} == {
+        1: "y.x -> 1*y", 2: "x.y -> 1*x"}
+    assert table.add(x * y - x) == []
+
+
 def test_inconsistent_presentation_detected():
     A = Alphabet(["x"])
     x = NCPoly.gen(A, 0)
@@ -419,3 +432,66 @@ def test_golden_rule_sets(magic, semi_magic, completed_magic):
     texts["block quotient 4 (2, 2)"] = render(block_quotient(4, (2, 2)))
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
     assert digests == GOLDEN_RULES
+
+
+# -- retirement cascade, pinned on random presentations --
+
+XYZ = Alphabet(["x", "y", "z"])
+
+
+def _random_presentation(seed: int) -> list[NCPoly]:
+    """1-3 relations over {x, y, z}: 1-3 terms each, words of length <= 3,
+    coefficients +-1 or 2."""
+    rng = random.Random(seed)
+    relations = []
+    for _ in range(rng.randint(1, 3)):
+        rel = NCPoly.zero(XYZ)
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
+            rel = rel + NCPoly(XYZ, {word: rng.choice((1, -1, 2))})
+        relations.append(rel)
+    return relations
+
+
+# sha256 over seeds 0..99 of the interreduced rules, and of the rules
+# completed at cap max(5, rule degree) with the completion report; an
+# inconsistent presentation contributes its exception name instead.
+GOLDEN_RANDOM = {
+    "interreduced": "c43b9ebbea998136026808bc701b7940236ff8c95a621c7b43b70a4e99cf8a7d",
+    "completed": "31cf2c3a771326118df99d13e159e814d64ff63156fa1b697eff53d9a1a23d2c",
+}
+
+
+def test_random_presentations_are_pinned():
+    texts = {"interreduced": [], "completed": []}
+    for seed in range(100):
+        relations = _random_presentation(seed)
+        try:
+            system = RewriteSystem.from_relations(XYZ, relations)
+        except ValueError as exc:
+            texts["interreduced"].append(type(exc).__name__)
+            texts["completed"].append(type(exc).__name__)
+            continue
+        texts["interreduced"].append("\n".join(r.render() for r in system.rules))
+        try:
+            res = complete(system, max(5, system.max_rule_degree))
+        except ValueError as exc:
+            texts["completed"].append(type(exc).__name__)
+            continue
+        texts["completed"].append("\n".join(
+            [r.render() for r in res.system.rules] + [json.dumps(res.to_dict(), sort_keys=True)]))
+    digests = {k: hashlib.sha256("\n--\n".join(v).encode()).hexdigest()
+               for k, v in texts.items()}
+    assert digests == GOLDEN_RANDOM
+
+
+@pytest.mark.parametrize("family", ["magic", "semi-magic"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_confluent_completion_ignores_relation_order(magic, semi_magic, family, data):
+    pres = (magic if family == "magic" else semi_magic)[3]
+    relations = data.draw(st.permutations([p for _, p in pres.relations]))
+    res = complete(RewriteSystem.from_relations(pres.alphabet, relations), 8)
+    expected = complete(pres.system, 8)
+    assert res.status == expected.status == CONFLUENT
+    assert res.system.rules == expected.system.rules
