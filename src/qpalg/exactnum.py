@@ -8,6 +8,10 @@ canonical at a fixed order.  Phi_m is monic with integer coefficients, so
 products reduce through a table of x^e mod Phi_m without any division.
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm) so callers
 never manage orders by hand.  All values are immutable and safe to share.
+Equal values at different orders must hash alike, so the hash reads no
+coordinate: it hashes the rational Tr(x)/phi(order), the mean of x's
+Galois conjugates, which embedding leaves unchanged and which is x itself
+when x is rational.
 `str` (for reports, rational values print as Fractions) and
 `format_scalar` (the syntax `parse_scalar` reads back) share one term
 renderer and differ only in how z is spelt and in the term separator.
@@ -20,7 +24,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 
 def divisors(m: int) -> list[int]:
     """Positive divisors of m in increasing order."""
@@ -54,6 +57,11 @@ def prime_factorization(m: int) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     return math.prod(p ** (e - 1) * (p - 1) for p, e in prime_factorization(m).items())
+
+
+def _mobius(m: int) -> int:
+    exponents = prime_factorization(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 # -- integer polynomials modulo Phi_m (index = power) --
@@ -157,7 +165,7 @@ class Cyclotomic:
     norm, so no arithmetic step leaves the integers.
     """
 
-    __slots__ = ("order", "_num", "_den", "_min")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs, reduce: bool = True):
         if order < 1:
@@ -170,7 +178,7 @@ class Cyclotomic:
         elif len(raw) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length")
         made = Cyclotomic._trusted(order, raw, den)
-        self.order, self._num, self._den, self._min = order, made._num, made._den, None
+        self.order, self._num, self._den = order, made._num, made._den
 
     @classmethod
     def _trusted(cls, order: int, num, den: int) -> "Cyclotomic":
@@ -182,7 +190,7 @@ class Cyclotomic:
                 num = [c // g for c in num]
                 den //= g
         x = object.__new__(cls)
-        x.order, x._num, x._den, x._min = order, tuple(num), den, None
+        x.order, x._num, x._den = order, tuple(num), den
         return x
 
     @property
@@ -222,42 +230,6 @@ class Cyclotomic:
             return self, other
         m = math.lcm(self.order, other.order)
         return self.embed(m), other.embed(m)
-
-    def restrict(self, small_order: int) -> "Cyclotomic":
-        """Inverse of embed: rewrite self in Q(zeta_small_order) if possible.
-
-        Raises ValueError when the value does not lie in the smaller field.
-        """
-        if self.order % small_order != 0:
-            raise ValueError(f"{small_order} does not divide order {self.order}")
-        if small_order == self.order:
-            return self
-        basis = [
-            Cyclotomic.zeta(small_order, j).embed(self.order).coeffs
-            for j in range(euler_phi(small_order))
-        ]
-        combo = linalg.solve_combination(basis, self.coeffs)
-        if combo is None:
-            raise ValueError(f"value does not lie in Q(zeta_{small_order})")
-        return Cyclotomic(small_order, combo, reduce=False)
-
-    def minimal(self) -> "Cyclotomic":
-        """Equal value at the smallest order dividing self.order."""
-        if self._min is not None:
-            return self._min
-        out = self
-        if self.is_rational():
-            out = Cyclotomic._trusted(1, self._num[:1], self._den)
-        else:
-            for d in divisors(self.order)[:-1]:
-                try:
-                    out = self.restrict(d)
-                    break
-                except ValueError:
-                    continue
-        self._min = out
-        out._min = out
-        return out
 
     # -- predicates --
 
@@ -376,10 +348,15 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        m = self.minimal()
-        if m.order == 1:
-            return hash(Fraction(m._num[0], m._den))
-        return hash((m.order, m.coeffs))
+        """Hash of Tr(x)/phi(order), the same at every order and x itself
+        for a rational x.  Over Q(zeta_m), Tr(z^k) is the Ramanujan sum
+        mu(m/g) phi(m)/phi(m/g) with g = gcd(k, m)."""
+        m, mean = self.order, Fraction(0)
+        for k, c in enumerate(self._num):
+            if c:
+                d = m // math.gcd(k, m)
+                mean += Fraction(c * _mobius(d), euler_phi(d))
+        return hash(mean / self._den)
 
     # -- rendering --
 

@@ -12,19 +12,24 @@ own rules and carry its status.
 
 Every rule set, whether interreduced, mid-completion or frozen, lives in
 one `_RuleTable`: insertion-ordered rules whose ids count insertions,
-indexed by the first letter of their lhs; a frozen `RewriteSystem` owns
-one.  Adding a relation runs the one retirement cascade: reduce, orient,
-retire each rule whose lhs contains the new lhs, then add the retired
-relations back, first retired first.  `interreduce` is a loop of adds and
-`complete` pairs every rule an add inserted.  Irreducible words are
-enumerated level by level in `irreducible_words_by_length`, which the
-filtration counts and quotient bases share.
+indexed by one dict from lhs to rhs terms; a frozen `RewriteSystem` owns
+one.  A word is rewritten at its leftmost reducible position by the
+shortest lhs matching there.  Every lhs that matches at one position is
+a prefix of the same suffix, so the shortest one is also the deglex
+smallest, and the table keeps no order among its lhs.  On a confluent
+system the strategy cannot change a normal form; on a truncated or
+mid-cascade table it can, so it is fixed.  Adding a relation runs the one
+retirement cascade: reduce, orient, retire each rule whose lhs contains
+the new lhs, then add the retired relations back, first retired first.
+`interreduce` is a loop of adds and `complete` pairs every rule an add
+inserted.  Irreducible words are enumerated level by level in
+`irreducible_words_by_length`, which the filtration counts and quotient
+bases share.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from itertools import accumulate
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,7 +77,7 @@ class RewriteSystem:
 
     @property
     def max_rule_degree(self) -> int:
-        return max((len(r.lhs) for r in self.rules), default=0)
+        return self._table.max_len
 
     def status_label(self) -> str:
         if self.status == TRUNCATED:
@@ -80,7 +85,7 @@ class RewriteSystem:
         return self.status
 
     def reduce_terms(self, terms: dict) -> dict:
-        return _reduce_terms(terms, self._table.by_first)
+        return self._table.reduce_terms(terms)
 
     def __repr__(self):
         return (f"RewriteSystem({len(self.alphabet)} generators, "
@@ -113,11 +118,12 @@ def _heapkey(w: Word):
     return (-len(w), tuple(-x for x in w))
 
 
-def _reduce_terms(terms: dict, by_first: dict) -> dict:
-    """Full normal form of a term map against an lhs-indexed rule table.
+def _reduce_terms(terms: dict, rhs_of: dict, max_len: int) -> dict:
+    """Full normal form of a term map against an lhs -> rhs terms table.
 
     Deterministic: always rewrites the largest remaining word at its
-    leftmost reducible position with the smallest matching lhs.
+    leftmost reducible position with the shortest lhs matching there
+    (lengths up to max_len are probed).
     """
     work = dict(terms)
     heap = [(_heapkey(w), w) for w in work]
@@ -128,24 +134,19 @@ def _reduce_terms(terms: dict, by_first: dict) -> dict:
         c = work.pop(w, None)
         if c is None:
             continue
-        hit = None
+        rhs_terms = None
         lw_total = len(w)
         for pos in range(lw_total):
-            bucket = by_first.get(w[pos])
-            if not bucket:
-                continue
-            for lhs, rhs_terms in bucket:
-                lw = len(lhs)
-                if pos + lw <= lw_total and w[pos:pos + lw] == lhs:
-                    hit = (pos, lhs, rhs_terms)
+            for end in range(pos + 1, min(pos + max_len, lw_total) + 1):
+                rhs_terms = rhs_of.get(w[pos:end])
+                if rhs_terms is not None:
                     break
-            if hit:
+            if rhs_terms is not None:
                 break
-        if hit is None:
+        if rhs_terms is None:
             out[w] = c
             continue
-        pos, lhs, rhs_terms = hit
-        pre, suf = w[:pos], w[pos + len(lhs):]
+        pre, suf = w[:pos], w[end:]
         for rw, rc in rhs_terms.items():
             nw = pre + rw + suf
             prev = work.get(nw)
@@ -162,28 +163,34 @@ def _reduce_terms(terms: dict, by_first: dict) -> dict:
 
 
 class _RuleTable:
-    """Insertion-ordered rules behind a first-letter lhs index.
+    """Insertion-ordered rules behind one lhs -> rhs terms index.
 
-    Rule ids count insertions, so `active` iterates in id order.  Each
-    `by_first` bucket holds (lhs, rhs terms) pairs sorted by deglex lhs,
-    which is the order `_reduce_terms` tries them in.
+    Rule ids count insertions, so `active` iterates in id order.  `rhs_of`
+    maps each active lhs to its rhs terms; `max_len` is the longest lhs
+    ever inserted, an upper bound on the active ones.
     """
 
-    __slots__ = ("alphabet", "active", "by_first", "_next_id")
+    __slots__ = ("alphabet", "active", "rhs_of", "max_len", "_next_id")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.active: dict[int, RewriteRule] = {}
-        self.by_first: dict[int, list] = {}
+        self.rhs_of: dict[Word, dict] = {}
+        self.max_len = 0
         self._next_id = 0
 
     def insert(self, rule: RewriteRule) -> int:
+        if not rule.lhs or rule.lhs in self.rhs_of:
+            raise ValueError(f"rule lhs {rule.lhs} is empty or already in the table")
         rid = self._next_id
         self._next_id += 1
         self.active[rid] = rule
-        insort(self.by_first.setdefault(rule.lhs[0], []), (rule.lhs, rule.rhs.terms),
-               key=lambda t: deglex_key(t[0]))
+        self.rhs_of[rule.lhs] = rule.rhs.terms
+        self.max_len = max(self.max_len, len(rule.lhs))
         return rid
+
+    def reduce_terms(self, terms: dict) -> dict:
+        return _reduce_terms(terms, self.rhs_of, self.max_len)
 
     def add(self, p: NCPoly) -> list[int]:
         """Add the relation p and run the retirement cascade.
@@ -196,13 +203,13 @@ class _RuleTable:
         inserted = []
         pending = [p]
         for rel in pending:             # grows as rules retire
-            q = NCPoly._trusted(self.alphabet, _reduce_terms(rel.terms, self.by_first))
+            q = NCPoly._trusted(self.alphabet, self.reduce_terms(rel.terms))
             if not q:
                 continue
             lhs, rhs = _orient(q)
             for rid in [k for k, r in self.active.items() if _contains(r.lhs, lhs)]:
                 rule = self.active.pop(rid)
-                self.by_first[rule.lhs[0]].remove((rule.lhs, rule.rhs.terms))
+                del self.rhs_of[rule.lhs]
                 pending.append(rule.as_relation())
             inserted.append(self.insert(RewriteRule(lhs, rhs)))
         return inserted
@@ -211,7 +218,7 @@ class _RuleTable:
         """The rules in deglex order of lhs, each rhs fully reduced."""
         out = []
         for rule in sorted(self.active.values(), key=lambda r: deglex_key(r.lhs)):
-            rhs = NCPoly._trusted(self.alphabet, _reduce_terms(rule.rhs.terms, self.by_first))
+            rhs = NCPoly._trusted(self.alphabet, self.reduce_terms(rule.rhs.terms))
             out.append(RewriteRule(rule.lhs, rhs))
         return out
 
@@ -318,9 +325,12 @@ class CompletionResult:
     """Outcome of critical-pair completion up to a degree cap."""
 
     system: RewriteSystem
-    status: str
     cap: int
     rule_count_history: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        return self.system.status
 
     def to_dict(self) -> dict:
         return {
@@ -396,10 +406,9 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
     if last_degree is not None:
         history.append((last_degree, len(active)))
 
-    status = TRUNCATED if skipped else CONFLUENT
-    out = RewriteSystem(alphabet, table.final_rules(), status=status,
+    out = RewriteSystem(alphabet, table.final_rules(), status=TRUNCATED if skipped else CONFLUENT,
                         status_degree=degree_cap if skipped else None)
-    return CompletionResult(out, status, degree_cap, history)
+    return CompletionResult(out, degree_cap, history)
 
 
 def _require_counting_degree(system: RewriteSystem, d: int):
@@ -422,15 +431,14 @@ def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word
     """
     if d < 0:
         raise ValueError(f"word length bound must be non-negative, got {d}")
-    lhs_set = {r.lhs for r in system.rules}
-    max_rule = system.max_rule_degree
+    rhs_of, max_rule = system._table.rhs_of, system.max_rule_degree
     levels = [[()]]
     for _ in range(d):
         nxt = []
         for w in levels[-1]:
             for a in range(len(system.alphabet)):
                 nw = w + (a,)
-                if not any(nw[-ls:] in lhs_set for ls in range(1, min(max_rule, len(nw)) + 1)):
+                if not any(nw[-ls:] in rhs_of for ls in range(1, min(max_rule, len(nw)) + 1)):
                     nxt.append(nw)
         levels.append(nxt)
     return levels

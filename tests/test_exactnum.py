@@ -75,14 +75,6 @@ def test_embed_requires_divisible_order():
         zeta(4).embed(6)
 
 
-def test_embed_restrict_roundtrip():
-    x = zeta(3) + 2
-    up = x.embed(12)
-    assert up.restrict(3) == x
-    with pytest.raises(ValueError):
-        zeta(8).restrict(4)
-
-
 def test_inverse_examples():
     assert Cyclotomic.from_rational(1).inverse() == 1
     assert zeta(4).inverse() == -zeta(4)
@@ -200,6 +192,8 @@ def test_cyclotomic_agrees_with_reference(xa, ya):
     _agree(-x, ref.neg(rx))
     _agree(x * y, ref.mul(rx, ry))
     assert (x == y) == ref.equal(rx, ry)
+    if x == y:
+        assert hash(x) == hash(y)
     if y:
         _agree(y.inverse(), ref.inverse(ry))
         _agree(x / y, ref.mul(rx, ref.inverse(ry)))

@@ -8,10 +8,12 @@ Each definition is resolved against the module that defines it: a bare
 name in that module, an import from it, an attribute of it, or a
 `setattr` on it, in the package or the tests.  A name that only matches
 something elsewhere (a test helper, an attribute of another object) does
-not keep a definition alive.
+not keep a definition alive.  The functions the benchmark's tracer counts
+by name must still resolve, or a refactor would zero its metric silently.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,28 @@ def test_every_definition_is_named():
             and (path.stem, node.name) not in uses
             and node.name not in _read_outside(trees[path], node)]
     assert not dead, f"definitions nothing names: {dead}"
+
+
+# qpalg functions the benchmark's per-layer tracer looks up by name
+# (perfbench/tracing.py NAMED_FUNCTIONS); a renamed one reads 0 there
+TRACED = [("rewrite", "_reduce_terms"), ("rewrite", "complete"), ("rewrite", "interreduce"),
+          ("ncalg", "substitute"), ("exactnum", "Cyclotomic.__mul__"),
+          ("exactnum", "Cyclotomic.inverse"), ("gradings", "verify_grading"),
+          ("groups", "Perm.__init__"), ("groups", "Perm.__mul__")]
+
+
+def _tracer_names() -> set:
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and _dotted(node.targets[0]) == "NAMED_FUNCTIONS":
+            return {(module, name) for module, name, _ in ast.literal_eval(node.value).values()}
+    raise AssertionError("perfbench/tracing.py defines no NAMED_FUNCTIONS")
+
+
+@pytest.mark.parametrize("module,qualname", TRACED, ids=[".".join(t) for t in TRACED])
+def test_traced_names_resolve(module, qualname):
+    assert (module, qualname) in _tracer_names()
+    obj = importlib.import_module(f"qpalg.{module}")
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    assert obj.__code__

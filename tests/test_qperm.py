@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg import qperm
+from qpalg.cli import EXIT_INCONCLUSIVE, main
 from qpalg.groups import FunctionOnSn, Perm
 from qpalg.ncalg import NCPoly, substitute
 from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM,
@@ -390,13 +391,15 @@ def test_wang_witness_larger_sizes(n):
                                                  "infinite dimension"]
 
 
-def test_wang_witness_needs_a_confluent_quotient(monkeypatch):
-    def truncated(system, cap):
-        res = complete(system, cap)
-        return dataclasses.replace(res, system=RewriteSystem(
-            system.alphabet, res.system.rules, status=TRUNCATED, status_degree=cap))
+def _truncated(system, cap):
+    """`complete` with its result relabelled as truncated at the cap."""
+    res = complete(system, cap)
+    return dataclasses.replace(res, system=RewriteSystem(
+        system.alphabet, res.system.rules, status=TRUNCATED, status_degree=cap))
 
-    monkeypatch.setattr(qperm, "complete", truncated)
+
+def test_wang_witness_needs_a_confluent_quotient(monkeypatch):
+    monkeypatch.setattr(qperm, "complete", _truncated)
     rep = wang_witness(4, depth=2)
     witness = rep.identities[0]
     assert witness.reduced_to_zero and witness.inconclusive
@@ -404,6 +407,51 @@ def test_wang_witness_needs_a_confluent_quotient(monkeypatch):
     upstream = [c for c in sn_isomorphism_check(4).identities
                 if c.label == "kernel witness is nonzero upstream"]
     assert upstream[0].inconclusive
+
+
+def test_sn_isomorphism_needs_a_confluent_quotient(monkeypatch, capsys):
+    monkeypatch.setattr(qperm, "complete", _truncated)
+    rep = sn_isomorphism_check(3)
+    rows = {c.label: c for c in rep.identities}
+    for label in ("quotient dimension", "evaluation matrix rank"):
+        assert rows[label].inconclusive and not rows[label].reduced_to_zero
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.details["completion_status"] == "complete_up_to(4)"
+    assert rep.details["conclusion"] == "not verified"
+    assert main(["iso-check", "--n", "3"]) == EXIT_INCONCLUSIVE
+    assert "[inconclusive] quotient dimension" in capsys.readouterr().out
+
+
+def _renamed_block_rules(n: int, sizes) -> tuple[set, str]:
+    """Rules of the free product of the A_s(size) on consecutive blocks,
+    each block's rules renamed into the size-n alphabet, plus u_ij -> 0
+    across blocks; and the status label the product should carry."""
+    rules, labels, start = set(), set(), 0
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    for m in sizes:
+        system = block_quotient(m, (m,))
+        labels.add(system.status_label())
+
+        def rename(word, m=m, s=start):
+            return tuple((s + x // m) * n + s + x % m for x in word)
+
+        rules |= {(rename(r.lhs), frozenset((rename(w), c) for w, c in r.rhs.terms.items()))
+                  for r in system.rules}
+        start += m
+    rules |= {((i * n + j,), frozenset()) for i in range(n) for j in range(n)
+              if block_of[i] != block_of[j]}
+    truncated = labels - {CONFLUENT}
+    return rules, truncated.pop() if truncated else CONFLUENT
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 1), (3, 2), (2, 2, 1), (3, 3), (4, 1),
+                                   (2, 1, 1), (1, 1, 1)])
+def test_block_quotient_is_the_renamed_union(sizes):
+    n = sum(sizes)
+    quotient = block_quotient(n, sizes)
+    expected, label = _renamed_block_rules(n, sizes)
+    assert {(r.lhs, frozenset(r.rhs.terms.items())) for r in quotient.rules} == expected
+    assert quotient.status_label() == label
 
 
 def test_block_quotient_rejects_bad_sizes():

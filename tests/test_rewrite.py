@@ -15,6 +15,7 @@ from qpalg.rewrite import (CONFLUENT, RewriteRule, RewriteSystem, TensorPowerSys
                            interreduce, irreducible_words_by_length, normal_form,
                            parse_presentation, quotient_basis, reduces_to_zero,
                            _RuleTable)
+from rewrite_reference import reference_normal_form
 from tensor_reference import reference_tensor_system
 
 F = Fraction
@@ -120,6 +121,45 @@ def test_rewrite_strictly_decreases_leading_word(magic):
         nf = normal_form(p, pres.system)
         if p and nf:
             assert deglex_key(nf.leading_word()) <= deglex_key(p.leading_word())
+
+
+
+@pytest.fixture(scope="module")
+def strategy_systems(magic):
+    """Systems whose normal forms depend on the rewriting strategy."""
+    xyz = Alphabet(["x", "y", "z"])
+    x, y, z = (NCPoly.gen(xyz, i) for i in range(3))
+    overlapping = RewriteSystem(xyz, [          # x.y is a factor of x.y.z
+        RewriteRule((0, 1), z + y - 1),
+        RewriteRule((0, 1, 2), 2 * y * y - x),
+        RewriteRule((1, 2), x - 3)])
+    return {
+        "magic4-raw": magic[4].system,
+        "magic5-cap3": complete(magic_presentation(5).system, 3).system,
+        "x.y and x.y.z": overlapping,
+    }
+
+
+@pytest.mark.parametrize("name", ["magic4-raw", "magic5-cap3", "x.y and x.y.z"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_the_plain_reducer(strategy_systems, name, data):
+    """Leftmost position, then shortest lhs, as a rule-list scan computes it."""
+    system = strategy_systems[name]
+    letters = st.integers(0, len(system.alphabet) - 1)
+    terms = data.draw(st.dictionaries(st.lists(letters, max_size=5).map(tuple),
+                                      st.integers(-3, 3).filter(bool), max_size=4))
+    nf = normal_form(NCPoly(system.alphabet, terms), system)
+    assert nf.terms == reference_normal_form(terms, system.rules)
+
+
+def test_rule_table_rejects_repeated_or_empty_lhs():
+    A = Alphabet(["x", "y"])
+    x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
+    with pytest.raises(ValueError, match="lhs"):
+        RewriteSystem(A, [RewriteRule((0, 1), x), RewriteRule((0, 1), y)])
+    with pytest.raises(ValueError, match="lhs"):
+        RewriteSystem(A, [RewriteRule((), NCPoly.zero(A))])
 
 
 # -- completion --
