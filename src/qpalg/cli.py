@@ -200,6 +200,7 @@ def _dispatch(args, argv, started) -> int:
         result = complete(system, args.cap)
         payload = result.to_dict()
         payload["source"] = source
+        payload["critical_pairs"] = dict(result.critical_pairs)
         if args.basis_degree is not None:
             levels = irreducible_words_by_length(result.system, args.basis_degree)
             payload["irreducible_words"] = [

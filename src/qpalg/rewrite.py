@@ -18,7 +18,11 @@ shortest lhs matching there.  Every lhs that matches at one position is
 a prefix of the same suffix, so the shortest one is also the deglex
 smallest, and the table keeps no order among its lhs.  On a confluent
 system the strategy cannot change a normal form; on a truncated or
-mid-cascade table it can, so it is fixed.  Adding a relation runs the one
+mid-cascade table it can, so it is fixed.  Fixed, the one-step rewrite
+is a function of the word alone, so on an unchanged table the normal form
+is linear, nf(sum c_w w) = sum c_w nf(w), and the table memoises nf per
+word.  Inserting or retiring a rule clears that memo; a frozen system's
+memo lasts as long as the system.  Adding a relation runs the one
 retirement cascade: reduce, orient, retire each rule whose lhs contains
 the new lhs, then add the retired relations back, first retired first.
 `interreduce` is a loop of adds and `complete` pairs every rule an add
@@ -113,52 +117,81 @@ def _contains(big: Word, small: Word) -> bool:
     return any(big[i:i + ls] == small for i in range(len(big) - ls + 1))
 
 
-def _heapkey(w: Word):
-    # heapq is a min-heap; negate so the deglex-largest word pops first
-    return (-len(w), tuple(-x for x in w))
+def _add_scaled(acc: dict, terms: dict, c) -> None:
+    """acc += c * terms, dropping every word whose coefficient cancels."""
+    for w, tc in terms.items():
+        prev = acc.get(w)
+        if prev is None:
+            acc[w] = c * tc
+        else:
+            s = prev + c * tc
+            if s:
+                acc[w] = s
+            else:
+                del acc[w]
 
 
-def _reduce_terms(terms: dict, rhs_of: dict, max_len: int) -> dict:
-    """Full normal form of a term map against an lhs -> rhs terms table.
+def _word_nf(word: Word, rhs_of: dict, max_len: int, memo: dict) -> dict:
+    """Normal form of one word, memoising it and every word its rewrites reach.
 
-    Deterministic: always rewrites the largest remaining word at its
-    leftmost reducible position with the shortest lhs matching there
-    (lengths up to max_len are probed).
+    nf(w) is w when no lhs matches, else the sum of rc * nf(pre + rw + suf)
+    over the rhs terms of the leftmost, then shortest, match.  An explicit
+    stack stands in for the recursion, so rewrite chains of any length
+    reduce.  Entries may share dicts, so nothing outside the table may
+    hold or mutate one.
     """
-    work = dict(terms)
-    heap = [(_heapkey(w), w) for w in work]
-    heapq.heapify(heap)
-    out: dict = {}
-    while heap:
-        w = heapq.heappop(heap)[1]
-        c = work.pop(w, None)
-        if c is None:
-            continue
-        rhs_terms = None
-        lw_total = len(w)
-        for pos in range(lw_total):
-            for end in range(pos + 1, min(pos + max_len, lw_total) + 1):
-                rhs_terms = rhs_of.get(w[pos:end])
+    stack: list = [(word, None)]
+    while stack:
+        w, step = stack.pop()
+        if step is None:
+            if w in memo:
+                continue
+            rhs_terms = None
+            lw_total = len(w)
+            for pos in range(lw_total):
+                stop = pos + max_len
+                for end in range(pos + 1, (stop if stop < lw_total else lw_total) + 1):
+                    rhs_terms = rhs_of.get(w[pos:end])
+                    if rhs_terms is not None:
+                        break
                 if rhs_terms is not None:
                     break
-            if rhs_terms is not None:
-                break
-        if rhs_terms is None:
-            out[w] = c
+            if rhs_terms is None:
+                memo[w] = {w: 1}
+                continue
+            pre, suf = w[:pos], w[end:]
+            step = [(pre + rw + suf, rc) for rw, rc in rhs_terms.items()]
+            stack.append((w, step))     # revisited once every rewrite has its nf
+            for nw, _ in step:
+                if nw not in memo:
+                    stack.append((nw, None))
             continue
-        pre, suf = w[:pos], w[end:]
-        for rw, rc in rhs_terms.items():
-            nw = pre + rw + suf
-            prev = work.get(nw)
-            if prev is None:
-                work[nw] = c * rc
-                heapq.heappush(heap, (_heapkey(nw), nw))
-            else:
-                s = prev + c * rc
-                if s:
-                    work[nw] = s
-                else:
-                    del work[nw]
+        if len(step) == 1 and step[0][1] == 1:
+            memo[w] = memo[step[0][0]]      # w -> nw with coefficient 1: same nf
+            continue
+        acc: dict = {}
+        for nw, rc in step:
+            _add_scaled(acc, memo[nw], rc)
+        memo[w] = acc
+    return memo[word]
+
+
+def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
+    """Full normal form of a term map against a rule table, as a fresh dict.
+
+    The one-step rewrite of a word (leftmost reducible position, shortest
+    lhs matching there) depends on the word alone, so on a fixed table the
+    normal form is linear: nf(sum c_w w) = sum c_w nf(w).  Each word's
+    normal form is therefore memoised on the table, and the table clears
+    the memo whenever a rule is inserted or retired.
+    """
+    memo, rhs_of, max_len = table.nf_memo, table.rhs_of, table.max_len
+    out: dict = {}
+    for w, c in terms.items():
+        nf = memo.get(w)
+        if nf is None:
+            nf = _word_nf(w, rhs_of, max_len, memo)
+        _add_scaled(out, nf, c)
     return out
 
 
@@ -167,16 +200,19 @@ class _RuleTable:
 
     Rule ids count insertions, so `active` iterates in id order.  `rhs_of`
     maps each active lhs to its rhs terms; `max_len` is the longest lhs
-    ever inserted, an upper bound on the active ones.
+    ever inserted, an upper bound on the active ones.  `nf_memo` maps each
+    word reduced since the rule set last changed to its normal form; every
+    insertion and every retirement clears it.
     """
 
-    __slots__ = ("alphabet", "active", "rhs_of", "max_len", "_next_id")
+    __slots__ = ("alphabet", "active", "rhs_of", "max_len", "nf_memo", "_next_id")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.active: dict[int, RewriteRule] = {}
         self.rhs_of: dict[Word, dict] = {}
         self.max_len = 0
+        self.nf_memo: dict[Word, dict] = {}
         self._next_id = 0
 
     def insert(self, rule: RewriteRule) -> int:
@@ -187,10 +223,17 @@ class _RuleTable:
         self.active[rid] = rule
         self.rhs_of[rule.lhs] = rule.rhs.terms
         self.max_len = max(self.max_len, len(rule.lhs))
+        self.nf_memo.clear()
         return rid
 
+    def _retire(self, rid: int) -> RewriteRule:
+        rule = self.active.pop(rid)
+        del self.rhs_of[rule.lhs]
+        self.nf_memo.clear()
+        return rule
+
     def reduce_terms(self, terms: dict) -> dict:
-        return _reduce_terms(terms, self.rhs_of, self.max_len)
+        return _reduce_terms(terms, self)
 
     def add(self, p: NCPoly) -> list[int]:
         """Add the relation p and run the retirement cascade.
@@ -208,9 +251,7 @@ class _RuleTable:
                 continue
             lhs, rhs = _orient(q)
             for rid in [k for k, r in self.active.items() if _contains(r.lhs, lhs)]:
-                rule = self.active.pop(rid)
-                del self.rhs_of[rule.lhs]
-                pending.append(rule.as_relation())
+                pending.append(self._retire(rid).as_relation())
             inserted.append(self.insert(RewriteRule(lhs, rhs)))
         return inserted
 
@@ -230,9 +271,11 @@ class TensorPowerSystem:
     factor-sorted form with coefficient 1, and reducing each factor word
     in A then gives the normal form.  The commutations joined to a
     confluent system for each factor stay confluent (Bergman's diamond
-    lemma), so the tensor power carries the base system's status.  The
-    normal form of each factor word is memoised for the life of the
-    instance; build one per certificate.
+    lemma), so the tensor power carries the base system's status.  A
+    factor word missing from `_memo` is reduced by the base system, whose
+    table memoises the untagged word's normal form; `_memo` keeps the
+    re-tagged copy for the life of the instance.  Build one per
+    certificate.
     """
 
     __slots__ = ("tensor", "base", "_memo")
@@ -322,11 +365,17 @@ def interreduce(alphabet: Alphabet, relations) -> list[RewriteRule]:
 
 @dataclass
 class CompletionResult:
-    """Outcome of critical-pair completion up to a degree cap."""
+    """Outcome of critical-pair completion up to a degree cap.
+
+    `critical_pairs` counts the pairs pushed, the stale ones popped after a
+    rule retired, the ones reduced and the S-polynomials that reduced to
+    zero.  It is not part of `to_dict`, which pins the rule set.
+    """
 
     system: RewriteSystem
     cap: int
     rule_count_history: list[tuple[int, int]] = field(default_factory=list)
+    critical_pairs: dict[str, int] = field(default_factory=dict)
 
     @property
     def status(self) -> str:
@@ -346,7 +395,8 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
 
     Returns a confluent system when every overlap at every degree resolves,
     otherwise one truncated at the cap.  Pairs are processed in increasing
-    (degree, overlap word) order for determinism.
+    (degree, overlap word) order for determinism.  Every pushed pair is
+    popped stale or reduced, unless the cap stops the run first.
     """
     if degree_cap < system.max_rule_degree:
         raise ValueError(
@@ -363,6 +413,7 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
     table = _RuleTable(alphabet)
     active = table.active
     heap: list = []
+    counts = dict.fromkeys(("pushed", "stale", "reduced", "reduced_to_zero"), 0)
 
     def _push_pairs(inserted: list[int]):
         """Push the overlaps of each inserted id still active with every
@@ -379,6 +430,7 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
                         if a[-olap:] == b[:olap]:
                             w = a + b[olap:]
                             heapq.heappush(heap, (len(w), w, x, y, olap))
+                            counts["pushed"] += 1
 
     _push_pairs([table.insert(rule) for rule in system.rules])
 
@@ -388,6 +440,7 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
     while heap:
         deg, w, i, j, olap = heapq.heappop(heap)
         if i not in active or j not in active:
+            counts["stale"] += 1
             continue                      # stale pair; must not count as truncation
         if deg > degree_cap:
             skipped = True
@@ -401,14 +454,17 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
         s1 = NCPoly(alphabet, {rw + suffix: rc for rw, rc in ra.terms.items()})
         s2 = NCPoly(alphabet, {prefix + rw: rc for rw, rc in rb.terms.items()})
         spoly = s1 - s2
-        if spoly:
-            _push_pairs(table.add(spoly))
+        counts["reduced"] += 1
+        inserted = table.add(spoly) if spoly else []
+        if not inserted:
+            counts["reduced_to_zero"] += 1
+        _push_pairs(inserted)
     if last_degree is not None:
         history.append((last_degree, len(active)))
 
     out = RewriteSystem(alphabet, table.final_rules(), status=TRUNCATED if skipped else CONFLUENT,
                         status_degree=degree_cap if skipped else None)
-    return CompletionResult(out, degree_cap, history)
+    return CompletionResult(out, degree_cap, history, counts)
 
 
 def _require_counting_degree(system: RewriteSystem, d: int):

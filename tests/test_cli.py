@@ -86,6 +86,7 @@ def test_confluent_completion_exits_zero(capsys):
 
 
 def test_complete_report_has_one_row(tmp_path, capsys):
+    """A confluent run pops every pair it pushed; a truncated one stops early."""
     for cap, code, verdict, row in ((8, EXIT_VERIFIED, "verified", (True, False)),
                                     (4, EXIT_INCONCLUSIVE, "inconclusive", (False, True))):
         path = tmp_path / f"c{cap}.json"
@@ -96,6 +97,10 @@ def test_complete_report_has_one_row(tmp_path, capsys):
         [identity] = report["identities"]
         assert identity["label"] == f"critical pairs resolve up to degree {cap}"
         assert (identity["reduced_to_zero"], identity["inconclusive"]) == row
+        pairs = report["details"]["critical_pairs"]
+        popped = pairs["stale"] + pairs["reduced"]
+        assert pairs["pushed"] == popped if cap == 8 else pairs["pushed"] > popped
+        assert 0 < pairs["reduced_to_zero"] <= pairs["reduced"]
 
 
 def test_usage_errors(capsys):
@@ -307,9 +312,9 @@ _GOLDEN_SHA256 = {
     "present --n 2":
         "bca9f6516ea77e309b43039360eed98214ec6ceb322e54ebd47ea7fe14e1aa42",
     "complete --n 3":
-        "b1caa7a35f2c3effb665a0f19eb1f9c670ad0e93c9fa1b478f6dedbaa502b538",
+        "700d2f8898435290ddf8f10306526d8006cec8771b875565faf13ced8c791189",
     "complete --n 4":
-        "2ba2b4bad575bb39b88d7d326ab70a248c600cc1dddc02986732a739442d6ed2",
+        "42b143f1d6ee61f09fecee4695ccee3c5d06537fa7bdfce214c5d67c10385597",
     "verify-hopf --n 1":
         "e62ef64739aab0d512b878bd2f66da4e9aaf94192653e0e418a23864829fbcd9",
     "verify-hopf --n 2":

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from qpalg.exactnum import zeta
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key
 from qpalg.qperm import block_quotient, magic_presentation
-from qpalg.rewrite import (CONFLUENT, RewriteRule, RewriteSystem, TensorPowerSystem, complete,
-                           filtration_dimension, format_presentation,
-                           interreduce, irreducible_words_by_length, normal_form,
-                           parse_presentation, quotient_basis, reduces_to_zero,
+from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, RewriteSystem,
+                           TensorPowerSystem, complete, filtration_dimension,
+                           format_presentation, interreduce, irreducible_words_by_length,
+                           normal_form, parse_presentation, quotient_basis, reduces_to_zero,
                            _RuleTable)
 from rewrite_reference import reference_normal_form
 from tensor_reference import reference_tensor_system
@@ -398,7 +398,6 @@ def test_rule_table_add_returns_the_cascade():
 def test_inconsistent_presentation_detected():
     A = Alphabet(["x"])
     x = NCPoly.gen(A, 0)
-    from qpalg.rewrite import InconsistentPresentation
     with pytest.raises(InconsistentPresentation):
         interreduce(A, [x - 1, x])
 
@@ -427,7 +426,8 @@ def test_presentation_parse_errors():
 # sha256 of the status label and rendered rules of each system, plus the
 # completion report for completed ones.  A truncated completion depends on
 # the order in which critical pairs are resolved, so the n = 5 cap 3 entry
-# pins that order as well as the rules.
+# pins that order as well as the rules.  The n = 5 cap 8 run (confluent,
+# 203 rules) is the one where memoised word normal forms do the most work.
 GOLDEN_RULES = {
     "magic 1": "dc04dd513315e928dac166cda5ba1a191a6ce0d5d8efdea65b6087c037d47dc7",
     "semi-magic 1": "dc04dd513315e928dac166cda5ba1a191a6ce0d5d8efdea65b6087c037d47dc7",
@@ -446,6 +446,7 @@ GOLDEN_RULES = {
     "complete magic 4 cap 8": "5a8d70910476ad341212ae4643093c119acb93dae95d3220e17193e68542074c",
     "complete magic 5 cap 3": "51b8ce959f67784ecc9d962f08fe568f6dda32a75482dcfbe8f612f7f7c2ed66",
     "block quotient 4 (2, 2)": "bad01bb6a95003b2d1a0db5392637377384c354f0f7aa4a2d2f08a14db8d238f",
+    "complete magic 5 cap 8": "0409ab9915ff76ca259345d54ee3c1d769e47bd3614da734e53fad3e82199321",
 }
 
 
@@ -469,6 +470,7 @@ def test_golden_rule_sets(magic, semi_magic, completed_magic):
     texts["complete magic 3 cap 8"] = completed(completed_magic[3])
     texts["complete magic 4 cap 8"] = completed(completed_magic[4])
     texts["complete magic 5 cap 3"] = completed(complete(magic5.system, 3))
+    texts["complete magic 5 cap 8"] = completed(complete(magic5.system, 8))
     texts["block quotient 4 (2, 2)"] = render(block_quotient(4, (2, 2)))
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
     assert digests == GOLDEN_RULES
@@ -523,6 +525,57 @@ def test_random_presentations_are_pinned():
     digests = {k: hashlib.sha256("\n--\n".join(v).encode()).hexdigest()
                for k, v in texts.items()}
     assert digests == GOLDEN_RANDOM
+
+
+# -- the rule table's memo of word normal forms --
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 99), data=st.data())
+def test_memo_is_exact_while_the_table_changes(seed, data):
+    """The same polynomials, reduced after every add, agree with the plain
+    reducer over the rules active at that moment."""
+    words = st.lists(st.integers(0, 2), max_size=6).map(tuple)
+    polys = data.draw(st.lists(st.dictionaries(words, st.integers(-3, 3).filter(bool),
+                                               max_size=4), min_size=1, max_size=4))
+    table = _RuleTable(XYZ)
+    for relation in _random_presentation(seed):
+        try:
+            table.add(relation)
+        except InconsistentPresentation:
+            return
+        rules = list(table.active.values())
+        for terms in polys:
+            assert table.reduce_terms(terms) == reference_normal_form(terms, rules)
+
+
+def test_memo_is_cleared_when_a_rule_is_added():
+    A = Alphabet(["x", "y"])
+    x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
+    table = _RuleTable(A)
+    table.add(y * x - x * y)
+    word = {(1, 1, 0): 1}
+    assert table.reduce_terms(word) == {(0, 1, 1): 1}       # y.y.x -> x.y.y
+    table.add(y * y - x)                                     # y.y is a factor of x.y.y
+    assert table.reduce_terms(word) == {(0, 0): 1}
+
+
+def test_reduce_terms_hands_out_fresh_dicts():
+    A = Alphabet(["x", "y"])
+    system = RewriteSystem(A, [RewriteRule((0, 0), NCPoly.gen(A, 0))])
+    for word in ((0, 0, 0), (0,), (1, 0, 0)):
+        nf = system.reduce_terms({word: 1})
+        expected = dict(nf)
+        nf[(1, 1)] = 5
+        nf[next(iter(expected))] = 7
+        assert system.reduce_terms({word: 1}) == expected
+
+
+def test_long_rewrite_chain_reduces():
+    """x^3000 takes 2999 rewrites by x.x -> x; no step may cost a Python frame."""
+    A = Alphabet(["x"])
+    x = NCPoly.gen(A, 0)
+    system = RewriteSystem(A, [RewriteRule((0, 0), x)])
+    assert normal_form(NCPoly(A, {(0,) * 3000: 1}), system) == x
 
 
 @pytest.mark.parametrize("family", ["magic", "semi-magic"])
