@@ -301,9 +301,9 @@ def _dispatch(args, argv, started) -> int:
         verdict = check.verdict
         if check.verdict == VERIFIED:
             orbit = orbit_decompose(grading)
-            reports.append(orbit)
-            verdict = merge_verdicts([check.verdict] +
-                                     [r.verdict for r in orbit.restriction_reports])
+            restricted = [verify_grading(r) for r in orbit.restrictions]
+            reports += [orbit] + restricted
+            verdict = merge_verdicts(r.verdict for r in [check] + restricted)
         return _emit(args, argv, {"input": args.input}, reports, verdict, started)
 
     if cmd == "verify-grading":

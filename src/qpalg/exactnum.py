@@ -167,16 +167,12 @@ class Cyclotomic:
 
     __slots__ = ("order", "_num", "_den")
 
-    def __init__(self, order: int, coeffs, reduce: bool = True):
+    def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be positive")
         vec = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in vec))
-        raw = [c.numerator * (den // c.denominator) for c in vec]
-        if reduce:
-            raw = _reduce(order, raw)
-        elif len(raw) != euler_phi(order):
-            raise ValueError("coefficient vector has wrong length")
+        raw = _reduce(order, [c.numerator * (den // c.denominator) for c in vec])
         made = Cyclotomic._trusted(order, raw, den)
         self.order, self._num, self._den = order, made._num, made._den
 
@@ -368,11 +364,6 @@ class Cyclotomic:
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coeffs)!r})"
 
-    @classmethod
-    def zeta(cls, m: int, k: int = 1) -> "Cyclotomic":
-        """The root of unity zeta_m^k."""
-        return zeta(m, k)
-
 
 def zeta(m: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_m^k; equal roots are one shared object."""
@@ -446,7 +437,7 @@ def parse_scalar(text: str):
         if m.group("m"):
             order = int(m.group("m"))
             power = int(m.group("k") or 1)
-            value = Cyclotomic.zeta(order, power) * coeff
+            value = zeta(order, power) * coeff
         else:
             value = coeff
         total = value if total is None else total + value

@@ -76,8 +76,8 @@ class RewriteSystem:
             self._table.insert(r)
 
     @classmethod
-    def from_relations(cls, alphabet: Alphabet, relations, status: str = RAW) -> "RewriteSystem":
-        return cls(alphabet, interreduce(alphabet, relations), status=status)
+    def from_relations(cls, alphabet: Alphabet, relations) -> "RewriteSystem":
+        return cls(alphabet, interreduce(alphabet, relations))
 
     @property
     def max_rule_degree(self) -> int:
@@ -506,18 +506,21 @@ def filtration_dimension(system: RewriteSystem, d: int) -> list[int]:
     return list(accumulate(len(level) for level in irreducible_words_by_length(system, d)))
 
 
-def quotient_basis(system: RewriteSystem, max_degree: int = 64) -> list[Word]:
+QUOTIENT_BASIS_MAX_DEGREE = 64
+
+
+def quotient_basis(system: RewriteSystem) -> list[Word]:
     """All irreducible words of a confluent system with a finite quotient.
 
     A length with no irreducible words ends the basis (no longer word can
     avoid reducible factors either).  Raises if the basis is still growing
-    at max_degree.
+    at QUOTIENT_BASIS_MAX_DEGREE.
     """
     if system.status != CONFLUENT:
         raise ValueError("quotient basis needs a confluent system")
-    levels = irreducible_words_by_length(system, max_degree)
+    levels = irreducible_words_by_length(system, QUOTIENT_BASIS_MAX_DEGREE)
     if levels[-1]:
-        raise ValueError(f"quotient basis still growing at degree {max_degree}")
+        raise ValueError(f"quotient basis still growing at degree {QUOTIENT_BASIS_MAX_DEGREE}")
     return sorted((w for level in levels for w in level), key=deglex_key)
 
 

@@ -172,6 +172,9 @@ _FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,
     ("verify-grading", "n: 2\ngroup: Z7\nblocks: 1 | 2\ngroups: Z1 | Z1\n"
                        "component e: (1,0)\ncomponent e: (0,1)\n"),
     ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
+    ("complete", "1*p.p - 1*p\nalphabet: p q\n"),
+    ("complete", "alphabet: p q\norder: lex\n1*p.p - 1*p\n"),
+    ("complete", "alphabet: p q\norder: deglex\n1*p.r - 1*p\n"),
     ("sn-image", "1/0*u11.u22\n"),
     ("sn-image", "1*u11.u99\n"),
 ])
@@ -251,6 +254,10 @@ def test_grade_save_and_orbit(tmp_path, capsys):
     code, out, _ = run(["orbit-decompose", "--input", str(path)], capsys)
     assert code == EXIT_VERIFIED
     assert "partition (3, 2)" in out
+    assert "block [1,2,3]: Z3\n" in out and "block [4,5]: Z2\n" in out
+    # the restriction reports follow the orbit report, in block order
+    assert out.index("block [4,5]") < out.index("grading of K^3 by Z3") < \
+        out.index("grading of K^2 by Z2")
 
 
 def test_classify_text_output(capsys):
@@ -352,7 +359,7 @@ _GOLDEN_SHA256 = {
     "grade --blocks 3,2 --groups Z3,Z2 --save g.grading":
         "6e1daacc1713dc2b977d6d7df47a8c7e4376c070e849e3b2af42e0e95d9afdd9",
     "orbit-decompose --input g.grading":
-        "44477e8064661cccd8472b04f92cc1255c508681d867f798a9da29fe62164d0a",
+        "e7dfd8fc68e569bad7217d5ed618e9aac2d203c7334dced388994b63d1f5c4bb",
     "verify-grading --input g.grading":
         "770abe60a39e79b2c62754a19068350124666d3e10d220aea64e987a41355b71",
     "classify --n 8":

@@ -85,7 +85,7 @@ def test_inverse_examples():
 
 def _random_cyclotomic(rng, order):
     return Cyclotomic(order, [F(rng.randint(-4, 4), rng.randint(1, 5))
-                              for _ in range(euler_phi(order))], reduce=False)
+                              for _ in range(euler_phi(order))])
 
 
 def test_field_axioms_randomized():
@@ -162,7 +162,7 @@ def test_cyclotomic_polynomials_match_reference():
 
 
 def test_roots_of_unity_are_shared():
-    assert zeta(12, 5) is zeta(12, 17) is Cyclotomic.zeta(12, -7)
+    assert zeta(12, 5) is zeta(12, 17) is zeta(12, -7)
     assert zeta(12, 5).coeffs == ref.reduce(12, [0] * 5 + [1])[1]
 
 
@@ -175,7 +175,7 @@ def _values(draw):
     """A Cyclotomic of order 1..12 and its reference pair (order, coeffs)."""
     m = draw(st.integers(1, 12))
     coeffs = tuple(draw(st.lists(_SCALARS, min_size=euler_phi(m), max_size=euler_phi(m))))
-    return Cyclotomic(m, coeffs, reduce=False), (m, coeffs)
+    return Cyclotomic(m, coeffs), (m, coeffs)
 
 
 def _agree(x, expected):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpalg import linalg
+from qpalg import gradings, linalg
 from qpalg.exactnum import zeta
 from qpalg.gradings import (FreeProductGroup, Grading,
                             classify_gradings, format_grading,
@@ -141,7 +141,8 @@ def test_orbit_decompose_partition_roundtrip():
     orb = orbit_decompose(g)
     assert orb.partition == (3, 2) and orb.k == 2
     assert [r.group.descriptor() for r in orb.restrictions] == ["Z3", "Z2"]
-    for rep in orb.restriction_reports:
+    for r in orb.restrictions:
+        rep = verify_grading(r)
         assert rep.verdict == VERIFIED and rep.details["ergodic"] is True
 
 
@@ -159,8 +160,31 @@ def test_orbit_roundtrip_all_partitions_up_to_5():
                 orb = orbit_decompose(g)
                 assert orb.partition == partition
                 assert orb.k == len(partition)
-                for rep in orb.restriction_reports:
-                    assert rep.details["ergodic"] is True
+                for r in orb.restrictions:
+                    assert verify_grading(r).details["ergodic"] is True
+
+
+def test_orbit_decompose_verifies_nothing(monkeypatch):
+    def refuse(grading):
+        raise AssertionError("an orbit split verifies nothing")
+
+    monkeypatch.setattr(gradings, "verify_grading", refuse)
+    orb = orbit_decompose(grading_from_partition((3, 2, 2), (Z3, Z2, Z2)))
+    assert (orb.partition, orb.k, orb.blocks) == ((3, 2, 2), 3, ((0, 1, 2), (3, 4), (5, 6)))
+
+
+def test_classification_verifies_each_grading_once(monkeypatch):
+    calls = []
+    real = gradings.verify_grading
+
+    def counted(grading):
+        calls.append(grading)
+        return real(grading)
+
+    monkeypatch.setattr(gradings, "verify_grading", counted)
+    rep = classify_gradings(6)
+    assert len(calls) == len(rep.general) == 13
+    assert [e.grading for e in rep.general] == calls
 
 
 def test_partitions_desc():
@@ -196,7 +220,7 @@ def test_ergodic_entries_are_the_one_block_entries():
 
 def test_classification_cost_guard():
     with pytest.raises(ValueError, match="capped"):
-        classify_gradings(13)
+        classify_gradings(14)
 
 
 def test_grading_file_roundtrip_abelian():

@@ -414,6 +414,32 @@ def test_presentation_roundtrip(magic):
     assert rebuilt.rules == pres.system.rules
 
 
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_@]{0,3}", fullmatch=True)
+_COEFFS = st.one_of(st.integers(-5, 5),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@st.composite
+def _presentations(draw):
+    """An alphabet of 1-4 names and relations with int and Fraction
+    coefficients; a relation may be a constant or zero."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    alphabet = Alphabet(names)
+    words = st.lists(st.integers(0, len(names) - 1), max_size=3).map(tuple)
+    relations = draw(st.lists(
+        st.dictionaries(words, _COEFFS, max_size=4).map(lambda t: NCPoly(alphabet, t)),
+        max_size=4))
+    return alphabet, relations
+
+
+@settings(max_examples=200, deadline=None)
+@given(_presentations())
+def test_presentation_text_roundtrip(presentation):
+    alphabet, relations = presentation
+    assert parse_presentation(format_presentation(alphabet, relations)) == \
+        (alphabet, relations)
+
+
 def test_presentation_parse_errors():
     with pytest.raises(ValueError):
         parse_presentation("order: deglex\n1*x")
