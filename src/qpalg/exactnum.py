@@ -98,11 +98,6 @@ def _phi_ints(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, low power first."""
-    return tuple(Fraction(c) for c in _phi_ints(m))
-
-
 @lru_cache(maxsize=None)
 def _powers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """x^e modulo Phi_m for 0 <= e < m, each as its nonzero (index, coefficient) pairs.
@@ -320,18 +315,6 @@ class Cyclotomic:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyclotomic.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- equality and hashing (consistent across orders and with Fraction) --
 

@@ -231,17 +231,6 @@ def grading_from_partition(sizes, groups) -> Grading:
     return Grading(n, fp, components)
 
 
-def trivial_grading(n: int) -> Grading:
-    """Everything in the identity component of the trivial group."""
-    G = FiniteAbelianGroup(())
-    basis = []
-    for i in range(n):
-        vec = [_ZERO] * n
-        vec[i] = _ONE
-        basis.append(tuple(vec))
-    return Grading(n, G, {G.identity(): basis})
-
-
 def _pointwise(a, b):
     return tuple(x * y if x and y else _ZERO for x, y in zip(a, b))
 
@@ -415,12 +404,18 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
 
 
 def _simplify_restriction(grading: Grading, comps: dict, m: int) -> Grading:
-    """Rebuild a block restriction over its own abelian group when possible."""
+    """Rebuild a block restriction over its own abelian group.
+
+    The support of a restriction is a finite subgroup of the free product,
+    hence conjugate into one factor (Kurosh): when its keys name more than
+    one block, each is x*l*x^-1 for one shared x, and l is read in l's block.
+    """
     if not isinstance(grading.group, FreeProductGroup):
         return Grading(m, grading.group, comps)
     factors = {i for key in comps if key for i, _ in key}
     if len(factors) > 1:
-        return Grading(m, grading.group, comps)
+        comps = _unconjugate(grading.group, comps)
+        factors = {key[0][0] for key in comps if key}
     if not factors:
         return Grading(m, FiniteAbelianGroup(()), {(): comps.get((), [])})
     i = factors.pop()
@@ -432,6 +427,24 @@ def _simplify_restriction(grading: Grading, comps: dict, m: int) -> Grading:
         else:
             out[key[0][1]] = vecs
     return Grading(m, G, out)
+
+
+def _unconjugate(group: FreeProductGroup, comps: dict) -> dict:
+    """Components keyed x*l*x^-1, one x and one block for l, rekeyed by l."""
+    first = next(key for key in comps if key)
+    r = len(first) // 2
+    out = {}
+    for key, vecs in comps.items():
+        if key:
+            if len(key) != 2 * r + 1 or key[:r] != first[:r] or \
+                    key[r][0] != first[r][0] or group.mul(key[:r], key[r + 1:]) != ():
+                raise ValueError(
+                    f"restricted key {group.key_text(key)} is no conjugate x*l*x^-1 with "
+                    f"the x and the block of {group.key_text(first)}; the grading is "
+                    "not a verified grading of a diagonal algebra")
+            key = key[r:r + 1]
+        out[key] = vecs
+    return out
 
 
 @dataclass

@@ -178,9 +178,6 @@ class FiniteAbelianGroup:
 
     mul = add     # the group law under the name every grading group shares
 
-    def neg(self, a: tuple) -> tuple:
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
-
     def element_order(self, a: tuple) -> int:
         return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, self.invariant_factors))) \
             if self.invariant_factors else 1
@@ -318,18 +315,9 @@ class Character:
             total = (total + c * a * (E // d)) % E
         return zeta(E, total)
 
-    def mul(self, other: "Character") -> "Character":
-        return Character(self.group, self.group.add(self.exponents, other.exponents))
-
 
 def characters(G: FiniteAbelianGroup) -> list[Character]:
     return [Character(G, e) for e in G.elements()]
-
-
-def character_table(G: FiniteAbelianGroup) -> list[list[Cyclotomic]]:
-    """Rows = characters, columns = elements, both in lexicographic order."""
-    elems = G.elements()
-    return [[chi(g) for g in elems] for chi in characters(G)]
 
 
 def subgroup_closure(gens: list[Perm], n: int, maxsize: int | None = None) -> frozenset[Perm]:

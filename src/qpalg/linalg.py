@@ -3,9 +3,8 @@
 Works with any entries supporting +, -, *, bool and ``Fraction(1) / x``
 (int, Fraction and Cyclotomic mix freely, and int input never turns into
 floats).  Each pivot is inverted once and zero entries are skipped.  One
-incremental echelon form, `Span`, serves span queries, `rank` and
-`solve_combination`.  Matrices are lists of row lists; nothing here
-mutates its arguments.
+incremental echelon form, `Span`, serves span queries and `rank`.
+Matrices are lists of row lists; nothing here mutates its arguments.
 """
 
 from __future__ import annotations
@@ -62,24 +61,3 @@ class Span:
 
 def rank(rows: list[list]) -> int:
     return Span(rows).rank
-
-
-def solve_combination(vectors: list, target) -> list | None:
-    """Coefficients c with sum(c_i * vectors[i]) == target, or None.
-
-    Vectors and target are equal-length sequences.  Each vector enters a
-    `Span` with the i-th unit vector appended, which keeps the rows
-    independent and records how each stored row combines the vectors; the
-    residue of (target, 0) is then (0, -c) exactly when the target lies in
-    their span.
-    """
-    n, k = len(target), len(vectors)
-    span = Span()
-    for i, v in enumerate(vectors):
-        unit = [0] * k
-        unit[i] = 1
-        span.add([*v, *unit])
-    residue = span._residue([*target, *[0] * k])
-    if any(residue[:n]):
-        return None
-    return [-c for c in residue[n:]]

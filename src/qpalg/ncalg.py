@@ -41,12 +41,6 @@ def deglex_key(word: Word):
     return (len(word), word)
 
 
-def compare_words(w1: Word, w2: Word) -> int:
-    """-1, 0 or 1 for w1 <, =, > w2 under deglex."""
-    k1, k2 = deglex_key(w1), deglex_key(w2)
-    return (k1 > k2) - (k1 < k2)
-
-
 class Alphabet:
     """Ordered set of distinct generator names; the order fixes deglex."""
 
@@ -127,12 +121,6 @@ class NCPoly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    @property
-    def degree(self):
-        if not self.terms:
-            return float("-inf")
-        return max(len(w) for w in self.terms)
 
     def leading_word(self) -> Word:
         if not self.terms:
@@ -307,14 +295,6 @@ class TensorAlgebra:
         shift = factor * len(self.base)
         return NCPoly._trusted(self.alphabet,
                                {tuple(i + shift for i in w): c for w, c in p.terms.items()})
-
-    def pure_tensor(self, *parts: NCPoly) -> NCPoly:
-        if len(parts) != self.factors:
-            raise ValueError(f"expected {self.factors} tensor factors")
-        acc = NCPoly.one(self.alphabet)
-        for t, part in enumerate(parts):
-            acc = acc * self.inject(part, t)
-        return acc
 
 
 # -- text syntax: terms "coeff*gen1.gen2...", e.g. "1*u11.u12 - 1*u12.u11" --

@@ -340,16 +340,6 @@ def normal_form(p: NCPoly, system: RewriteSystem | TensorPowerSystem) -> NCPoly:
     return NCPoly._trusted(system.alphabet, system.reduce_terms(p.terms))
 
 
-def reduces_to_zero(p: NCPoly, system: RewriteSystem) -> bool:
-    """True iff the normal form vanishes.
-
-    Against a confluent system this decides ideal membership; otherwise
-    True is still a membership certificate while False only says the
-    polynomial is irreducible to zero at the current completion level.
-    """
-    return not normal_form(p, system)
-
-
 def interreduce(alphabet: Alphabet, relations) -> list[RewriteRule]:
     """Orient relations into a rule set with pairwise non-overlapping lhs.
 

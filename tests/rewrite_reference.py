@@ -1,30 +1,42 @@
 """Reference normal forms, kept to cross-check qpalg's rule table.
 
 A word is rewritten at its leftmost reducible position by the shortest
-lhs that matches there, found by scanning the whole rule list: no index,
-no heap.  Each rewrite strictly lowers the word in deglex, so the normal
-form of a word is the normal form of its one-step rewrite, and a
-polynomial's is the linear extension over its terms.
+lhs that matches there, found by a linear scan of the rule list: no
+index, no heap.  The rules are grouped by lhs length, shortest first, so
+the word is sliced once per length rather than once per rule.  Each
+rewrite strictly lowers the word in deglex, so the normal form of a word
+is the normal form of its one-step rewrite, and a polynomial's is the
+linear extension over its terms.
 """
 
 
-def _one_step(word, rules):
+def _by_length(rules) -> list:
+    """(lhs length, rules of that length in list order), shortest first."""
+    return [(k, [r for r in rules if len(r.lhs) == k])
+            for k in sorted({len(r.lhs) for r in rules})]
+
+
+def _one_step(word, groups):
     """(prefix, rule, suffix) of the leftmost, then shortest, match, or None."""
     for pos in range(len(word)):
-        hits = [r for r in rules if word[pos:pos + len(r.lhs)] == r.lhs]
-        if hits:
-            rule = min(hits, key=lambda r: len(r.lhs))
-            return word[:pos], rule, word[pos + len(rule.lhs):]
+        for k, rules in groups:
+            piece = word[pos:pos + k]
+            if len(piece) < k:
+                break
+            for rule in rules:
+                if rule.lhs == piece:
+                    return word[:pos], rule, word[pos + k:]
     return None
 
 
 def reference_normal_form(terms: dict, rules) -> dict:
     """Normal form of a term map against a list of rules."""
     memo: dict = {}
+    groups = _by_length(rules)
 
     def word_nf(word) -> dict:
         if word not in memo:
-            step = _one_step(word, rules)
+            step = _one_step(word, groups)
             if step is None:
                 memo[word] = {word: 1}
             else:

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpalg import cli
 from qpalg.cli import (EXIT_INCONCLUSIVE, EXIT_REFUTED, EXIT_USAGE,
@@ -187,6 +190,53 @@ def test_malformed_input_is_a_usage_error(command, text, tmp_path, capsys):
     assert err.startswith("error:") and "overall:" not in out
 
 
+# well-formed inputs for the byte-level mutations below; each is small, so
+# no mutation of two bytes makes a run costly
+_GARBAGE_SEEDS = {
+    "grading": "n: 5\nblocks: 1,2,3 | 4,5\ngroups: Z3 | Z2\n"
+               "component e: (1,1,1,0,0)\ncomponent e: (0,0,0,1,1)\n"
+               "component b0:1: (1,z3,-1-z3,0,0)\ncomponent b0:2: (1,-1-z3,z3,0,0)\n"
+               "component b1:1: (0,0,0,1,-1)\n",
+    "presentation": "alphabet: p q\norder: deglex\n1*p.p - 1*p\n1*q.q - 1*q\n"
+                    "1*p.q.p - 1/2*p\n",
+    "polynomial": "1*u11.u22 - 1/2*u22.u11 + 3\n",
+}
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                                st.integers(0, 200), st.integers(0, 255)),
+                      min_size=1, max_size=2)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    for op, pos, byte in mutations:
+        if op == "insert":
+            at = pos % (len(data) + 1)
+            data = data[:at] + bytes([byte]) + data[at:]
+        elif data:
+            at = pos % len(data)
+            data = data[:at] + (bytes([byte]) if op == "replace" else b"") + data[at + 1:]
+    return data
+
+
+@pytest.mark.parametrize("seed, argv", [
+    ("grading", ["verify-grading", "--input"]),
+    ("grading", ["orbit-decompose", "--input"]),
+    ("presentation", ["complete", "--cap", "4", "--input"]),
+    ("polynomial", ["sn-image", "--n", "2", "--poly"]),
+])
+@settings(max_examples=25, deadline=None)
+@given(mutations=_MUTATIONS, printable=st.booleans())
+def test_garbage_input_never_tracebacks(tmp_path_factory, seed, argv, mutations, printable):
+    data = _GARBAGE_SEEDS[seed].encode()
+    if printable:               # keep the bytes to the file's own, so the text still decodes
+        alphabet = sorted(set(data))
+        mutations = [(op, pos, alphabet[byte % len(alphabet)]) for op, pos, byte in mutations]
+    path = tmp_path_factory.getbasetemp() / f"garbage-{seed}.txt"
+    path.write_bytes(_mutate(data, mutations))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + [str(path)])
+    assert code in (EXIT_VERIFIED, EXIT_REFUTED, EXIT_INCONCLUSIVE, EXIT_USAGE)
+
+
 @pytest.mark.parametrize("command", ["verify-grading", "orbit-decompose"])
 @pytest.mark.parametrize("n", [-2, 0])
 def test_non_positive_grading_size_is_a_usage_error(command, n, tmp_path, capsys):
@@ -235,15 +285,34 @@ def test_sn_image_poly_builds_no_presentation(tmp_path, capsys, monkeypatch):
     assert code == EXIT_USAGE and "matrix size must be positive" in err
 
 
+# block [3,4] is graded by the conjugate b0:1*b1:1*b0:1 of the letter b1:1
+CONJUGATE_GRADING = ("n: 4\nblocks: 1,2 | 3,4\ngroups: Z2 | Z2\n"
+                     "component e: (1,1,0,0) (0,0,1,1)\n"
+                     "component b0:1: (1,-1,0,0)\n"
+                     "component b0:1*b1:1*b0:1: (0,0,1,-1)\n")
+
+
 def test_conjugate_of_a_letter_has_finite_order(tmp_path, capsys):
     path = tmp_path / "conjugate.grading"
-    path.write_text("n: 4\nblocks: 1,2 | 3,4\ngroups: Z2 | Z2\n"
-                    "component e: (1,1,0,0) (0,0,1,1)\n"
-                    "component b0:1: (1,-1,0,0)\n"
-                    "component b0:1*b1:1*b0:1: (0,0,1,-1)\n")
+    path.write_text(CONJUGATE_GRADING)
     code, out, _ = run(["verify-grading", "--input", str(path)], capsys)
     assert code == EXIT_VERIFIED
     assert "identities: 21/21 reduced to zero" in out and "verdict: verified" in out
+
+
+def test_conjugate_block_is_graded_by_the_letter_group(tmp_path, capsys):
+    path = tmp_path / "conjugate.grading"
+    path.write_text(CONJUGATE_GRADING)
+    report = tmp_path / "orbit.json"
+    code, out, _ = run(["orbit-decompose", "--input", str(path), "--json", str(report)],
+                       capsys)
+    assert code == EXIT_VERIFIED
+    assert "block [1,2]: Z2\n" in out and "block [3,4]: Z2\n" in out
+    restriction = json.loads(report.read_text())["reports"][-1]
+    assert restriction["claim"] == "grading of K^2 by Z2"
+    assert restriction["verdict"] == VERIFIED
+    assert restriction["details"]["faithful"] is True
+    assert restriction["details"]["ergodic"] is True
 
 
 def test_grade_save_and_orbit(tmp_path, capsys):

@@ -10,7 +10,7 @@ from qpalg.gradings import (FreeProductGroup, Grading,
                             classify_gradings, format_grading,
                             grading_from_partition, grading_from_regular_abelian,
                             orbit_decompose, parse_grading, partitions_desc,
-                            trivial_grading, verify_grading)
+                            verify_grading)
 from qpalg.groups import FiniteAbelianGroup, abelian_groups_of_order, characters
 from qpalg.reports import REFUTED, VERIFIED
 from linalg_reference import in_reference_span, reference_rank
@@ -21,6 +21,13 @@ Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
 Z4 = FiniteAbelianGroup((4,))
 K4 = FiniteAbelianGroup((2, 2))
+
+
+def trivial_grading(n: int) -> Grading:
+    """Everything in the identity component of the trivial group."""
+    G = FiniteAbelianGroup(())
+    basis = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    return Grading(n, G, {G.identity(): basis})
 
 
 def test_z2_grading_components():
@@ -40,7 +47,7 @@ def test_z3_grading_components():
     g = grading_from_regular_abelian(Z3)
     for c in range(3):
         vec = g.components[(c,)][0]
-        assert vec == tuple(zeta(3) ** (c * k) for k in range(3))
+        assert vec == tuple(zeta(3, c * k) for k in range(3))
     assert verify_grading(g).verdict == VERIFIED
 
 
@@ -63,7 +70,7 @@ def test_character_basis_multiplies_along_the_group():
                 for psi in chars:
                     prod = tuple(x * y for x, y in
                                  zip(vec[chi.exponents], vec[psi.exponents]))
-                    assert prod == vec[chi.mul(psi).exponents]
+                    assert prod == vec[G.add(chi.exponents, psi.exponents)]
 
 
 def test_swapped_labels_refuted_with_witness():
@@ -149,6 +156,19 @@ def test_orbit_decompose_partition_roundtrip():
 def test_orbit_decompose_trivial():
     orb = orbit_decompose(trivial_grading(3))
     assert orb.partition == (1, 1, 1) and orb.k == 3
+
+
+def test_restricted_support_must_be_a_conjugate_of_one_factor():
+    fp = FreeProductGroup(((0, 1), (2, 3)), (Z2, Z2))
+    a, b = (0, (1,)), (1, (1,))
+    comps = {(): [(1, 1, 0, 0), (0, 0, 1, 1)], (a,): [(1, -1, 0, 0)]}
+    # a*b*a is the conjugate of b by a: block [3,4] is graded by the Z2 of b
+    orb = orbit_decompose(Grading(4, fp, {**comps, (a, b, a): [(0, 0, 1, -1)]}))
+    assert orb.restrictions[1].group == Z2
+    assert set(orb.restrictions[1].components) == {(0,), (1,)}
+    # a*b has infinite order, so no verified grading has it on a block
+    with pytest.raises(ValueError, match="conjugate"):
+        orbit_decompose(Grading(4, fp, {**comps, (a, b): [(0, 0, 1, -1)]}))
 
 
 def test_orbit_roundtrip_all_partitions_up_to_5():

@@ -1,15 +1,24 @@
-"""Every name a qpalg module imports is used, and every definition is named.
+"""Every name a qpalg module imports is used, and every definition is reached.
 
-No lint tool ships with the project, so this walks each module's syntax
-tree with the stdlib `ast`: an import that nothing reads is a leftover of
-a deletion, and it keeps the deleted code's dependencies alive; so is a
-module-level function or class that nothing reads from its own module.
-Each definition is resolved against the module that defines it: a bare
-name in that module, an import from it, an attribute of it, or a
-`setattr` on it, in the package or the tests.  A name that only matches
-something elsewhere (a test helper, an attribute of another object) does
-not keep a definition alive.  The functions the benchmark's tracer counts
-by name must still resolve, or a refactor would zero its metric silently.
+No lint tool ships with the project, so this walks the syntax trees with
+the stdlib `ast`.  An import that nothing reads is a leftover of a
+deletion, and it keeps the deleted code's dependencies alive.
+
+A definition is reached when a program path leads to it.  The roots are
+the definitions of `cli`, the module-level statements every import runs,
+and each name the benchmark (`perfbench/*.py`) imports from a qpalg module
+or reads from one.  From a reached definition the walk follows the names
+it reads: a bare name of its own module, a name bound by `from .m import`,
+and `m.name` on an imported qpalg module.  Tests are no caller: code that
+only a test reaches is test surface, and belongs in the tests.
+
+A method of a reached class is reached when a reached definition reads an
+attribute of that name.  The type behind an attribute is not known
+statically, so any attribute of the name counts.  Dunder methods are
+called by the language, and a class deriving from a class outside qpalg
+may have its methods called by that class, so those count as reached.
+The functions the benchmark's tracer counts by name must still resolve,
+or a refactor would zero its metric silently.
 """
 
 import ast
@@ -21,7 +30,6 @@ import pytest
 import qpalg
 
 MODULES = sorted(Path(qpalg.__file__).parent.glob("*.py"))
-TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported(tree) -> dict:
@@ -51,6 +59,8 @@ def test_every_import_is_used(path):
 
 
 STEMS = {path.stem for path in MODULES}
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _dotted(node) -> str | None:
@@ -63,50 +73,120 @@ def _dotted(node) -> str | None:
     return None
 
 
-def _module_uses(tree) -> set:
-    """(module stem, name) for each name this file reads from a qpalg
-    module: by `from ..m import name`, by `m.name` on a module alias, and
-    by the name handed to `setattr` on it (`monkeypatch.setattr` too)."""
-    aliases = {f"qpalg.{stem}": stem for stem in STEMS}
-    uses = set()
+def _bindings(tree, stem=None):
+    """What a file's names resolve to: bare name -> (module stem, name) for
+    its `from .m import name` (and its own definitions, given its stem), and
+    alias -> stem for each qpalg module it imports."""
+    bound = {node.name: (stem, node.name) for node in tree.body
+             if stem and isinstance(node, DEFINITIONS)}
+    aliases = {f"qpalg.{s}": s for s in STEMS}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or
                                                  (node.module or "").startswith("qpalg")):
-            stem = (node.module or "").rpartition(".")[2]
+            source = (node.module or "").rpartition(".")[2]
             for alias in node.names:
-                if stem in STEMS:
-                    uses.add((stem, alias.name))
+                if source in STEMS:
+                    bound[alias.asname or alias.name] = (source, alias.name)
                 elif alias.name in STEMS:       # from qpalg import m [as x]
                     aliases[alias.asname or alias.name] = alias.name
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and _dotted(node.value) in aliases:
-            uses.add((aliases[_dotted(node.value)], node.attr))
-        elif isinstance(node, ast.Call) and (_dotted(node.func) or "").endswith("setattr"):
-            target, name = (node.args + [None, None])[:2]
-            if isinstance(target, ast.Constant):        # setattr("qpalg.m.name", ...)
-                module, _, attr = str(target.value).rpartition(".")
-                if module in aliases:
-                    uses.add((aliases[module], attr))
-            elif _dotted(target) in aliases and isinstance(name, ast.Constant):
-                uses.add((aliases[_dotted(target)], name.value))
-    return uses
+    return bound, aliases
 
 
-def _read_outside(tree, definition) -> set:
-    """Bare names a module reads anywhere but inside the definition itself."""
-    return {name for node in tree.body if node is not definition for name in _read(node)}
+def _reads(nodes, bound, aliases) -> tuple[set, set]:
+    """The (module stem, name) definitions and the attribute names that
+    the given subtrees read."""
+    uses, attrs = set(), set()
+    for sub in (s for node in nodes for s in ast.walk(node)):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in bound:
+            uses.add(bound[sub.id])
+        elif isinstance(sub, ast.Attribute):
+            attrs.add(sub.attr)
+            if _dotted(sub.value) in aliases:
+                uses.add((aliases[_dotted(sub.value)], sub.attr))
+    return uses, attrs
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _graph():
+    """(nodes, methods, where): the names and attributes each definition
+    reads, keyed (stem, name) or (stem, "Class.method"), with the roots under
+    the key None; the method keys of each class that only an attribute read
+    reaches; and file:line of each definition."""
+    nodes, methods, where = {}, {}, {}
+    root_uses, root_attrs = set(), set()
+    for path in MODULES:
+        stem = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound, aliases = _bindings(tree, stem)
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS):
+                uses, attrs = _reads([node], bound, aliases)
+                root_uses |= uses
+                root_attrs |= attrs
+                continue
+            key = (stem, node.name)
+            where[key] = f"{path.name}:{node.lineno} {node.name}"
+            if stem == "cli":
+                root_uses.add(key)
+            if isinstance(node, ast.FunctionDef):
+                nodes[key] = _reads([node], bound, aliases)
+                continue
+            defs = [s for s in node.body if isinstance(s, ast.FunctionDef)]
+            rest = node.bases + node.keywords + node.decorator_list + \
+                [s for s in node.body if s not in defs] + \
+                [d for s in defs for d in s.decorator_list]
+            nodes[key] = _reads(rest, bound, aliases)
+            foreign = any(bound.get(_dotted(b)) not in nodes for b in node.bases)
+            methods[key] = []
+            for sub in defs:
+                sub_key = (stem, f"{node.name}.{sub.name}")
+                where[sub_key] = f"{path.name}:{sub.lineno} {node.name}.{sub.name}"
+                nodes[sub_key] = _reads([sub], bound, aliases)
+                if foreign or _dunder(sub.name):
+                    nodes[key][0].add(sub_key)
+                else:
+                    methods[key].append((sub_key, sub.name))
+    for path in PERFBENCH:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound, aliases = _bindings(tree)
+        uses, attrs = _reads([tree], bound, aliases)
+        root_uses |= uses | set(bound.values())
+        root_attrs |= attrs
+    for module, qualname in _tracer_names():
+        root_uses |= {(module, qualname.partition(".")[0]), (module, qualname)}
+    nodes[None] = (root_uses, root_attrs)
+    return nodes, methods, where
+
+
+def _reached(nodes, methods) -> set:
+    """Every key the roots lead to; a method joins once its class is
+    reached and an attribute of its name is read."""
+    reached, attrs, pending = set(), set(), [None]
+    while pending:
+        while pending:
+            key = pending.pop()
+            if key in reached or key not in nodes:
+                continue
+            reached.add(key)
+            uses, reads = nodes[key]
+            pending += uses
+            attrs |= reads
+        pending = [sub_key for key in reached for sub_key, name in methods.get(key, ())
+                   if sub_key not in reached and name in attrs]
+    return reached
 
 
 def test_every_definition_is_named():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in MODULES + TESTS}
-    uses = set().union(*(_module_uses(tree) for tree in trees.values()))
-    dead = [f"{path.name}:{node.lineno} {node.name}"
-            for path in MODULES for node in trees[path].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and (path.stem, node.name) not in uses
-            and node.name not in _read_outside(trees[path], node)]
-    assert not dead, f"definitions nothing names: {dead}"
+    nodes, methods, where = _graph()
+    reached = _reached(nodes, methods)
+    owner = {key: (key[0], key[1].partition(".")[0]) for key in where}
+    # a method of an unreached class is reported with its class
+    dead = [line for key, line in where.items() if key not in reached
+            and (owner[key] == key or owner[key] in reached)]
+    assert not dead, f"definitions no program path reaches: {dead}"
 
 
 # qpalg functions the benchmark's per-layer tracer looks up by name

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, coeff_value, compare_words,
+from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, coeff_value, deglex_key,
                          evaluate_scalar, parse_poly, substitute)
 from qpalg.rewrite import CONFLUENT, RewriteSystem, TensorPowerSystem, normal_form
 from tensor_reference import reference_tensor_system
@@ -35,16 +35,18 @@ def test_mul_examples():
 
 
 def test_degree_and_leading():
-    assert NCPoly.zero(A).degree == float("-inf")
-    assert (u11 * u12 + u11).degree == 2
+    # deglex puts a longest word first, so the leading word carries the degree
+    assert len((u11 * u12 + u11).leading_word()) == 2
     assert (u11 * u12 + u12 * u11).leading_word() == (1, 0)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        NCPoly.zero(A).leading_word()
 
 
 def test_compare_words_examples():
-    assert compare_words((), (0,)) == -1           # degree dominates
-    assert compare_words((0, 1), (1,)) == 1
-    assert compare_words((0, 1), (0, 2)) == -1     # lex on the second letter
-    assert compare_words((0, 1), (0, 1)) == 0
+    assert deglex_key(()) < deglex_key((0,))               # degree dominates
+    assert deglex_key((0, 1)) > deglex_key((1,))
+    assert deglex_key((0, 1)) < deglex_key((0, 2))         # lex on the second letter
+    assert deglex_key((0, 1)) == deglex_key((0, 1))
 
 
 def test_order_compatible_with_concatenation():
@@ -53,21 +55,22 @@ def test_order_compatible_with_concatenation():
              for _ in range(200)]
     for _ in range(200):
         w1, w2, a, b = (rng.choice(words) for _ in range(4))
-        c = compare_words(w1, w2)
-        if c:
-            assert compare_words(a + w1 + b, a + w2 + b) == c
-    # totality and antisymmetry on the samples
+        if deglex_key(w1) < deglex_key(w2):
+            assert deglex_key(a + w1 + b) < deglex_key(a + w2 + b)
+    # only equal words tie
     for w1 in words[:20]:
         for w2 in words[:20]:
-            assert compare_words(w1, w2) == -compare_words(w2, w1)
+            assert (deglex_key(w1) == deglex_key(w2)) == (w1 == w2)
 
 
 def test_substitute_delta_example():
     # comultiplication image of u11 at n = 2
     T = TensorAlgebra(A, 2)
-    delta = {
-        0: T.pure_tensor(u11, u11) + T.pure_tensor(u12, u21),
-    }
+
+    def pure(a, b):                     # letter a in factor 0 times letter b in factor 1
+        return NCPoly.gen(T.alphabet, T.letter(a, 0)) * NCPoly.gen(T.alphabet, T.letter(b, 1))
+
+    delta = {0: pure(0, 0) + pure(1, 2)}
     image = substitute(u11, delta)
     expected = T.inject(u11, 0) * T.inject(u11, 1) + T.inject(u12, 0) * T.inject(u21, 1)
     assert image == expected

@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from qpalg import qperm
 from qpalg.cli import EXIT_INCONCLUSIVE, main
 from qpalg.groups import FunctionOnSn, Perm
-from qpalg.ncalg import NCPoly, substitute
-from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM,
-                         MatrixOverAlgebra, check_families, check_magic,
-                         check_multiplicative, check_semi_magic,
+from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, substitute
+from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM, SEMI_FAMILIES,
+                         HopfPresentation, MatrixOverAlgebra, check_multiplicative,
                          block_quotient, coaction_algebra_map_check, family_relations,
-                         family_relations_for_matrix,
                          gram_diagonal_check, group_algebra_presentation,
                          magic_presentation, matrix_inverse_from_families,
                          semi_magic_presentation, sn_isomorphism_check,
-                         sn_relations_check, to_sn_function, trivial_presentation,
+                         sn_relations_check, to_sn_function,
                          verify_hopf_axioms, wang_witness)
 from qpalg.reports import INCONCLUSIVE, REFUTED, VERIFIED
 from qpalg.rewrite import (CONFLUENT, TRUNCATED, RewriteSystem, complete,
@@ -24,6 +22,31 @@ from qpalg.rewrite import (CONFLUENT, TRUNCATED, RewriteSystem, complete,
 from wang_reference import block_matrix, image_under_w, two_idempotents
 
 F = Fraction
+
+
+def base_field() -> HopfPresentation:
+    """The base field as a presentation: no generators, no relations."""
+    alphabet = Alphabet(())
+    system = RewriteSystem(alphabet, [], status=CONFLUENT)
+    return HopfPresentation(0, system, [], TensorAlgebra(alphabet, 2), {}, {}, {})
+
+
+def scalar_matrix(scalars, ambient: RewriteSystem) -> MatrixOverAlgebra:
+    n = len(scalars)
+    return MatrixOverAlgebra(n, tuple(tuple(NCPoly.scalar(ambient.alphabet, c) for c in row)
+                                      for row in scalars), ambient)
+
+
+def families_verdict(x: MatrixOverAlgebra, families) -> tuple[str, list[str]]:
+    """Verdict of the relation families over x's entries, and the labels of
+    the instances left nonzero: each instance is reduced in x's ambient, and
+    a nonzero one refutes only when that ambient is confluent."""
+    zero = NCPoly.zero(x.ambient.alphabet)
+    failing = [label for label, poly in qperm._family_relations(x.entry, zero, x.n, families)
+               if normal_form(poly, x.ambient)]
+    if not failing:
+        return VERIFIED, failing
+    return (REFUTED if x.ambient.status == CONFLUENT else INCONCLUSIVE), failing
 
 
 # -- presentations --
@@ -66,21 +89,18 @@ def test_semi_magic_structure_maps_well_defined(semi_magic):
 
 def test_generating_matrix_is_magic(magic):
     for n in (2, 3, 4):
-        rep = check_magic(magic[n].generating_matrix())
-        assert rep.verdict == VERIFIED
+        assert families_verdict(magic[n].generating_matrix(), ALL_FAMILIES) == (VERIFIED, [])
 
 
 def test_family_relations_agree_on_generating_matrix(magic):
     pres = magic[3]
     families = (COL_SUM, ROW_ORTH, ROW_SUM, COL_ORTH)
     x = pres.generating_matrix()
-    assert family_relations_for_matrix(x, families) == \
+    assert qperm._family_relations(x.entry, NCPoly.zero(pres.alphabet), 3, families) == \
         family_relations(pres.alphabet, 3, families)
     assert family_relations(pres.alphabet, 3, ALL_FAMILIES) == pres.relations
     with pytest.raises(ValueError, match="unknown relation family"):
         family_relations(pres.alphabet, 3, (ROW_SUM, "bogus"))
-    with pytest.raises(ValueError, match="unknown relation family"):
-        check_families(x, (ROW_SUM, "bogus"), "bogus families")
 
 
 def test_diag_gg_semi_magic_refuted():
@@ -89,10 +109,9 @@ def test_diag_gg_semi_magic_refuted():
     g = NCPoly.gen(ambient.alphabet, 0)
     zero = NCPoly.zero(ambient.alphabet)
     x = MatrixOverAlgebra(2, ((g, zero), (zero, g)), ambient)
-    rep = check_semi_magic(x)
-    assert rep.verdict == REFUTED
-    failing = [c for c in rep.identities if not c.reduced_to_zero]
-    assert any("row-sum" in c.label for c in failing)
+    verdict, failing = families_verdict(x, SEMI_FAMILIES)
+    assert verdict == REFUTED
+    assert any("row-sum" in label for label in failing)
 
 
 def test_wang_block_matrix_is_magic():
@@ -100,7 +119,7 @@ def test_wang_block_matrix_is_magic():
     target = two_idempotents()
     for n in (4, 5):
         w = MatrixOverAlgebra(n, tuple(map(tuple, block_matrix(n, target))), target)
-        assert check_magic(w).verdict == VERIFIED
+        assert families_verdict(w, ALL_FAMILIES) == (VERIFIED, [])
 
 
 # -- multiplicativity and the coaction equivalence --
@@ -113,8 +132,7 @@ def test_generating_matrix_multiplicative(magic):
 
 def test_identity_matrix_multiplicative(magic):
     pres = magic[3]
-    eye = MatrixOverAlgebra.from_scalars(
-        3, [[1 if i == j else 0 for j in range(3)] for i in range(3)], pres.system)
+    eye = scalar_matrix([[1 if i == j else 0 for j in range(3)] for i in range(3)], pres.system)
     assert check_multiplicative(eye, pres).verdict == VERIFIED
 
 
@@ -166,35 +184,33 @@ def test_coaction_semi_magic_verdict_matches_check_semi_magic(magic, completed_m
     ambient = complete(hopf.system, 4).system
     g = NCPoly.gen(ambient.alphabet, 0)
     zero = NCPoly.zero(ambient.alphabet)
-    triv = trivial_presentation()
+    triv = base_field()
     sigma = Perm((1, 2, 0))
     cases = [
         (MatrixOverAlgebra(2, ((g, zero), (zero, g)), ambient), hopf),
-        (MatrixOverAlgebra.from_scalars(
-            3, [[1 if sigma(j) == i else 0 for j in range(3)] for i in range(3)],
-            triv.system), triv),
-        (MatrixOverAlgebra.from_scalars(2, [[1, 1], [0, 1]], triv.system), triv),
-        (MatrixOverAlgebra.from_scalars(2, [[1, 1], [0, 1]], magic[2].system), magic[2]),
+        (scalar_matrix([[1 if sigma(j) == i else 0 for j in range(3)] for i in range(3)],
+                       triv.system), triv),
+        (scalar_matrix([[1, 1], [0, 1]], triv.system), triv),
+        (scalar_matrix([[1, 1], [0, 1]], magic[2].system), magic[2]),
         (magic[3].generating_matrix(), magic[3]),
         (magic[3].generating_matrix(completed_magic[3].system), magic[3]),
     ]
     verdicts = set()
     for x, h in cases:
-        semi = check_semi_magic(x).verdict
+        semi, _ = families_verdict(x, SEMI_FAMILIES)
         assert coaction_algebra_map_check(x, h).details["semi_magic"] == semi
         verdicts.add(semi)
     assert verdicts == {VERIFIED, REFUTED, INCONCLUSIVE}
 
 
 def test_permutation_matrix_coaction():
-    triv = trivial_presentation()
+    triv = base_field()
     sigma = Perm((1, 2, 0))
-    x = MatrixOverAlgebra.from_scalars(
-        3, [[1 if sigma(j) == i else 0 for j in range(3)] for i in range(3)],
-        triv.system)
+    x = scalar_matrix([[1 if sigma(j) == i else 0 for j in range(3)] for i in range(3)],
+                      triv.system)
     rep = coaction_algebra_map_check(x, triv)
     assert rep.verdict == VERIFIED
-    assert check_magic(x).verdict == VERIFIED
+    assert families_verdict(x, ALL_FAMILIES) == (VERIFIED, [])
 
 
 # -- Hopf axioms --
@@ -205,15 +221,10 @@ def test_hopf_axioms_small(magic):
         assert rep.verdict == VERIFIED
 
 
-def test_base_field_hopf_axioms_have_rows(magic):
-    rep = verify_hopf_axioms(trivial_presentation())
-    assert rep.verdict == VERIFIED
-    assert [c.label for c in rep.identities] == [
-        "unit law delta[1]", "unit law eps[1]",
-        "counit law left[1]", "counit law right[1]"]
-    # with generators, the laws are checked on them and not on 1
-    assert not any("[1]" in c.label
-                   for c in verify_hopf_axioms(magic[2], cap=8).identities)
+def test_base_field_hopf_axioms_are_inconclusive():
+    # no relation and no generator carries a law, so nothing is claimed
+    rep = verify_hopf_axioms(base_field())
+    assert rep.identities == [] and rep.verdict == INCONCLUSIVE
 
 
 def test_coassociativity_rows_present(magic):
@@ -234,8 +245,8 @@ def test_wrong_delta_refutes_on_definite_tensor_rows():
     # Delta(u_ij) = u_ij (x) u_ij breaks the row and column sums
     pres = magic_presentation(2)
     t2 = pres.tensor2
-    delta = {g: t2.pure_tensor(NCPoly.gen(pres.alphabet, g), NCPoly.gen(pres.alphabet, g))
-             for g in range(4)}
+    gens = [NCPoly.gen(pres.alphabet, g) for g in range(4)]
+    delta = {g: t2.inject(x, 0) * t2.inject(x, 1) for g, x in enumerate(gens)}
     rep = verify_hopf_axioms(dataclasses.replace(pres, delta=delta), cap=8)
     assert rep.verdict == REFUTED
     failing = [c for c in rep.identities
@@ -254,7 +265,8 @@ def test_wrong_delta_coassociativity_rows_are_definite():
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             delta[(i - 1) * n + (j - 1)] = sum(
-                (t2.pure_tensor(pres.gen(i, k), pres.gen(j, k)) for k in range(1, n + 1)),
+                (t2.inject(pres.gen(i, k), 0) * t2.inject(pres.gen(j, k), 1)
+                 for k in range(1, n + 1)),
                 NCPoly.zero(t2.alphabet))
     rep = verify_hopf_axioms(dataclasses.replace(pres, delta=delta), cap=8)
     assert rep.verdict == REFUTED
