@@ -394,14 +394,23 @@ def format_scalar(x) -> str:
     return _render_terms(x, f"z{x.order}", "+")
 
 
+SCALAR_MAX_ORDER = 256
+
+
 def parse_scalar(text: str):
-    """Parse the exact scalar syntax; returns Fraction when rational."""
+    """Parse the exact scalar syntax; returns Fraction when rational.
+
+    A scalar whose roots of unity, term by term or summed, live above
+    Q(zeta_SCALAR_MAX_ORDER) is refused: the cost of arithmetic there
+    grows about as the square of the order (multiplication) and faster
+    still (inversion)."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty scalar")
     total = None
     pos = 0
     first = True
+    field = 1                       # the scalar lies in Q(zeta_field)
     while pos < len(text):
         sign = 1
         if text[pos] in "+-":
@@ -419,6 +428,11 @@ def parse_scalar(text: str):
         coeff *= sign
         if m.group("m"):
             order = int(m.group("m"))
+            field = math.lcm(field, order)
+            if field > SCALAR_MAX_ORDER:
+                raise ValueError(f"scalar {text!r} lives in Q(zeta_{field}); roots of "
+                                 f"unity are capped at order {SCALAR_MAX_ORDER} "
+                                 "(cyclotomic arithmetic cost)")
             power = int(m.group("k") or 1)
             value = zeta(order, power) * coeff
         else:

@@ -244,63 +244,99 @@ def verify_grading(grading: Grading) -> CertificateReport:
     the span of its target component (witness recorded on failure); every
     supported element has finite order; when the grading is both ergodic
     and faithful the group is abelian.  Ergodicity and faithfulness are
-    reported as flags in the details.  Each component is put in echelon
-    form once (`linalg.Span`), and every product is tested against its
-    target's form.
+    reported as flags in the details.
+
+    Each exact operation is done once.  K^n is commutative, so the product
+    of an unordered pair of basis vectors is computed once, held until its
+    mirrored row, and checked in both rows, each against its own target
+    (one check when the targets agree).  A product equal, entry for entry,
+    to one of its target's basis vectors lies in the target (every product
+    of a character grading does); only a product matching none is reduced
+    against the target's echelon form (`linalg.Span`), built the first
+    time it is needed.
     """
     group = grading.group
+    comps = grading.components
+    support = grading.support()
     rows = []
     details: dict = {"n": grading.n}
-    all_vectors = [v for key in grading.support() for v in grading.components[key]]
+    all_vectors = [v for key in support for v in comps[key]]
     rk = linalg.rank(all_vectors)
     rows.append(IdentityCheck(
         "direct sum spans K^n",
         f"rank {rk} of {len(all_vectors)} component basis vectors (need {grading.n})",
         rk == grading.n == len(all_vectors)))
-    spans = {key: linalg.Span(vecs) for key, vecs in grading.components.items()}
+    spans: dict = {}
+
+    def span_of(key):
+        if key not in spans:
+            spans[key] = linalg.Span(comps.get(key, ()))
+        return spans[key]
+
+    texts: dict = {}
+
+    def text_of(key):
+        if key not in texts:
+            texts[key] = group.key_text(key)
+        return texts[key]
+
     ones = tuple(_ONE for _ in range(grading.n))
-    identity = group.identity()
-    id_span = spans[identity] if identity in spans else linalg.Span()
+    id_span = span_of(group.identity())
     rows.append(IdentityCheck(
         "unit lies in the identity component",
         "all-ones vector against the identity component basis",
         id_span.rank > 0 and ones in id_span))
+    first, count = {}, 0        # key -> position of its first vector in all_vectors
+    for key in support:
+        first[key], count = count, count + len(comps[key])
+    products: dict = {}         # unordered pair of positions -> (target, product, ok)
     witness = None
-    for g in grading.support():
-        for h in grading.support():
+    for g in support:
+        g_text = text_of(g)
+        for h in support:
+            h_text = text_of(h)
             target = group.mul(g, h)
-            target_span = spans.get(target)
-            for ai, a in enumerate(grading.components[g]):
-                for bi, b in enumerate(grading.components[h]):
-                    prod = _pointwise(a, b)
-                    if not any(prod):
-                        ok = True
-                    elif target_span is not None:
-                        ok = prod in target_span
+            target_text = text_of(target)
+            target_basis = comps.get(target)
+            for ai, a in enumerate(comps[g]):
+                p = first[g] + ai
+                for bi, b in enumerate(comps[h]):
+                    q = first[h] + bi
+                    pair = (p, q) if p <= q else (q, p)
+                    seen = products.pop(pair, None)      # the mirrored row, if done
+                    if seen is not None and seen[0] == target:
+                        _, prod, ok = seen
                     else:
-                        ok = False
+                        prod = _pointwise(a, b) if seen is None else seen[1]
+                        if not any(prod):
+                            ok = True
+                        elif target_basis is None:
+                            ok = False
+                        else:
+                            ok = prod in target_basis or prod in span_of(target)
+                        if seen is None and p != q:
+                            products[pair] = (target, prod, ok)
                     # a classification repeats these labels across its gradings;
                     # interned, each is stored once however many reports keep it
-                    label = sys.intern(f"product law [{group.key_text(g)}][{ai}] * "
-                                       f"[{group.key_text(h)}][{bi}] in "
-                                       f"[{group.key_text(target)}]")
+                    label = sys.intern(f"product law [{g_text}][{ai}] * "
+                                       f"[{h_text}][{bi}] in [{target_text}]")
                     rows.append(IdentityCheck(
                         label, "pointwise product against target component basis", ok))
                     if not ok and witness is None:
                         witness = {
-                            "g": group.key_text(g),
-                            "h": group.key_text(h),
+                            "g": g_text,
+                            "h": h_text,
                             "product": [format_scalar(x) for x in prod],
                         }
     if witness:
         details["witness"] = witness
-    for key in grading.support():
+    for key in support:
         order = group.element_order(key)
         rows.append(IdentityCheck(
-            sys.intern(f"finite order [{group.key_text(key)}]"),
+            sys.intern(f"finite order [{text_of(key)}]"),
             sys.intern(f"element order {order if order else 'infinite'}"),
             order is not None))
-    faithful = group.generates(grading.support())
+    faithful = group.generates(support)
     dim_identity = id_span.rank
     ergodic = dim_identity == 1
     details["faithful"] = faithful
@@ -511,7 +547,7 @@ class ClassificationReport:
         return lines
 
 
-CLASSIFY_MAX_N = 13
+CLASSIFY_MAX_N = 14
 
 
 def classify_gradings(n: int, ergodic_only: bool = False) -> ClassificationReport:

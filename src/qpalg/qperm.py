@@ -16,6 +16,7 @@ the row is flagged inconclusive.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -412,29 +413,50 @@ def gram_diagonal_check(n: int) -> CertificateReport:
 
 # -- quotient onto functions on S_n --
 
+SN_MAX_N = 8
+
+
+def _require_sn_degree(n: int) -> None:
+    if n > SN_MAX_N:
+        raise ValueError(f"evaluation on S_n is capped at n = {SN_MAX_N} "
+                         "(its cost grows with n!)")
+
+
 def to_sn_function(p: NCPoly, n: int) -> FunctionOnSn:
-    """Image of a u-polynomial under u_ij -> [sigma(j) = i], pointwise on S_n."""
+    """Image of a u-polynomial under u_ij -> [sigma(j) = i], pointwise on S_n.
+
+    The letters u_ij of a word fix sigma(j) = i.  When two of them clash
+    the word maps to zero; otherwise it maps to the indicator of the
+    extensions of that partial permutation, which are enumerated directly
+    rather than found by scanning S_n.
+    """
     if len(p.alphabet) != n * n:
         raise ValueError(f"polynomial is not over the {n}x{n} generator alphabet")
-    values = {}
-    for sigma in all_perms(n):
-        total = 0
-        for w, c in p.terms.items():
-            keep = True
-            for letter in w:
-                i, j = letter // n, letter % n
-                if sigma(j) != i:
-                    keep = False
-                    break
-            if keep:
-                total += c
-        if total:
-            values[sigma] = total
+    _require_sn_degree(n)
+    values: dict = {}
+    for w, c in p.terms.items():
+        fixed = {}                      # column j -> sigma(j)
+        for letter in w:
+            i, j = divmod(letter, n)
+            if fixed.setdefault(j, i) != i:
+                break
+        else:
+            if len(set(fixed.values())) < len(fixed):
+                continue                # two columns sent to one row
+            free_cols = [j for j in range(n) if j not in fixed]
+            free_rows = [i for i in range(n) if i not in fixed.values()]
+            images = [fixed.get(j) for j in range(n)]
+            for rows in itertools.permutations(free_rows):
+                for j, i in zip(free_cols, rows):
+                    images[j] = i
+                sigma = tuple(images)
+                values[sigma] = values.get(sigma, 0) + c
     return FunctionOnSn(n, values)
 
 
 def e_sigma_product_check(n: int) -> CertificateReport:
     """Each monomial u_{sigma(1)1} ... u_{sigma(n)n} maps to the indicator of sigma."""
+    _require_sn_degree(n)
     alphabet = u_alphabet(n)
     perms = all_perms(n)
     rows = []

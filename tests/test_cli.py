@@ -11,6 +11,7 @@ from qpalg.cli import (EXIT_INCONCLUSIVE, EXIT_REFUTED, EXIT_USAGE,
                        EXIT_VERIFIED, main)
 from qpalg.gradings import Grading, format_grading, grading_from_regular_abelian
 from qpalg.groups import FiniteAbelianGroup
+from qpalg.qperm import SN_MAX_N
 from qpalg.reports import (CertificateReport, IdentityCheck, INCONCLUSIVE,
                            REFUTED, VERIFIED)
 
@@ -174,6 +175,8 @@ _FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z0,-1)\n"),
     ("verify-grading", "n: 2\ngroup: Z7\nblocks: 1 | 2\ngroups: Z1 | Z1\n"
                        "component e: (1,0)\ncomponent e: (0,1)\n"),
+    ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z25601,-1)\n"),
+    ("orbit-decompose", _FREE_PRODUCT_HEAD + "component b0:1: (z97+z89,-1,0)\n"),
     ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
     ("complete", "1*p.p - 1*p\nalphabet: p q\n"),
     ("complete", "alphabet: p q\norder: lex\n1*p.p - 1*p\n"),
@@ -283,6 +286,19 @@ def test_sn_image_poly_builds_no_presentation(tmp_path, capsys, monkeypatch):
     assert code == EXIT_VERIFIED and "zero: True" in out
     code, _, err = run(["sn-image", "--n", "0", "--poly", str(path)], capsys)
     assert code == EXIT_USAGE and "matrix size must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["sn-image", "iso-check", "sn-image --poly"])
+def test_evaluation_on_s_n_is_a_usage_error_above_its_cap(command, tmp_path, capsys):
+    path = tmp_path / "poly.txt"
+    path.write_text("1*u11\n")
+    argv = command.split() + ["--n", str(SN_MAX_N + 1)]
+    if "--poly" in argv:
+        argv.insert(argv.index("--poly") + 1, str(path))
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and f"capped at n = {SN_MAX_N}" in err
+    assert "overall:" not in out
 
 
 # block [3,4] is graded by the conjugate b0:1*b1:1*b0:1 of the letter b1:1

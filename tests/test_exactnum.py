@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclotomic_reference as ref
-from qpalg.exactnum import (Cyclotomic, _phi_ints, divisors,
+from qpalg.exactnum import (SCALAR_MAX_ORDER, Cyclotomic, _phi_ints, divisors,
                             euler_phi, format_scalar, parse_scalar,
                             prime_factorization, zeta)
 
@@ -150,6 +150,11 @@ def test_scalar_text_roundtrip():
 def test_parse_scalar_rejects_garbage():
     for bad in ["", "z", "1**2", "q3", "1//2", "1/0", "2/00*z3", "z0", "1+z00^2"]:
         with pytest.raises(ValueError):
+            parse_scalar(bad)
+    # roots of unity above the cost guard, alone or in a sum (Q(zeta_8633))
+    assert parse_scalar(f"z{SCALAR_MAX_ORDER}").order == SCALAR_MAX_ORDER
+    for bad in [f"z{SCALAR_MAX_ORDER + 1}", "2*z25601^3", "z97+z89", "1-z16^3+z17"]:
+        with pytest.raises(ValueError, match="capped"):
             parse_scalar(bad)
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg import gradings, linalg
-from qpalg.exactnum import zeta
+from qpalg.exactnum import format_scalar, zeta
 from qpalg.gradings import (FreeProductGroup, Grading,
                             classify_gradings, format_grading,
                             grading_from_partition, grading_from_regular_abelian,
                             orbit_decompose, parse_grading, partitions_desc,
                             verify_grading)
 from qpalg.groups import FiniteAbelianGroup, abelian_groups_of_order, characters
-from qpalg.reports import REFUTED, VERIFIED
+from qpalg.reports import REFUTED, VERIFIED, CertificateReport, IdentityCheck
 from linalg_reference import in_reference_span, reference_rank
 
 F = Fraction
@@ -240,7 +240,7 @@ def test_ergodic_entries_are_the_one_block_entries():
 
 def test_classification_cost_guard():
     with pytest.raises(ValueError, match="capped"):
-        classify_gradings(14)
+        classify_gradings(15)
 
 
 def test_grading_file_roundtrip_abelian():
@@ -439,6 +439,89 @@ def test_verify_grading_agrees_with_the_definition(grading):
     assert (verify_grading(grading).verdict == VERIFIED) == _grading_law_holds(grading)
 
 
+def _reference_report(grading):
+    """verify_grading's report with every rank and membership decided by
+    plain elimination and every product taken in its own row."""
+    group, comps, n = grading.group, grading.components, grading.n
+    vectors = [v for key in grading.support() for v in comps[key]]
+    rk = reference_rank(vectors)
+    identity_basis = comps.get(group.identity(), [])
+    rows = [IdentityCheck(
+                "direct sum spans K^n",
+                f"rank {rk} of {len(vectors)} component basis vectors (need {n})",
+                rk == n == len(vectors)),
+            IdentityCheck(
+                "unit lies in the identity component",
+                "all-ones vector against the identity component basis",
+                bool(identity_basis) and in_reference_span(identity_basis, (1,) * n))]
+    details = {"n": n}
+    text = group.key_text
+    for g, h in itertools.product(grading.support(), repeat=2):
+        target = group.mul(g, h)
+        for (ai, a), (bi, b) in itertools.product(enumerate(comps[g]), enumerate(comps[h])):
+            prod = tuple(x * y for x, y in zip(a, b))
+            ok = in_reference_span(comps.get(target, []), prod)
+            rows.append(IdentityCheck(
+                f"product law [{text(g)}][{ai}] * [{text(h)}][{bi}] in [{text(target)}]",
+                "pointwise product against target component basis", ok))
+            if not ok and "witness" not in details:
+                details["witness"] = {"g": text(g), "h": text(h),
+                                      "product": [format_scalar(x) for x in prod]}
+    for key in grading.support():
+        order = group.element_order(key)
+        rows.append(IdentityCheck(f"finite order [{text(key)}]",
+                                  f"element order {order if order else 'infinite'}",
+                                  order is not None))
+    dim = reference_rank(identity_basis) if identity_basis else 0
+    details.update(faithful=group.generates(grading.support()), ergodic=dim == 1,
+                   dim_identity_component=dim)
+    if dim == 1 and details["faithful"]:
+        rows.append(IdentityCheck("ergodic faithful grading has abelian group",
+                                  f"group {group.descriptor()} commutativity",
+                                  group.is_abelian()))
+    details["group"] = group.descriptor()
+    return CertificateReport.from_identities(
+        f"grading of K^{n} by {group.descriptor()}", rows, details=details)
+
+
+def _scaled(grading, scale):
+    """The same grading with vector i of component key multiplied by c, for
+    each (key, i, c) in scale; every component keeps its span."""
+    comps = {key: list(vecs) for key, vecs in grading.components.items()}
+    for key, i, c in scale:
+        comps[key][i] = tuple(c * x for x in comps[key][i])
+    return Grading(grading.n, grading.group, comps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), grading=_small_gradings())
+def test_scaled_components_take_the_span_path(data, grading):
+    # a vector scaled by c != 0, 1 spans what it spanned, but a product of it
+    # equals no target basis vector, so the product law needs span queries
+    basis = [(key, i) for key, vecs in grading.components.items() for i in range(len(vecs))]
+    chosen = []
+    if basis:
+        chosen = data.draw(st.lists(st.sampled_from(basis), unique=True, min_size=1))
+    scale = [(key, i, data.draw(st.sampled_from([2, -1, F(1, 2), F(-3, 2)])))
+             for key, i in chosen]
+    scaled = _scaled(grading, scale)
+    assert verify_grading(scaled).to_dict() == _reference_report(scaled).to_dict()
+
+
+def test_mirrored_rows_check_their_own_targets():
+    # in Z2*Z2, a*b != b*a: the one product of A_a and A_b lies in A_{a*b}
+    # but not in A_{b*a}, so its two rows disagree
+    fp = FreeProductGroup(((0, 1), (2, 3)), (Z2, Z2))
+    a, b = (0, (1,)), (1, (1,))
+    grading = Grading(4, fp, {(): [(1, 1, 0, 0), (0, 0, 1, 1)], (a,): [(1, -1, 0, 0)],
+                              (b,): [(1, 1, 0, 0)], (a, b): [(1, -1, 0, 0)]})
+    report = verify_grading(grading)
+    assert report.to_dict() == _reference_report(grading).to_dict()
+    rows = {r.label: r.reduced_to_zero for r in report.identities}
+    assert rows["product law [b0:1][0] * [b1:1][0] in [b0:1*b1:1]"]
+    assert not rows["product law [b1:1][0] * [b0:1][0] in [b1:1*b0:1]"]
+
+
 def _relabel(grading, perm):
     """The same grading with point i renamed perm[i]."""
     comps = {}
@@ -461,20 +544,65 @@ def test_relabelled_grading_file_round_trip(data, n):
     assert format_grading(parse_grading(text)) == text
 
 
-def test_verify_grading_echelonises_each_component_once(monkeypatch):
-    built = []
+def _count_exact_operations(monkeypatch):
+    """Record every echelon form built (its vectors), every span query and
+    every pointwise product (its factors) made from here on."""
+    built, queries, products = [], [], []
 
     class CountingSpan(linalg.Span):
         __slots__ = ()
 
         def __init__(self, vectors=()):
-            built.append(self)
+            vectors = [tuple(v) for v in vectors]
+            built.append(vectors)
             super().__init__(vectors)
 
+        def __contains__(self, v):
+            queries.append(tuple(v))
+            return super().__contains__(v)
+
+    pointwise = gradings._pointwise
+
+    def counted(a, b):
+        products.append((a, b))
+        return pointwise(a, b)
+
     monkeypatch.setattr(linalg, "Span", CountingSpan)
-    for grading in (grading_from_partition((4, 3, 2), (K4, Z3, Z2)),
-                    grading_from_regular_abelian(Z4), trivial_grading(3)):
+    monkeypatch.setattr(gradings, "_pointwise", counted)
+    return built, queries, products
+
+
+def test_classification_makes_no_product_span_query(monkeypatch):
+    _, queries, _ = _count_exact_operations(monkeypatch)
+    rep = classify_gradings(6)
+    assert all(e.orbit is not None for e in rep.general) and len(rep.general) == 13
+    # every product equals a target basis vector: the queries left are the
+    # unit row of each grading and orbit_decompose's block indicators
+    assert len(queries) == sum(1 + e.orbit.k for e in rep.general)
+    assert all(set(v) <= {0, 1} for v in queries)
+
+
+def test_verify_grading_does_each_exact_operation_once(monkeypatch):
+    built, queries, products = _count_exact_operations(monkeypatch)
+    z4 = grading_from_regular_abelian(Z4)
+    for grading, literal in ((grading_from_partition((4, 3, 2), (K4, Z3, Z2)), True),
+                             (z4, True),
+                             (_scaled(z4, [((1,), 0, 2), ((2,), 0, F(-1, 3))]), False),
+                             (trivial_grading(3), True)):
         built.clear()
+        queries.clear()
+        products.clear()
         assert verify_grading(grading).verdict == VERIFIED
-        # one form per component, plus one for the rank of all the vectors
-        assert len(built) == len(grading.components) + 1
+        comps, identity = grading.components, grading.group.identity()
+        vectors = [v for key in grading.support() for v in comps[key]]
+        # the rank form, the identity form, then each other form at most once
+        assert built[:2] == [vectors, comps[identity]]
+        later = built[2:]
+        assert len(later) == len({tuple(b) for b in later})
+        assert all(b in comps.values() and b != comps[identity] for b in later)
+        # one product per unordered pair of basis vectors
+        pairs = [frozenset((vectors.index(a), vectors.index(b))) for a, b in products]
+        assert len(pairs) == len(set(pairs)) == len(vectors) * (len(vectors) + 1) // 2
+        # the unit row queries the identity form; a product queries a form
+        # only when it equals none of its target's basis vectors
+        assert (len(queries) == 1) == literal

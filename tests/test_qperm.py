@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM, SEM
                          gram_diagonal_check, group_algebra_presentation,
                          magic_presentation, matrix_inverse_from_families,
                          semi_magic_presentation, sn_isomorphism_check,
-                         sn_relations_check, to_sn_function,
+                         sn_relations_check, to_sn_function, u_alphabet,
                          verify_hopf_axioms, wang_witness)
 from qpalg.reports import INCONCLUSIVE, REFUTED, VERIFIED
 from qpalg.rewrite import (CONFLUENT, TRUNCATED, RewriteSystem, complete,
@@ -332,6 +333,30 @@ def test_pi_commutator_zero():
     pres = magic_presentation(4)
     comm = pres.gen(1, 1) * pres.gen(3, 3) - pres.gen(3, 3) * pres.gen(1, 1)
     assert not to_sn_function(comm, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_to_sn_function_agrees_with_scanning_s_n(data, n):
+    words = st.lists(st.integers(0, n * n - 1), max_size=5).map(tuple)
+    poly = NCPoly(u_alphabet(n), data.draw(
+        st.dictionaries(words, st.sampled_from([1, -1, 2, F(1, 3)]), max_size=6)))
+    # oracle: every word at every permutation, letter u_ij read as [sigma(j) = i]
+    expected = {}
+    for images in itertools.permutations(range(n)):
+        total = sum(c for w, c in poly.terms.items()
+                    if all(images[letter % n] == letter // n for letter in w))
+        if total:
+            expected[images] = total
+    assert to_sn_function(poly, n) == FunctionOnSn(n, expected)
+
+
+def test_evaluation_on_s_n_is_capped():
+    n = qperm.SN_MAX_N + 1
+    with pytest.raises(ValueError, match="capped"):
+        to_sn_function(NCPoly.gen(u_alphabet(n), 0), n)
+    with pytest.raises(ValueError, match="capped"):
+        sn_isomorphism_check(n)
 
 
 def test_iso_check_small():
