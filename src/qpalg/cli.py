@@ -201,6 +201,7 @@ def _dispatch(args, argv, started) -> int:
         payload = result.to_dict()
         payload["source"] = source
         payload["critical_pairs"] = dict(result.critical_pairs)
+        payload["memo_words"] = dict(result.memo_words)
         if args.basis_degree is not None:
             levels = irreducible_words_by_length(result.system, args.basis_degree)
             payload["irreducible_words"] = [

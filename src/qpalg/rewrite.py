@@ -21,20 +21,23 @@ system the strategy cannot change a normal form; on a truncated or
 mid-cascade table it can, so it is fixed.  Fixed, the one-step rewrite
 is a function of the word alone, so on an unchanged table the normal form
 is linear, nf(sum c_w w) = sum c_w nf(w), and the table memoises nf per
-word.  Inserting or retiring a rule clears that memo; a frozen system's
-memo lasts as long as the system.  Adding a relation runs the one
-retirement cascade: reduce, orient, retire each rule whose lhs contains
-the new lhs, then add the retired relations back, first retired first.
-`interreduce` is a loop of adds and `complete` pairs every rule an add
-inserted.  Irreducible words are enumerated level by level in
-`irreducible_words_by_length`, which the filtration counts and quotient
-bases share.
+word.  Inserting or retiring a rule with lhs L drops only the memo words
+whose rewrites reach a word containing L: a word avoiding L keeps its
+one-step rewrite, so it keeps its normal form unless a word it rewrites
+to changes.  A frozen system's memo lasts as long as the system.  Adding
+a relation runs the one retirement cascade: reduce, orient, retire each
+rule whose lhs contains the new lhs, then add the retired relations back,
+first retired first.  `interreduce` is a loop of adds and `complete`
+pairs every rule an add inserted, finding its overlaps through an index
+of the active lhs by proper prefix and suffix.  Irreducible words are
+enumerated level by level in `irreducible_words_by_length`, which the
+filtration counts and quotient bases share.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate
+from itertools import accumulate, islice
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -131,14 +134,27 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
                 del acc[w]
 
 
+def _first_match(w: Word, rhs_of: dict, max_len: int):
+    """(pos, end, rhs terms) of the leftmost, then shortest, lhs in w, or None."""
+    lw = len(w)
+    for pos in range(lw):
+        stop = pos + max_len
+        for end in range(pos + 1, (stop if stop < lw else lw) + 1):
+            rhs_terms = rhs_of.get(w[pos:end])
+            if rhs_terms is not None:
+                return pos, end, rhs_terms
+    return None
+
+
 def _word_nf(word: Word, rhs_of: dict, max_len: int, memo: dict) -> dict:
     """Normal form of one word, memoising it and every word its rewrites reach.
 
     nf(w) is w when no lhs matches, else the sum of rc * nf(pre + rw + suf)
     over the rhs terms of the leftmost, then shortest, match.  An explicit
     stack stands in for the recursion, so rewrite chains of any length
-    reduce.  Entries may share dicts, so nothing outside the table may
-    hold or mutate one.
+    reduce.  A word enters the memo after every word it rewrites to.
+    Entries may share dicts, so nothing outside the table may hold or
+    mutate one.
     """
     stack: list = [(word, None)]
     while stack:
@@ -146,19 +162,11 @@ def _word_nf(word: Word, rhs_of: dict, max_len: int, memo: dict) -> dict:
         if step is None:
             if w in memo:
                 continue
-            rhs_terms = None
-            lw_total = len(w)
-            for pos in range(lw_total):
-                stop = pos + max_len
-                for end in range(pos + 1, (stop if stop < lw_total else lw_total) + 1):
-                    rhs_terms = rhs_of.get(w[pos:end])
-                    if rhs_terms is not None:
-                        break
-                if rhs_terms is not None:
-                    break
-            if rhs_terms is None:
+            match = _first_match(w, rhs_of, max_len)
+            if match is None:
                 memo[w] = {w: 1}
                 continue
+            pos, end, rhs_terms = match
             pre, suf = w[:pos], w[end:]
             step = [(pre + rw + suf, rc) for rw, rc in rhs_terms.items()]
             stack.append((w, step))     # revisited once every rewrite has its nf
@@ -182,8 +190,8 @@ def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
     The one-step rewrite of a word (leftmost reducible position, shortest
     lhs matching there) depends on the word alone, so on a fixed table the
     normal form is linear: nf(sum c_w w) = sum c_w nf(w).  Each word's
-    normal form is therefore memoised on the table, and the table clears
-    the memo whenever a rule is inserted or retired.
+    normal form is therefore memoised on the table, which drops the
+    entries a rule change can alter.
     """
     memo, rhs_of, max_len = table.nf_memo, table.rhs_of, table.max_len
     out: dict = {}
@@ -201,11 +209,14 @@ class _RuleTable:
     Rule ids count insertions, so `active` iterates in id order.  `rhs_of`
     maps each active lhs to its rhs terms; `max_len` is the longest lhs
     ever inserted, an upper bound on the active ones.  `nf_memo` maps each
-    word reduced since the rule set last changed to its normal form; every
-    insertion and every retirement clears it.
+    reduced word to its normal form.  Inserting or retiring a rule drops
+    the entries it can alter (`_forget`) and counts them in
+    `memo_dropped`; the words reduced so far are `len(nf_memo) +
+    memo_dropped`.
     """
 
-    __slots__ = ("alphabet", "active", "rhs_of", "max_len", "nf_memo", "_next_id")
+    __slots__ = ("alphabet", "active", "rhs_of", "max_len", "nf_memo", "memo_dropped",
+                 "_parents", "_by_letter", "_indexed", "_next_id")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -213,24 +224,79 @@ class _RuleTable:
         self.rhs_of: dict[Word, dict] = {}
         self.max_len = 0
         self.nf_memo: dict[Word, dict] = {}
+        self.memo_dropped = 0
+        self._parents: dict[Word, list[Word]] = {}     # memo word -> words rewriting to it
+        self._by_letter: dict[int, set[Word]] = {}     # letter -> memo words holding it
+        self._indexed = 0           # the first _indexed memo words are in both maps
         self._next_id = 0
 
     def insert(self, rule: RewriteRule) -> int:
         if not rule.lhs or rule.lhs in self.rhs_of:
             raise ValueError(f"rule lhs {rule.lhs} is empty or already in the table")
+        self._forget(rule.lhs)
         rid = self._next_id
         self._next_id += 1
         self.active[rid] = rule
         self.rhs_of[rule.lhs] = rule.rhs.terms
         self.max_len = max(self.max_len, len(rule.lhs))
-        self.nf_memo.clear()
         return rid
 
     def _retire(self, rid: int) -> RewriteRule:
+        self._forget(self.active[rid].lhs)
         rule = self.active.pop(rid)
         del self.rhs_of[rule.lhs]
-        self.nf_memo.clear()
         return rule
+
+    def _rewrites(self, w: Word) -> list[Word]:
+        """The words of w's one-step rewrite (none when w is irreducible)."""
+        match = _first_match(w, self.rhs_of, self.max_len)
+        if match is None:
+            return []
+        pos, end, rhs_terms = match
+        pre, suf = w[:pos], w[end:]
+        return [pre + rw + suf for rw in rhs_terms]
+
+    def _forget(self, lhs: Word) -> None:
+        """Drop the memo words whose rewrites reach a word containing lhs.
+
+        Runs before lhs is inserted or retired, so every entry was computed
+        against the table as it stands.  A word avoiding lhs has the same
+        one-step rewrite after the change, so its normal form survives
+        unless a word it rewrites to is dropped: the dropped words are those
+        containing lhs and their ancestors.  The ancestor edges and the
+        letter index are extended here, for the words memoised since the
+        last call only, so a table whose rules never change pays nothing.
+        """
+        memo = self.nf_memo
+        if not memo:
+            return
+        parents, by_letter = self._parents, self._by_letter
+        for w in islice(memo, self._indexed, None):
+            for letter in set(w):
+                by_letter.setdefault(letter, set()).add(w)
+            for child in self._rewrites(w):
+                parents.setdefault(child, []).append(w)
+        holders = min((by_letter.get(letter, ()) for letter in set(lhs)), key=len)
+        stack = [w for w in holders if _contains(w, lhs)]
+        dropped = set(stack)
+        while stack:
+            for p in parents.get(stack.pop(), ()):
+                if p not in dropped:
+                    dropped.add(p)
+                    stack.append(p)
+        for w in dropped:
+            del memo[w]
+            parents.pop(w, None)
+            for letter in set(w):
+                by_letter[letter].discard(w)
+            for child in self._rewrites(w):
+                if child not in dropped:
+                    siblings = parents[child]
+                    siblings.remove(w)
+                    if not siblings:
+                        del parents[child]
+        self.memo_dropped += len(dropped)
+        self._indexed = len(memo)
 
     def reduce_terms(self, terms: dict) -> dict:
         return _reduce_terms(terms, self)
@@ -359,13 +425,16 @@ class CompletionResult:
 
     `critical_pairs` counts the pairs pushed, the stale ones popped after a
     rule retired, the ones reduced and the S-polynomials that reduced to
-    zero.  It is not part of `to_dict`, which pins the rule set.
+    zero.  `memo_words` counts the words whose normal form the completion
+    table computed and those that rule changes dropped from its memo.
+    Neither is part of `to_dict`, which pins the rule set.
     """
 
     system: RewriteSystem
     cap: int
     rule_count_history: list[tuple[int, int]] = field(default_factory=list)
     critical_pairs: dict[str, int] = field(default_factory=dict)
+    memo_words: dict[str, int] = field(default_factory=dict)
 
     @property
     def status(self) -> str:
@@ -378,6 +447,54 @@ class CompletionResult:
             "rule_count": len(self.system.rules),
             "rule_count_history": [list(t) for t in self.rule_count_history],
         }
+
+
+class _OverlapIndex:
+    """One completion's rule ids, keyed by each proper prefix and each
+    proper suffix of their lhs.
+
+    Ids enter when they are paired and are never removed: a retired id is
+    skipped when found, as ids are not reused.
+    """
+
+    __slots__ = ("active", "_starts", "_ends")
+
+    def __init__(self, active: dict):
+        self.active = active
+        self._starts: dict[Word, list[int]] = {}      # proper prefix -> ids
+        self._ends: dict[Word, list[int]] = {}        # proper suffix -> ids
+
+    def overlaps(self, inserted: list[int]) -> list[tuple]:
+        """(len(w), w, x, y, olap) for each overlap w of lhs x then lhs y by
+        olap letters, where one of x, y is an inserted id still active and
+        the other any active id <= it; a self-overlap comes once.
+
+        Ids must arrive in increasing order across calls, so each inserted
+        id meets exactly the ids paired before it, and itself.
+        """
+        active, starts, ends = self.active, self._starts, self._ends
+        out = []
+        for i in inserted:
+            rule = active.get(i)
+            if rule is None:
+                continue
+            a = rule.lhs
+            la = len(a)
+            for k in range(1, la):
+                starts.setdefault(a[:k], []).append(i)
+                ends.setdefault(a[k:], []).append(i)
+            for olap in range(1, la):
+                for j in starts.get(a[la - olap:], ()):        # a then lhs j
+                    other = active.get(j)
+                    if other is not None:
+                        w = a + other.lhs[olap:]
+                        out.append((len(w), w, i, j, olap))
+                for j in ends.get(a[:olap], ()):               # lhs j then a
+                    other = active.get(j)
+                    if other is not None and j != i:
+                        w = other.lhs + a[olap:]
+                        out.append((len(w), w, j, i, olap))
+        return out
 
 
 def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
@@ -402,25 +519,15 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
     alphabet = system.alphabet
     table = _RuleTable(alphabet)
     active = table.active
+    index = _OverlapIndex(active)
     heap: list = []
     counts = dict.fromkeys(("pushed", "stale", "reduced", "reduced_to_zero"), 0)
 
     def _push_pairs(inserted: list[int]):
-        """Push the overlaps of each inserted id still active with every
-        active id <= it, in both orders."""
-        for i in inserted:
-            if i not in active:
-                continue
-            for j in active:            # id order
-                if j > i:
-                    break
-                for x, y in {(i, j), (j, i)}:
-                    a, b = active[x].lhs, active[y].lhs
-                    for olap in range(1, min(len(a), len(b))):
-                        if a[-olap:] == b[:olap]:
-                            w = a + b[olap:]
-                            heapq.heappush(heap, (len(w), w, x, y, olap))
-                            counts["pushed"] += 1
+        pairs = index.overlaps(inserted)
+        for entry in pairs:
+            heapq.heappush(heap, entry)
+        counts["pushed"] += len(pairs)
 
     _push_pairs([table.insert(rule) for rule in system.rules])
 
@@ -454,7 +561,9 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
 
     out = RewriteSystem(alphabet, table.final_rules(), status=TRUNCATED if skipped else CONFLUENT,
                         status_degree=degree_cap if skipped else None)
-    return CompletionResult(out, degree_cap, history, counts)
+    memo_words = {"computed": len(table.nf_memo) + table.memo_dropped,
+                  "dropped": table.memo_dropped}
+    return CompletionResult(out, degree_cap, history, counts, memo_words)
 
 
 def _require_counting_degree(system: RewriteSystem, d: int):

@@ -1,4 +1,5 @@
-"""Reference normal forms, kept to cross-check qpalg's rule table.
+"""Reference normal forms and overlaps, kept to cross-check qpalg's rule
+table and completion.
 
 A word is rewritten at its leftmost reducible position by the shortest
 lhs that matches there, found by a linear scan of the rule list: no
@@ -52,3 +53,23 @@ def reference_normal_form(terms: dict, rules) -> dict:
         return {w: c for w, c in out.items() if c}
 
     return combine(terms.items())
+
+
+def reference_overlaps(active: dict, inserted) -> list:
+    """(len(w), w, x, y, olap) for each inserted id still active against
+    every active id <= it, in both orders, by trying every pair and every
+    overlap length: the pairs `rewrite._OverlapIndex` must find."""
+    out = []
+    for i in inserted:
+        if i not in active:
+            continue
+        for j in active:            # id order
+            if j > i:
+                break
+            for x, y in {(i, j), (j, i)}:
+                a, b = active[x].lhs, active[y].lhs
+                for olap in range(1, min(len(a), len(b))):
+                    if a[-olap:] == b[:olap]:
+                        w = a + b[olap:]
+                        out.append((len(w), w, x, y, olap))
+    return out

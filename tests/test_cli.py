@@ -176,6 +176,7 @@ _FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,
     ("verify-grading", "n: 2\ngroup: Z7\nblocks: 1 | 2\ngroups: Z1 | Z1\n"
                        "component e: (1,0)\ncomponent e: (0,1)\n"),
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z25601,-1)\n"),
+    ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z97,z89)\n"),
     ("orbit-decompose", _FREE_PRODUCT_HEAD + "component b0:1: (z97+z89,-1,0)\n"),
     ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
     ("complete", "1*p.p - 1*p\nalphabet: p q\n"),
@@ -404,9 +405,9 @@ _GOLDEN_SHA256 = {
     "present --n 2":
         "bca9f6516ea77e309b43039360eed98214ec6ceb322e54ebd47ea7fe14e1aa42",
     "complete --n 3":
-        "700d2f8898435290ddf8f10306526d8006cec8771b875565faf13ced8c791189",
+        "3ca810b9256e870213ed1ec91567a1bc467421ccadd3288fc75932caa5761e65",
     "complete --n 4":
-        "42b143f1d6ee61f09fecee4695ccee3c5d06537fa7bdfce214c5d67c10385597",
+        "0b31e9f8c3f2d2cb8e061e1a02b456e6857b6797f5c42ce4ca186ce7da3ce99e",
     "verify-hopf --n 1":
         "e62ef64739aab0d512b878bd2f66da4e9aaf94192653e0e418a23864829fbcd9",
     "verify-hopf --n 2":

@@ -13,8 +13,9 @@ from qpalg.qperm import block_quotient, magic_presentation
 from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, RewriteSystem,
                            TensorPowerSystem, complete, filtration_dimension,
                            format_presentation, interreduce, irreducible_words_by_length,
-                           normal_form, parse_presentation, quotient_basis, _RuleTable)
-from rewrite_reference import reference_normal_form
+                           normal_form, parse_presentation, quotient_basis, _OverlapIndex,
+                           _RuleTable)
+from rewrite_reference import reference_normal_form, reference_overlaps
 from tensor_reference import reference_tensor_system
 
 F = Fraction
@@ -552,6 +553,49 @@ def test_random_presentations_are_pinned():
     assert digests == GOLDEN_RANDOM
 
 
+# -- overlaps of completion, against trying every pair --
+
+# relations over {x, y, z}: 1-3 terms, words of length <= 4
+_small_words = st.lists(st.integers(0, 2), max_size=4).map(tuple)
+_small_polys = st.dictionaries(_small_words, st.sampled_from((1, -1, 2)), min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(start=st.lists(_small_polys, max_size=4), added=st.lists(_small_polys, max_size=6))
+def test_overlap_index_matches_every_pair(start, added):
+    """Rules paired as completion pairs them: a frozen system's rules in one
+    batch, then each add's cascade; lhs such as x.x.x overlap themselves."""
+    try:
+        system = RewriteSystem.from_relations(XYZ, [NCPoly(XYZ, t) for t in start])
+    except InconsistentPresentation:
+        return
+    table = _RuleTable(XYZ)
+    index = _OverlapIndex(table.active)
+    inserted = [table.insert(rule) for rule in system.rules]
+    for terms in [None] + added:
+        if terms is not None:
+            try:
+                inserted = table.add(NCPoly(XYZ, terms))
+            except InconsistentPresentation:
+                return
+        assert sorted(index.overlaps(inserted)) == sorted(
+            reference_overlaps(table.active, inserted))
+
+
+def test_critical_pair_counts_are_pinned(completed_magic):
+    """Pairs pushed, popped stale, reduced and reduced to zero, and words
+    the completion table computed and dropped from its memo."""
+    magic5 = complete(magic_presentation(5).system, 3)
+    assert completed_magic[3].critical_pairs == {
+        "pushed": 56, "stale": 0, "reduced": 56, "reduced_to_zero": 56}
+    assert completed_magic[4].critical_pairs == {
+        "pushed": 543, "stale": 0, "reduced": 543, "reduced_to_zero": 528}
+    assert magic5.critical_pairs == {
+        "pushed": 2192, "stale": 0, "reduced": 1124, "reduced_to_zero": 1065}
+    assert completed_magic[4].memo_words == {"computed": 2202, "dropped": 16}
+    assert magic5.memo_words == {"computed": 3308, "dropped": 63}
+
+
 # -- the rule table's memo of word normal forms --
 
 @settings(max_examples=60, deadline=None)
@@ -573,7 +617,7 @@ def test_memo_is_exact_while_the_table_changes(seed, data):
             assert table.reduce_terms(terms) == reference_normal_form(terms, rules)
 
 
-def test_memo_is_cleared_when_a_rule_is_added():
+def test_memo_drops_the_words_that_contain_a_new_lhs():
     A = Alphabet(["x", "y"])
     x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
     table = _RuleTable(A)
@@ -582,6 +626,57 @@ def test_memo_is_cleared_when_a_rule_is_added():
     assert table.reduce_terms(word) == {(0, 1, 1): 1}       # y.y.x -> x.y.y
     table.add(y * y - x)                                     # y.y is a factor of x.y.y
     assert table.reduce_terms(word) == {(0, 0): 1}
+
+
+def test_memo_drops_a_word_whose_rewrite_reaches_the_new_lhs():
+    """z.x avoids y.y but rewrites to it; x.z and its normal form stay."""
+    x, y, z = (NCPoly.gen(XYZ, i) for i in range(3))
+    table = _RuleTable(XYZ)
+    table.add(z * x - y * y)
+    assert table.reduce_terms({(2, 0): 1, (0, 2): 1}) == {(1, 1): 1, (0, 2): 1}
+    kept, dropped = table.nf_memo[(0, 2)], table.memo_dropped
+    table.add(y * y - x)
+    assert (2, 0) not in table.nf_memo and (1, 1) not in table.nf_memo
+    assert table.nf_memo[(0, 2)] is kept and table.memo_dropped == dropped + 2
+    assert table.reduce_terms({(2, 0): 1}) == {(0,): 1}
+
+
+def test_memo_drops_a_word_whose_normal_form_cancelled():
+    """z.z.z.z -> z.x.x - y.x reduces to x.x - x.x = 0 until x.y -> x
+    reroutes x.y.z, two rewrites below it; the edges come from the
+    rewrites, not from the (empty) normal form."""
+    x, y, z = (NCPoly.gen(XYZ, i) for i in range(3))
+    table = _RuleTable(XYZ)
+    for lhs, rhs in [((1, 2), x), ((1, 0), x * x), ((2, 0, 0), x * y * z),
+                     ((2, 2, 2, 2), z * x * x - y * x)]:
+        table.insert(RewriteRule(lhs, rhs))
+    assert table.reduce_terms({(2, 2, 2, 2): 1}) == {}
+    table.add(x * y - x)
+    assert (0, 0) in table.nf_memo and (1, 0) in table.nf_memo
+    assert table.reduce_terms({(2, 2, 2, 2): 1}) == {(0, 2): 1, (0, 0): -1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(relations=st.lists(_small_polys, min_size=1, max_size=6),
+       polys=st.lists(st.dictionaries(st.lists(st.integers(0, 2), max_size=6).map(tuple),
+                                      st.integers(-3, 3).filter(bool), max_size=4),
+                      min_size=1, max_size=4))
+def test_retained_memo_entries_are_normal_forms(relations, polys):
+    """After every add, each word the memo kept has the normal form a fresh
+    table with the same rules gives it."""
+    table = _RuleTable(XYZ)
+    for relation in relations:
+        for terms in polys:
+            table.reduce_terms(terms)
+        try:
+            table.add(NCPoly(XYZ, relation))
+        except InconsistentPresentation:
+            return
+        fresh = _RuleTable(XYZ)
+        for rule in table.active.values():
+            fresh.insert(rule)
+        for w, nf in table.nf_memo.items():
+            assert fresh.reduce_terms({w: 1}) == nf
 
 
 def test_reduce_terms_hands_out_fresh_dicts():
