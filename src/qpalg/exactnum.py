@@ -7,7 +7,11 @@ one common denominator in lowest terms, which makes the representation
 canonical at a fixed order.  Phi_m is monic with integer coefficients, so
 products reduce through a table of x^e mod Phi_m without any division.
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm) so callers
-never manage orders by hand.  All values are immutable and safe to share.
+never manage orders by hand.  A rational value, at whatever order it is
+stored, multiplies as a scaling and inverts as a rational, with no
+convolution or conjugate product; a product still lives at the lcm of the
+orders, as the full product would.  All values are immutable and safe to
+share.
 Equal values at different orders must hash alike, so the hash reads no
 coordinate: it hashes the rational Tr(x)/phi(order), the mean of x's
 Galois conjugates, which embedding leaves unchanged and which is x itself
@@ -157,7 +161,10 @@ class Cyclotomic:
     ``coeffs`` is the same vector as a tuple of Fractions.  Products are
     integer convolutions reduced with the table of x^e mod Phi_order, and
     the inverse is the product of the other Galois conjugates over the
-    norm, so no arithmetic step leaves the integers.
+    norm, so no arithmetic step leaves the integers.  A rational operand
+    at any order is a scaling: the product is the other operand embedded
+    at the lcm of the orders and scaled, which is the convolution's
+    result since the form at a fixed order is canonical.
     """
 
     __slots__ = ("order", "_num", "_den")
@@ -271,6 +278,8 @@ class Cyclotomic:
 
     def _scaled(self, p: int, q: int) -> "Cyclotomic":
         """self * p/q for q > 0, at self's order."""
+        if p == q:
+            return self
         return Cyclotomic._trusted(self.order, [c * p for c in self._num], self._den * q)
 
     def __mul__(self, other):
@@ -278,10 +287,14 @@ class Cyclotomic:
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        if other.order == 1:
-            return self._scaled(other._num[0], other._den)
-        if self.order == 1:
-            return other._scaled(self._num[0], self._den)
+        # a rational operand at any order scales the other one; the order
+        # stays the lcm, as format_scalar prints it
+        if other.is_rational():
+            m = math.lcm(self.order, other.order)
+            return self.embed(m)._scaled(other._num[0], other._den)
+        if self.is_rational():
+            m = math.lcm(self.order, other.order)
+            return other.embed(m)._scaled(self._num[0], self._den)
         a, b = self._unify(other)
         return Cyclotomic._trusted(a.order, _reduce(a.order, _convolve(a._num, b._num)),
                                 a._den * b._den)
@@ -293,11 +306,15 @@ class Cyclotomic:
 
         With self = a/d, the product P of sigma_k(a) over the units k != 1
         mod order satisfies a * P = N(a), a nonzero integer, so
-        self^-1 = d * P / N(a).
+        self^-1 = d * P / N(a).  A rational a/d inverts to d/a at its own
+        order, with no conjugate product.
         """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         m, a = self.order, self._num
+        if self.is_rational():               # d/a0 = sign(a0) d / |a0|
+            d = self._den if a[0] > 0 else -self._den
+            return Cyclotomic._trusted(m, [d] + [0] * (len(a) - 1), abs(a[0]))
         rest = [1] + [0] * (len(a) - 1)
         for k in range(2, m):
             if math.gcd(k, m) == 1:

@@ -232,8 +232,12 @@ def grading_from_partition(sizes, groups) -> Grading:
     return Grading(n, fp, components)
 
 
-def _pointwise(a, b):
-    return tuple(x * y if x and y else _ZERO for x, y in zip(a, b))
+def _pointwise(a, b, common):
+    """Entrywise product of a and b, whose supports meet in the indices common."""
+    out = [_ZERO] * len(a)
+    for i in common:
+        out[i] = a[i] * b[i]
+    return tuple(out)
 
 
 def verify_grading(grading: Grading) -> CertificateReport:
@@ -247,14 +251,18 @@ def verify_grading(grading: Grading) -> CertificateReport:
     and faithful the group is abelian.  Ergodicity and faithfulness are
     reported as flags in the details.
 
-    Each exact operation is done once.  K^n is commutative, so the product
-    of an unordered pair of basis vectors is computed once, held until its
-    mirrored row, and checked in both rows, each against its own target
-    (one check when the targets agree).  A product equal, entry for entry,
-    to one of its target's basis vectors lies in the target (every product
-    of a character grading does); only a product matching none is reduced
-    against the target's echelon form (`linalg.Span`), built the first
-    time it is needed.
+    Each exact operation is done once, and none whose result is known.
+    Each basis vector's support is read once, as a bitmask: two vectors
+    with disjoint supports (any two from different blocks of a partition
+    grading) have product zero, so their rows hold with no multiply, and
+    other pairs multiply only where their supports meet.  K^n is
+    commutative, so the product of an unordered pair of basis vectors is
+    computed once, held until its mirrored row, and checked in both rows,
+    each against its own target (one check when the targets agree).  A
+    product equal, entry for entry, to one of its target's basis vectors
+    lies in the target (every product of a character grading does); only
+    a product matching none is reduced against the target's echelon form
+    (`linalg.Span`), built the first time it is needed.
     """
     group = grading.group
     comps = grading.components
@@ -290,6 +298,8 @@ def verify_grading(grading: Grading) -> CertificateReport:
     first, count = {}, 0        # key -> position of its first vector in all_vectors
     for key in support:
         first[key], count = count, count + len(comps[key])
+    supports = [[i for i, x in enumerate(v) if x] for v in all_vectors]
+    masks = [sum(1 << i for i in s) for s in supports]
     products: dict = {}         # unordered pair of positions -> (target, product, ok)
     witness = None
     for g in support:
@@ -303,20 +313,23 @@ def verify_grading(grading: Grading) -> CertificateReport:
                 p = first[g] + ai
                 for bi, b in enumerate(comps[h]):
                     q = first[h] + bi
-                    pair = (p, q) if p <= q else (q, p)
-                    seen = products.pop(pair, None)      # the mirrored row, if done
-                    if seen is not None and seen[0] == target:
-                        _, prod, ok = seen
+                    common = masks[p] & masks[q]
+                    if not common:                       # the product is zero
+                        ok = True
                     else:
-                        prod = _pointwise(a, b) if seen is None else seen[1]
-                        if not any(prod):
-                            ok = True
-                        elif target_basis is None:
-                            ok = False
+                        pair = (p, q) if p <= q else (q, p)
+                        seen = products.pop(pair, None)  # the mirrored row, if done
+                        if seen is not None and seen[0] == target:
+                            _, prod, ok = seen
                         else:
-                            ok = prod in target_basis or prod in span_of(target)
-                        if seen is None and p != q:
-                            products[pair] = (target, prod, ok)
+                            prod = seen[1] if seen is not None else _pointwise(
+                                a, b, [i for i in supports[p] if common >> i & 1])
+                            if target_basis is None:
+                                ok = False
+                            else:
+                                ok = prod in target_basis or prod in span_of(target)
+                            if seen is None and p != q:
+                                products[pair] = (target, prod, ok)
                     # a classification repeats these labels across its gradings;
                     # interned, each is stored once however many reports keep it
                     label = sys.intern(f"product law [{g_text}][{ai}] * "
@@ -392,6 +405,9 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
     grading restricts to an ergodic grading on each block, unverified as
     none is needed: 1_b in A_identity gives A_g * 1_b inside A_g.  The
     `orbit-decompose` command verifies the restrictions as a cross-check.
+    A component keeps the independent ones of its nonzero restrictions to
+    a block; a lone nonzero restriction is independent, so only a
+    component with two or more builds an echelon form.
     """
     id_basis = grading.identity_basis()
     id_span = linalg.Span(id_basis)
@@ -426,11 +442,13 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
     for b in blocks:
         comps: dict = {}
         for key in grading.support():
-            span = linalg.Span()
-            for v in grading.components[key]:
-                rv = tuple(v[i] for i in b)
-                if span.add(rv):
-                    comps.setdefault(key, []).append(rv)
+            vecs = [rv for rv in (tuple(v[i] for i in b) for v in grading.components[key])
+                    if any(rv)]
+            if len(vecs) > 1:
+                span = linalg.Span()
+                vecs = [rv for rv in vecs if span.add(rv)]
+            if vecs:
+                comps[key] = vecs
         restrictions.append(_simplify_restriction(grading, comps, len(b)))
     return OrbitReport(
         partition=tuple(len(b) for b in blocks),

@@ -219,3 +219,42 @@ def test_cyclotomic_agrees_with_reference(xa, ya):
 @given(st.integers(1, 12), st.lists(_SCALARS, max_size=30))
 def test_reduction_agrees_with_reference(m, raw):
     _agree(Cyclotomic(m, raw), ref.reduce(m, raw))
+
+
+@st.composite
+def _rationals_at_order(draw):
+    """A rational stored at an order 2..12 above Q, and its reference pair."""
+    m = draw(st.integers(2, 12))
+    coeffs = (draw(_SCALARS),) + (F(0),) * (euler_phi(m) - 1)
+    return Cyclotomic(m, coeffs), (m, coeffs)
+
+
+@st.composite
+def _roots(draw):
+    """A root of unity zeta(m, k), and its reference pair."""
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(0, m - 1))
+    return zeta(m, k), ref.reduce(m, [0] * k + [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_rationals_at_order(), _roots(), _values()),
+       st.one_of(_rationals_at_order(), _roots(), _values()))
+def test_rational_operands_agree_with_reference(xa, ya):
+    # a rational operand scales the other one, whatever order stores it
+    (x, rx), (y, ry) = xa, ya
+    _agree(x * y, ref.mul(rx, ry))
+    _agree(y * x, ref.mul(ry, rx))
+    if y:
+        _agree(y.inverse(), ref.inverse(ry))
+        _agree(x / y, ref.mul(rx, ref.inverse(ry)))
+
+
+def test_rational_operand_keeps_the_lcm_order():
+    # chi(e) = zeta(6, 0) = 1 in Q(zeta_6) times zeta_4 = zeta_12^3
+    product = zeta(4) * zeta(6, 0)
+    assert product.order == 12 and format_scalar(product) == "z12^3"
+    assert (zeta(6, 0) * zeta(4)).coeffs == product.coeffs
+    # -2/3 stored in Q(zeta_6) inverts to -3/2 there
+    inv = Cyclotomic(6, [F(-2, 3), 0]).inverse()
+    assert (inv.order, inv.coeffs) == (6, (F(-3, 2), F(0)))

@@ -546,7 +546,8 @@ def test_relabelled_grading_file_round_trip(data, n):
 
 def _count_exact_operations(monkeypatch):
     """Record every echelon form built (its vectors), every span query and
-    every pointwise product (its factors) made from here on."""
+    every pointwise product (its factors and the indices it multiplies)
+    made from here on."""
     built, queries, products = [], [], []
 
     class CountingSpan(linalg.Span):
@@ -563,9 +564,9 @@ def _count_exact_operations(monkeypatch):
 
     pointwise = gradings._pointwise
 
-    def counted(a, b):
-        products.append((a, b))
-        return pointwise(a, b)
+    def counted(a, b, common):
+        products.append((a, b, tuple(common)))
+        return pointwise(a, b, common)
 
     monkeypatch.setattr(linalg, "Span", CountingSpan)
     monkeypatch.setattr(gradings, "_pointwise", counted)
@@ -600,9 +601,34 @@ def test_verify_grading_does_each_exact_operation_once(monkeypatch):
         later = built[2:]
         assert len(later) == len({tuple(b) for b in later})
         assert all(b in comps.values() and b != comps[identity] for b in later)
-        # one product per unordered pair of basis vectors
-        pairs = [frozenset((vectors.index(a), vectors.index(b))) for a, b in products]
-        assert len(pairs) == len(set(pairs)) == len(vectors) * (len(vectors) + 1) // 2
+        supports = [{i for i, x in enumerate(v) if x} for v in vectors]
+        meeting = {frozenset((i, j)) for i, j in
+                   itertools.combinations_with_replacement(range(len(vectors)), 2)
+                   if supports[i] & supports[j]}
+        pairs = [frozenset((vectors.index(a), vectors.index(b))) for a, b, _ in products]
+        # one product per unordered pair of basis vectors whose supports meet,
+        # multiplied only where they meet
+        assert len(pairs) == len(set(pairs)) and meeting <= set(pairs)
+        assert all(common == tuple(sorted(supports[vectors.index(a)]
+                                          & supports[vectors.index(b)]))
+                   for a, b, common in products)
+        # no product for a pair with disjoint supports
+        assert set(pairs) <= meeting
         # the unit row queries the identity form; a product queries a form
         # only when it equals none of its target's basis vectors
         assert (len(queries) == 1) == literal
+
+
+def test_partly_overlapping_supports_give_the_plain_witness(monkeypatch):
+    # (1,1,0) * (0,z3,2) meet only at index 1: the product is taken there
+    # alone, and its witness reads as the entrywise product over all indices
+    _, _, products = _count_exact_operations(monkeypatch)
+    a, b = (F(1), F(1), F(0)), (F(0), zeta(3), F(2))
+    grading = Grading(3, Z2, {(0,): [a, (F(0), F(0), F(1))], (1,): [b]})
+    report = verify_grading(grading)
+    assert report.verdict == REFUTED
+    assert (a, b, (1,)) in products
+    plain = [format_scalar(x * y) for x, y in zip(a, b)]
+    assert report.details["witness"] == {"g": "e", "h": "1", "product": plain}
+    assert plain == ["0", "z3", "0"]
+    assert report.to_dict() == _reference_report(grading).to_dict()
