@@ -21,10 +21,14 @@ system the strategy cannot change a normal form; on a truncated or
 mid-cascade table it can, so it is fixed.  Fixed, the one-step rewrite
 is a function of the word alone, so on an unchanged table the normal form
 is linear, nf(sum c_w w) = sum c_w nf(w), and the table memoises nf per
-word.  Inserting or retiring a rule with lhs L drops only the memo words
-whose rewrites reach a word containing L: a word avoiding L keeps its
-one-step rewrite, so it keeps its normal form unless a word it rewrites
-to changes.  A frozen system's memo lasts as long as the system.  Adding
+word.  A normal form, of a word from its one-step rewrite or of a term
+map from its words, is one merge of its memoised parts.  Inserting or
+retiring a rule with lhs L drops only the memo words whose rewrites
+reach a word containing L: a word avoiding L keeps its one-step rewrite,
+so it keeps its normal form unless a word it rewrites to changes.  The
+memo words that may contain L are found by adjacent letter pairs (a word
+holding L holds every pair of L), and by a scan of the memo when L is
+one letter.  A frozen system's memo lasts as long as the system.  Adding
 a relation runs the one retirement cascade: reduce, orient, retire each
 rule whose lhs contains the new lhs, then add the retired relations back,
 first retired first.  `interreduce` is a loop of adds and `complete`
@@ -120,18 +124,27 @@ def _contains(big: Word, small: Word) -> bool:
     return any(big[i:i + ls] == small for i in range(len(big) - ls + 1))
 
 
-def _add_scaled(acc: dict, terms: dict, c) -> None:
-    """acc += c * terms, dropping every word whose coefficient cancels."""
-    for w, tc in terms.items():
-        prev = acc.get(w)
-        if prev is None:
-            acc[w] = c * tc
-        else:
-            s = prev + c * tc
-            if s:
-                acc[w] = s
+def _combine(pairs) -> dict:
+    """The sum of c * terms over the (terms, c) pairs, each c nonzero, as a
+    fresh dict without the words whose coefficients cancel.
+
+    A word that cancels is deleted on the spot, so the terms come out in
+    the order of summing the pairs one after another.
+    """
+    acc: dict = {}
+    get = acc.get
+    for terms, c in pairs:
+        for w, tc in terms.items():
+            prev = get(w)
+            if prev is None:
+                acc[w] = c * tc
             else:
-                del acc[w]
+                s = prev + c * tc
+                if s:
+                    acc[w] = s
+                else:
+                    del acc[w]
+    return acc
 
 
 def _first_match(w: Word, rhs_of: dict, max_len: int):
@@ -177,10 +190,7 @@ def _word_nf(word: Word, rhs_of: dict, max_len: int, memo: dict) -> dict:
         if len(step) == 1 and step[0][1] == 1:
             memo[w] = memo[step[0][0]]      # w -> nw with coefficient 1: same nf
             continue
-        acc: dict = {}
-        for nw, rc in step:
-            _add_scaled(acc, memo[nw], rc)
-        memo[w] = acc
+        memo[w] = _combine((memo[nw], rc) for nw, rc in step)
     return memo[word]
 
 
@@ -191,16 +201,14 @@ def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
     lhs matching there) depends on the word alone, so on a fixed table the
     normal form is linear: nf(sum c_w w) = sum c_w nf(w).  Each word's
     normal form is therefore memoised on the table, which drops the
-    entries a rule change can alter.
+    entries a rule change can alter; once every word is memoised, the
+    result is one merge of their normal forms.
     """
     memo, rhs_of, max_len = table.nf_memo, table.rhs_of, table.max_len
-    out: dict = {}
-    for w, c in terms.items():
-        nf = memo.get(w)
-        if nf is None:
-            nf = _word_nf(w, rhs_of, max_len, memo)
-        _add_scaled(out, nf, c)
-    return out
+    for w in terms:
+        if w not in memo:
+            _word_nf(w, rhs_of, max_len, memo)
+    return _combine((memo[w], c) for w, c in terms.items())
 
 
 class _RuleTable:
@@ -212,11 +220,13 @@ class _RuleTable:
     reduced word to its normal form.  Inserting or retiring a rule drops
     the entries it can alter (`_forget`) and counts them in
     `memo_dropped`; the words reduced so far are `len(nf_memo) +
-    memo_dropped`.
+    memo_dropped`.  For `_forget`, `_parents` maps a memo word to the
+    words rewriting to it in one step, and `_by_pair` maps two adjacent
+    letters to the memo words of length >= 2 that hold them.
     """
 
     __slots__ = ("alphabet", "active", "rhs_of", "max_len", "nf_memo", "memo_dropped",
-                 "_parents", "_by_letter", "_indexed", "_next_id")
+                 "_parents", "_by_pair", "_indexed", "_next_id")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -226,7 +236,7 @@ class _RuleTable:
         self.nf_memo: dict[Word, dict] = {}
         self.memo_dropped = 0
         self._parents: dict[Word, list[Word]] = {}     # memo word -> words rewriting to it
-        self._by_letter: dict[int, set[Word]] = {}     # letter -> memo words holding it
+        self._by_pair: dict[tuple[int, int], set[Word]] = {}   # adjacent letters -> memo words
         self._indexed = 0           # the first _indexed memo words are in both maps
         self._next_id = 0
 
@@ -263,21 +273,28 @@ class _RuleTable:
         against the table as it stands.  A word avoiding lhs has the same
         one-step rewrite after the change, so its normal form survives
         unless a word it rewrites to is dropped: the dropped words are those
-        containing lhs and their ancestors.  The ancestor edges and the
-        letter index are extended here, for the words memoised since the
-        last call only, so a table whose rules never change pays nothing.
+        containing lhs and their ancestors.  A word containing an lhs of
+        length >= 2 holds each of its adjacent letter pairs, so only the
+        memo words under its rarest pair are tested; a one-letter lhs has no
+        pair, and the memo is scanned for its letter.  The ancestor edges
+        and the pair index are extended here, for the words memoised since
+        the last call only, so a table whose rules never change pays
+        nothing.
         """
         memo = self.nf_memo
         if not memo:
             return
-        parents, by_letter = self._parents, self._by_letter
+        parents, by_pair = self._parents, self._by_pair
         for w in islice(memo, self._indexed, None):
-            for letter in set(w):
-                by_letter.setdefault(letter, set()).add(w)
+            for pair in set(zip(w, w[1:])):
+                by_pair.setdefault(pair, set()).add(w)
             for child in self._rewrites(w):
                 parents.setdefault(child, []).append(w)
-        holders = min((by_letter.get(letter, ()) for letter in set(lhs)), key=len)
-        stack = [w for w in holders if _contains(w, lhs)]
+        if len(lhs) == 1:
+            stack = [w for w in memo if lhs[0] in w]
+        else:
+            holders = min((by_pair.get(pair, ()) for pair in set(zip(lhs, lhs[1:]))), key=len)
+            stack = [w for w in holders if _contains(w, lhs)]
         dropped = set(stack)
         while stack:
             for p in parents.get(stack.pop(), ()):
@@ -287,8 +304,8 @@ class _RuleTable:
         for w in dropped:
             del memo[w]
             parents.pop(w, None)
-            for letter in set(w):
-                by_letter[letter].discard(w)
+            for pair in set(zip(w, w[1:])):
+                by_pair[pair].discard(w)
             for child in self._rewrites(w):
                 if child not in dropped:
                     siblings = parents[child]
@@ -316,7 +333,9 @@ class _RuleTable:
             if not q:
                 continue
             lhs, rhs = _orient(q)
-            for rid in [k for k, r in self.active.items() if _contains(r.lhs, lhs)]:
+            n = len(lhs)        # lhs is irreducible: no active lhs of length <= n holds it
+            for rid in [k for k, r in self.active.items()
+                        if len(r.lhs) > n and _contains(r.lhs, lhs)]:
                 pending.append(self._retire(rid).as_relation())
             inserted.append(self.insert(RewriteRule(lhs, rhs)))
         return inserted
@@ -548,11 +567,16 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
         a, ra = active[i].lhs, active[i].rhs
         b, rb = active[j].lhs, active[j].rhs
         suffix, prefix = b[olap:], a[:len(a) - olap]
-        s1 = NCPoly(alphabet, {rw + suffix: rc for rw, rc in ra.terms.items()})
-        s2 = NCPoly(alphabet, {prefix + rw: rc for rw, rc in rb.terms.items()})
-        spoly = s1 - s2
+        spoly = {rw + suffix: rc for rw, rc in ra.terms.items()}  # ra.suffix - prefix.rb
+        for rw, rc in rb.terms.items():
+            pw = prefix + rw
+            s = spoly.get(pw, 0) - rc
+            if s:
+                spoly[pw] = s
+            else:
+                del spoly[pw]
         counts["reduced"] += 1
-        inserted = table.add(spoly) if spoly else []
+        inserted = table.add(NCPoly._trusted(alphabet, spoly)) if spoly else []
         if not inserted:
             counts["reduced_to_zero"] += 1
         _push_pairs(inserted)

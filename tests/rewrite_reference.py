@@ -30,6 +30,16 @@ def _one_step(word, groups):
     return None
 
 
+def combine(pairs) -> dict:
+    """The sum of coeff * terms over (terms, coeff) pairs, without the
+    words whose coefficients cancel."""
+    out: dict = {}
+    for terms, coeff in pairs:
+        for w, c in terms.items():
+            out[w] = out.get(w, 0) + coeff * c
+    return {w: c for w, c in out.items() if c}
+
+
 def reference_normal_form(terms: dict, rules) -> dict:
     """Normal form of a term map against a list of rules."""
     memo: dict = {}
@@ -42,17 +52,11 @@ def reference_normal_form(terms: dict, rules) -> dict:
                 memo[word] = {word: 1}
             else:
                 pre, rule, suf = step
-                memo[word] = combine((pre + w + suf, c) for w, c in rule.rhs.terms.items())
+                memo[word] = combine((word_nf(pre + w + suf), c)
+                                     for w, c in rule.rhs.terms.items())
         return memo[word]
 
-    def combine(pairs) -> dict:
-        out: dict = {}
-        for word, coeff in pairs:
-            for w, c in word_nf(word).items():
-                out[w] = out.get(w, 0) + coeff * c
-        return {w: c for w, c in out.items() if c}
-
-    return combine(terms.items())
+    return combine((word_nf(w), c) for w, c in terms.items())
 
 
 def reference_overlaps(active: dict, inserted) -> list:

@@ -14,8 +14,8 @@ from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, Rew
                            TensorPowerSystem, complete, filtration_dimension,
                            format_presentation, interreduce, irreducible_words_by_length,
                            normal_form, parse_presentation, quotient_basis, _OverlapIndex,
-                           _RuleTable)
-from rewrite_reference import reference_normal_form, reference_overlaps
+                           _RuleTable, _combine)
+from rewrite_reference import combine, reference_normal_form, reference_overlaps
 from tensor_reference import reference_tensor_system
 
 F = Fraction
@@ -654,6 +654,91 @@ def test_memo_drops_a_word_whose_normal_form_cancelled():
     table.add(x * y - x)
     assert (0, 0) in table.nf_memo and (1, 0) in table.nf_memo
     assert table.reduce_terms({(2, 2, 2, 2): 1}) == {(0, 2): 1, (0, 0): -1}
+
+
+def test_a_one_letter_lhs_drops_the_words_holding_its_letter():
+    """A one-letter lhs has no adjacent pair to look words up by, so the
+    memo is scanned for the letter; the words rewriting into those go too."""
+    x, y, z = (NCPoly.gen(XYZ, i) for i in range(3))
+    table = _RuleTable(XYZ)
+    for lhs, rhs in [((1, 0), z), ((0, 0), y)]:             # y.x -> z, x.x -> y
+        table.insert(RewriteRule(lhs, rhs))
+    words = [(2,), (2, 1), (0, 2, 1), (1, 0), (0, 1, 0), (0, 0, 0), (0, 1), (1, 1), (0, 0, 1),
+             (1,)]
+    table.reduce_terms(dict.fromkeys(words, 1))
+    before, dropped = dict(table.nf_memo), table.memo_dropped
+    holders = {w for w in before if 2 in w}
+    ancestors = {(1, 0), (0, 1, 0), (0, 0, 0)}     # -> z, -> x.z, -> y.x
+    assert holders >= {(2,), (2, 1), (0, 2, 1), (0, 2)} and ancestors <= before.keys()
+    table.insert(RewriteRule((2,), x))
+    assert table.nf_memo.keys() == before.keys() - holders - ancestors
+    assert all(nf is before[w] for w, nf in table.nf_memo.items())
+    assert table.memo_dropped == dropped + len(holders | ancestors)
+    rules = list(table.active.values())
+    for w in before:
+        assert table.reduce_terms({w: 1}) == reference_normal_form({w: 1}, rules)
+
+
+def _factors(w) -> set:
+    return {w[i:j] for i in range(len(w) + 1) for j in range(i, len(w) + 1)}
+
+
+class _RetirementLog(_RuleTable):
+    """A rule table that checks each insert of the retirement cascade
+    against the rules it retired just before."""
+
+    __slots__ = ("retired",)
+
+    def __init__(self, alphabet):
+        super().__init__(alphabet)
+        self.retired = {}
+
+    def _retire(self, rid):
+        self.retired[rid] = rule = super()._retire(rid)
+        return rule
+
+    def insert(self, rule):
+        was_active = {**self.active, **self.retired}
+        assert self.retired.keys() == {k for k, r in was_active.items()
+                                       if rule.lhs in _factors(r.lhs)}
+        self.retired.clear()
+        return super().insert(rule)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations=st.lists(_small_polys, min_size=1, max_size=8))
+def test_retirement_takes_exactly_the_rules_holding_the_new_lhs(relations):
+    """Every insert of an add retires the active rules whose lhs has the new
+    lhs as a factor, by a filter over all factors, and no others; after
+    every add no active lhs is a factor of another."""
+    table = _RetirementLog(XYZ)
+    for relation in relations:
+        try:
+            table.add(NCPoly(XYZ, relation))
+        except InconsistentPresentation:
+            return
+        assert not table.retired
+        lhss = [r.lhs for r in table.active.values()]
+        assert not [(a, b) for a in lhss for b in lhss if a != b and a in _factors(b)]
+
+
+@pytest.mark.parametrize("c", [2, F(1, 2), zeta(3)], ids=["int", "Fraction", "Cyclotomic"])
+def test_combine_sums_into_a_fresh_dict_without_zeros(c):
+    """Against the reference sum, with words that cancel part way and words
+    that cancel in the end, for each coefficient type."""
+    a, b, d = (0,), (0, 1), (1, 1, 0)
+    first = {a: c, b: 1}
+    pairs = [(first, 1), ({a: 1, d: c}, -c), ({b: c * c}, 2), ({a: c}, 1), ({b: -1, d: c * c}, 1)]
+    out = _combine(pairs)
+    assert out == combine(pairs) == {b: 2 * c * c, a: c}
+    assert list(out) == [b, a]      # a cancels, then comes back after b; d cancels
+    cancelled = _combine([(first, c), (first, -c)])
+    assert cancelled == {}
+    copy = _combine([(first, 1)])
+    assert copy == first and copy is not first
+    copy[a] = 7
+    assert first == {a: c, b: 1}
+    assert _combine([]) == {}
 
 
 @settings(max_examples=80, deadline=None)
