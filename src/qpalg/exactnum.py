@@ -19,6 +19,11 @@ when x is rational.
 `str` (for reports, rational values print as Fractions) and
 `format_scalar` (the syntax `parse_scalar` reads back) share one term
 renderer and differ only in how z is spelt and in the term separator.
+This module alone decides what a scalar is: the types `SCALARS`, the
+canonical form `coeff_value` (an integral rational is an int, a Fraction
+only when not integral), the exact `inverse` and the field cap
+`capped_field`.  No other module tests a type against Fraction or
+Cyclotomic, so adding a coefficient field starts with one class here.
 """
 
 from __future__ import annotations
@@ -196,20 +201,7 @@ class Cyclotomic:
         den = self._den
         return tuple(Fraction(c, den) for c in self._num)
 
-    @classmethod
-    def from_rational(cls, q) -> "Cyclotomic":
-        q = Fraction(q)
-        return cls._trusted(1, (q.numerator,), q.denominator)
-
-    # -- promotion and order unification --
-
-    @staticmethod
-    def _promote(x) -> "Cyclotomic":
-        if isinstance(x, Cyclotomic):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclotomic.from_rational(x)
-        raise TypeError(f"cannot promote {type(x).__name__} to Cyclotomic")
+    # -- order unification --
 
     def embed(self, new_order: int) -> "Cyclotomic":
         """Image in Q(zeta_new_order) via zeta_m -> zeta_new_order^(new_order/m)."""
@@ -325,10 +317,10 @@ class Cyclotomic:
 
     def __truediv__(self, other):
         try:
-            other = self._promote(other)
+            other = inverse(other)
         except TypeError:
             return NotImplemented
-        return self * other.inverse()
+        return self * other
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -375,6 +367,39 @@ def _zeta(m: int, k: int) -> Cyclotomic:
     return Cyclotomic(m, [0] * k + [1])
 
 
+# -- the scalar interface: every other module asks here what a scalar is --
+
+SCALARS = (int, Fraction, Cyclotomic)
+
+
+def coeff_value(c):
+    """Canonical coefficient: integral rationals (bool included) as int,
+    other rationals as Fraction, Cyclotomic unchanged."""
+    if type(c) is int:
+        return c
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Cyclotomic):
+        return c
+    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def inverse(c):
+    """1/c for a nonzero scalar, canonical and exact: a rational never
+    turns into a float, and a Cyclotomic inverts through its conjugates."""
+    c = coeff_value(c)              # a float or other non-scalar raises here
+    if isinstance(c, Cyclotomic):
+        return c.inverse()
+    return c if c in (1, -1) else coeff_value(Fraction(1) / c)
+
+
+def field_order(x) -> int:
+    """The m of the field Q(zeta_m) a scalar is stored in; 1 for a rational."""
+    return x.order if isinstance(x, Cyclotomic) else 1
+
+
 def _render_terms(x: Cyclotomic, z: str, sep: str) -> str:
     """The nonzero power-basis terms of x joined by sep, with z^k spelt
     through the symbol z; a negative term turns the "+" of sep into "-"."""
@@ -398,8 +423,9 @@ def _render_terms(x: Cyclotomic, z: str, sep: str) -> str:
 # -- parse-friendly scalar syntax: sums of "a/b" and "a/b*zM^k" terms --
 # (the denominator b and the order M are positive integers)
 
+RATIONAL = r"\d+(?:/0*[1-9]\d*)?"       # a/b, or a, with a positive denominator b
 _SCALAR_TERM_RE = re.compile(
-    r"^(?:(?P<rat>\d+(?:/0*[1-9]\d*)?)\*?)?(?:z(?P<m>0*[1-9]\d*)(?:\^(?P<k>\d+))?)?$")
+    rf"^(?:(?P<rat>{RATIONAL})\*?)?(?:z(?P<m>0*[1-9]\d*)(?:\^(?P<k>\d+))?)?$")
 
 
 def format_scalar(x) -> str:
@@ -412,6 +438,16 @@ def format_scalar(x) -> str:
 
 
 SCALAR_MAX_ORDER = 256
+
+
+def capped_field(orders, subject: str) -> int:
+    """The lcm m of the orders: Q(zeta_m) holds a root of unity of each.
+    Refused above SCALAR_MAX_ORDER, with subject naming what lives there."""
+    field = math.lcm(*orders)
+    if field > SCALAR_MAX_ORDER:
+        raise ValueError(f"{subject} in Q(zeta_{field}); roots of unity are capped at "
+                         f"order {SCALAR_MAX_ORDER} (cyclotomic arithmetic cost)")
+    return field
 
 
 def parse_scalar(text: str):
@@ -445,11 +481,7 @@ def parse_scalar(text: str):
         coeff *= sign
         if m.group("m"):
             order = int(m.group("m"))
-            field = math.lcm(field, order)
-            if field > SCALAR_MAX_ORDER:
-                raise ValueError(f"scalar {text!r} lives in Q(zeta_{field}); roots of "
-                                 f"unity are capped at order {SCALAR_MAX_ORDER} "
-                                 "(cyclotomic arithmetic cost)")
+            field = capped_field((field, order), f"scalar {text!r} lives")
             power = int(m.group("k") or 1)
             value = zeta(order, power) * coeff
         else:

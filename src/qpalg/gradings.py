@@ -24,14 +24,13 @@ gives A_g * 1_b inside A_g; `orbit-decompose` verifies it as a cross-check.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exactnum import SCALAR_MAX_ORDER, Cyclotomic, format_scalar, parse_scalar
+from .exactnum import capped_field, field_order, format_scalar, parse_scalar
 from .groups import (FiniteAbelianGroup, abelian_groups_of_order, characters,
                      parse_group_descriptor, partitions_desc)
 from .reports import CertificateReport, IdentityCheck, VERIFIED, merge_verdicts
@@ -665,11 +664,8 @@ def parse_grading(text: str) -> Grading:
             raise ValueError(f"cannot parse grading line {line!r}")
     if n is None:
         raise ValueError("grading file must declare n")
-    field = math.lcm(*(x.order for vectors in components.values() for vec in vectors
-                       for x in vec if isinstance(x, Cyclotomic)))
-    if field > SCALAR_MAX_ORDER:
-        raise ValueError(f"the grading's scalars live in Q(zeta_{field}); roots of unity "
-                         f"are capped at order {SCALAR_MAX_ORDER} (cyclotomic arithmetic cost)")
+    capped_field((field_order(x) for vectors in components.values() for vec in vectors
+                  for x in vec), "the grading's scalars live")
     if group is not None and (blocks is not None or block_groups is not None):
         raise ValueError("grading file declares both group and blocks/groups")
     if blocks is not None:

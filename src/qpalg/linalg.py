@@ -1,17 +1,16 @@
 """Exact dense linear algebra over field-like coefficients.
 
-Works with any entries supporting +, -, *, bool and ``Fraction(1) / x``
-(int, Fraction and Cyclotomic mix freely, and int input never turns into
-floats).  Each pivot is inverted once and zero entries are skipped.  One
-incremental echelon form, `Span`, serves span queries and `rank`.
-Matrices are lists of row lists; nothing here mutates its arguments.
+Entries are `exactnum` scalars (int, Fraction and Cyclotomic mix
+freely).  Elimination only adds and multiplies, and each pivot is
+inverted once by `exactnum.inverse`, so int input never turns into
+floats.  Zero entries are skipped.  One incremental echelon form, `Span`,
+serves span queries and `rank`.  Matrices are lists of row lists;
+nothing here mutates its arguments.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-_ONE = Fraction(1)
+from .exactnum import inverse
 
 
 class Span:
@@ -54,7 +53,7 @@ class Span:
                 break
         else:
             return False
-        inv = _ONE / x
+        inv = inverse(x)
         self._rows.append((pivot, [(j, y * inv) for j, y in enumerate(v) if y]))
         return True
 

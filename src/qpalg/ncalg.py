@@ -5,12 +5,15 @@ monomial); polynomials are sparse maps word -> nonzero coefficient.
 The default monomial order is deglex: degree first, then lexicographic
 on letter indices, which is total and compatible with concatenation.
 
-A rational coefficient is a plain ``int`` when it is integral and a
-``Fraction`` only when it is not, so the magic-matrix relations and their
-normal forms run on int arithmetic.  The constructor and `parse_poly`
-store integral rationals as ``int``; arithmetic on a ``Fraction`` may
-still return an integral ``Fraction``, which compares and hashes equal to
-the ``int``.  Cyclotomic coefficients pass through as they are.
+Which values are scalars, and their canonical form, is `exactnum`'s
+decision (`SCALARS`, `coeff_value`): an integral rational is a plain
+``int``, a ``Fraction`` only when it is not, and a Cyclotomic stays as it
+is, so the magic-matrix relations and their normal forms run on int
+arithmetic.  The form is guaranteed where coefficients enter, in the
+constructor and `parse_poly`, and where reduced terms leave `rewrite`, in
+`normal_form` and every rule set.  The operators in between do not
+re-canonicalise: a sum or product of Fractions may be an integral
+``Fraction``, which compares and hashes equal to the ``int``.
 """
 
 from __future__ import annotations
@@ -18,23 +21,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exactnum import Cyclotomic
+from .exactnum import RATIONAL, SCALARS, coeff_value
 
 Word = tuple
-
-
-def coeff_value(c):
-    """Canonical coefficient: integral rationals (bool included) as int,
-    other rationals as Fraction, Cyclotomic unchanged."""
-    if type(c) is int:
-        return c
-    if isinstance(c, int):
-        return int(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, Cyclotomic):
-        return c
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
 def deglex_key(word: Word):
@@ -137,10 +126,15 @@ class NCPoly:
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
 
+    def _lift(self, other) -> "NCPoly | None":
+        """other as a polynomial over self's alphabet (a scalar as a constant), else None."""
+        if isinstance(other, SCALARS):
+            return NCPoly.scalar(self.alphabet, other)
+        return other if isinstance(other, NCPoly) else None
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = NCPoly.scalar(self.alphabet, other)
-        if not isinstance(other, NCPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
@@ -158,9 +152,8 @@ class NCPoly:
         return NCPoly._trusted(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = NCPoly.scalar(self.alphabet, other)
-        if not isinstance(other, NCPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -168,7 +161,7 @@ class NCPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
+        if isinstance(other, SCALARS):
             c = coeff_value(other)
             if not c:
                 return NCPoly.zero(self.alphabet)
@@ -188,14 +181,13 @@ class NCPoly:
         return NCPoly._trusted(self.alphabet, terms)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
+        if isinstance(other, SCALARS):
             return self * other
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = NCPoly.scalar(self.alphabet, other)
-        if not isinstance(other, NCPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self.alphabet == other.alphabet and self.terms == other.terms
 
@@ -300,7 +292,7 @@ class TensorAlgebra:
 # -- text syntax: terms "coeff*gen1.gen2...", e.g. "1*u11.u12 - 1*u12.u11" --
 
 _TERM_RE = re.compile(r"\s*([+-]?)\s*([^+\s-][^+-]*)")
-_COEFF_RE = re.compile(r"^\d+(?:/0*[1-9]\d*)?$")     # positive denominator
+_COEFF_RE = re.compile(rf"^{RATIONAL}$")
 _WORD_RE = re.compile(r"^[A-Za-z_][\w@]*(?:\.[A-Za-z_][\w@]*)*$")
 
 

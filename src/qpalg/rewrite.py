@@ -43,9 +43,8 @@ from __future__ import annotations
 import heapq
 from itertools import accumulate, islice
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exactnum import Cyclotomic
+from .exactnum import SCALARS, inverse
 from .ncalg import Alphabet, NCPoly, TensorAlgebra, Word, deglex_key, parse_poly
 
 RAW = "raw"
@@ -111,11 +110,7 @@ def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
     lhs = p.leading_word()
     if not lhs:
         raise InconsistentPresentation("relation reduces to a nonzero scalar")
-    lc = p.terms[lhs]
-    if isinstance(lc, int):     # int / int would be a float; +-1 is its own inverse
-        scale = -lc if lc in (1, -1) else Fraction(-1, lc)
-    else:
-        scale = -1 / lc
+    scale = -inverse(p.terms[lhs])
     return lhs, NCPoly(p.alphabet, {w: c * scale for w, c in p.terms.items() if w != lhs})
 
 
@@ -147,15 +142,17 @@ def _combine(pairs) -> dict:
     return acc
 
 
-def _first_match(w: Word, rhs_of: dict, max_len: int):
-    """(pos, end, rhs terms) of the leftmost, then shortest, lhs in w, or None."""
+def _one_step(w: Word, rhs_of: dict, max_len: int) -> list | None:
+    """The (word, coefficient) pairs of w's one-step rewrite, at the
+    leftmost, then shortest, lhs in w; None when w is irreducible."""
     lw = len(w)
     for pos in range(lw):
         stop = pos + max_len
         for end in range(pos + 1, (stop if stop < lw else lw) + 1):
             rhs_terms = rhs_of.get(w[pos:end])
             if rhs_terms is not None:
-                return pos, end, rhs_terms
+                pre, suf = w[:pos], w[end:]
+                return [(pre + rw + suf, rc) for rw, rc in rhs_terms.items()]
     return None
 
 
@@ -175,13 +172,10 @@ def _word_nf(word: Word, rhs_of: dict, max_len: int, memo: dict) -> dict:
         if step is None:
             if w in memo:
                 continue
-            match = _first_match(w, rhs_of, max_len)
-            if match is None:
+            step = _one_step(w, rhs_of, max_len)
+            if step is None:
                 memo[w] = {w: 1}
                 continue
-            pos, end, rhs_terms = match
-            pre, suf = w[:pos], w[end:]
-            step = [(pre + rw + suf, rc) for rw, rc in rhs_terms.items()]
             stack.append((w, step))     # revisited once every rewrite has its nf
             for nw, _ in step:
                 if nw not in memo:
@@ -257,15 +251,6 @@ class _RuleTable:
         del self.rhs_of[rule.lhs]
         return rule
 
-    def _rewrites(self, w: Word) -> list[Word]:
-        """The words of w's one-step rewrite (none when w is irreducible)."""
-        match = _first_match(w, self.rhs_of, self.max_len)
-        if match is None:
-            return []
-        pos, end, rhs_terms = match
-        pre, suf = w[:pos], w[end:]
-        return [pre + rw + suf for rw in rhs_terms]
-
     def _forget(self, lhs: Word) -> None:
         """Drop the memo words whose rewrites reach a word containing lhs.
 
@@ -288,7 +273,7 @@ class _RuleTable:
         for w in islice(memo, self._indexed, None):
             for pair in set(zip(w, w[1:])):
                 by_pair.setdefault(pair, set()).add(w)
-            for child in self._rewrites(w):
+            for child, _ in _one_step(w, self.rhs_of, self.max_len) or ():
                 parents.setdefault(child, []).append(w)
         if len(lhs) == 1:
             stack = [w for w in memo if lhs[0] in w]
@@ -306,7 +291,7 @@ class _RuleTable:
             parents.pop(w, None)
             for pair in set(zip(w, w[1:])):
                 by_pair[pair].discard(w)
-            for child in self._rewrites(w):
+            for child, _ in _one_step(w, self.rhs_of, self.max_len) or ():
                 if child not in dropped:
                     siblings = parents[child]
                     siblings.remove(w)
@@ -344,7 +329,7 @@ class _RuleTable:
         """The rules in deglex order of lhs, each rhs fully reduced."""
         out = []
         for rule in sorted(self.active.values(), key=lambda r: deglex_key(r.lhs)):
-            rhs = NCPoly._trusted(self.alphabet, self.reduce_terms(rule.rhs.terms))
+            rhs = NCPoly(self.alphabet, self.reduce_terms(rule.rhs.terms))
             out.append(RewriteRule(rule.lhs, rhs))
         return out
 
@@ -422,7 +407,7 @@ class TensorPowerSystem:
 def normal_form(p: NCPoly, system: RewriteSystem | TensorPowerSystem) -> NCPoly:
     if p.alphabet != system.alphabet:
         raise ValueError("polynomial and system alphabets differ")
-    return NCPoly._trusted(system.alphabet, system.reduce_terms(p.terms))
+    return NCPoly(system.alphabet, system.reduce_terms(p.terms))
 
 
 def interreduce(alphabet: Alphabet, relations) -> list[RewriteRule]:
@@ -530,7 +515,7 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
             f"{system.max_rule_degree}")
     for r in system.rules:
         for c in r.rhs.terms.values():
-            if not isinstance(c, (int, Fraction, Cyclotomic)):
+            if not isinstance(c, SCALARS):
                 raise ValueError(
                     f"rule coefficients live in incompatible fields: "
                     f"{type(c).__name__} is not rational or cyclotomic")
@@ -567,14 +552,8 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
         a, ra = active[i].lhs, active[i].rhs
         b, rb = active[j].lhs, active[j].rhs
         suffix, prefix = b[olap:], a[:len(a) - olap]
-        spoly = {rw + suffix: rc for rw, rc in ra.terms.items()}  # ra.suffix - prefix.rb
-        for rw, rc in rb.terms.items():
-            pw = prefix + rw
-            s = spoly.get(pw, 0) - rc
-            if s:
-                spoly[pw] = s
-            else:
-                del spoly[pw]
+        spoly = _combine((({rw + suffix: rc for rw, rc in ra.terms.items()}, 1),
+                          ({prefix + rw: rc for rw, rc in rb.terms.items()}, -1)))
         counts["reduced"] += 1
         inserted = table.add(NCPoly._trusted(alphabet, spoly)) if spoly else []
         if not inserted:

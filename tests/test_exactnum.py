@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import cyclotomic_reference as ref
 from qpalg.exactnum import (SCALAR_MAX_ORDER, Cyclotomic, _phi_ints, divisors,
-                            euler_phi, format_scalar, parse_scalar,
+                            euler_phi, format_scalar, inverse, parse_scalar,
                             prime_factorization, zeta)
+from qpalg.gradings import parse_grading
 
 F = Fraction
 
@@ -50,7 +51,7 @@ def test_prime_factorization():
 
 
 def test_embed_identity_element():
-    one = Cyclotomic.from_rational(1).embed(2)
+    one = Cyclotomic(1, [1]).embed(2)
     assert one.embed(4) == 1
     assert one.embed(4).coeffs == (F(1), F(0))
 
@@ -76,11 +77,11 @@ def test_embed_requires_divisible_order():
 
 
 def test_inverse_examples():
-    assert Cyclotomic.from_rational(1).inverse() == 1
+    assert Cyclotomic(1, [1]).inverse() == 1
     assert zeta(4).inverse() == -zeta(4)
-    assert Cyclotomic.from_rational(2).inverse() == F(1, 2)
+    assert Cyclotomic(1, [2]).inverse() == F(1, 2)
     with pytest.raises(ZeroDivisionError):
-        Cyclotomic.from_rational(0).inverse()
+        Cyclotomic(1, [0]).inverse()
 
 
 def _random_cyclotomic(rng, order):
@@ -106,11 +107,11 @@ def test_field_axioms_randomized():
 
 def test_roots_of_unity_relations():
     for m in range(2, 13):
-        power = Cyclotomic.from_rational(1)
+        power = Cyclotomic(1, [1])
         for _ in range(m):
             power = power * zeta(m)
         assert power == 1
-        total = Cyclotomic.from_rational(0)
+        total = Cyclotomic(1, [0])
         for k in range(m):
             total = total + zeta(m, k)
         assert total == 0
@@ -134,7 +135,7 @@ def test_mixed_order_arithmetic_auto_embeds():
 
 def test_hash_consistent_across_orders():
     assert hash(zeta(3).embed(12)) == hash(zeta(3))
-    assert hash(Cyclotomic.from_rational(F(3, 2))) == hash(F(3, 2))
+    assert hash(Cyclotomic(1, [F(3, 2)])) == hash(F(3, 2))
     assert zeta(3).embed(12) == zeta(3)
 
 
@@ -156,6 +157,35 @@ def test_parse_scalar_rejects_garbage():
     for bad in [f"z{SCALAR_MAX_ORDER + 1}", "2*z25601^3", "z97+z89", "1-z16^3+z17"]:
         with pytest.raises(ValueError, match="capped"):
             parse_scalar(bad)
+
+
+def test_field_cap_messages():
+    """parse_scalar caps the field term by term as it reads, parse_grading
+    the field of all the file's scalars together; one guard words both."""
+    tail = "; roots of unity are capped at order 256 (cyclotomic arithmetic cost)"
+    for text, field in [("z97+z89", 8633), ("z300+z7", 300), ("z7+z64+z3", 448)]:
+        with pytest.raises(ValueError) as err:
+            parse_scalar(text)
+        assert str(err.value) == f"scalar {text!r} lives in Q(zeta_{field})" + tail
+    with pytest.raises(ValueError) as err:
+        parse_grading("n: 3\ngroup: Z2\ncomponent e: (1,1,z7)\ncomponent 1: (z64,z3,1/2)\n")
+    assert str(err.value) == "the grading's scalars live in Q(zeta_1344)" + tail
+
+
+def test_inverse_is_exact_and_canonical():
+    """A rational inverts to an int when integral and a Fraction otherwise,
+    never a float; a Cyclotomic inverts in its field."""
+    for c, inv in [(1, 1), (-1, -1), (True, 1), (-2, F(-1, 2)), (F(1, 3), 3), (F(-2, 3), F(-3, 2))]:
+        assert inverse(c) == inv and type(inverse(c)) is type(inv)
+    assert inverse(zeta(4)) == zeta(4, 3) and inverse(zeta(6) + 1) * (zeta(6) + 1) == 1
+    for zero in (0, F(0), Cyclotomic(3, [0])):
+        with pytest.raises(ZeroDivisionError):
+            inverse(zero)
+    for bad in (0.5, 1.0):
+        with pytest.raises(TypeError):
+            inverse(bad)
+        with pytest.raises(TypeError):
+            zeta(4) / bad
 
 
 def test_rendering():

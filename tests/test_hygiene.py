@@ -58,6 +58,39 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+# which values are scalars is `exactnum`'s decision (`SCALARS`, `coeff_value`);
+# a type test elsewhere would be a second copy of it
+SCALAR_TYPES = {"Fraction", "Cyclotomic"}
+
+
+def _scalar_type_tests(tree) -> list[int]:
+    """Lines that test a type against Fraction or Cyclotomic: through
+    isinstance or issubclass, by comparing type(...), or by spelling them
+    in a tuple of types."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) in ("isinstance", "issubclass"):
+            against = node.args[1:]
+        elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call) and \
+                _dotted(node.left.func) == "type":
+            against = node.comparators
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):   # a bare type, not a value
+            against = [e for e in node.elts if isinstance(e, ast.Name)]
+        else:
+            continue
+        if any(isinstance(a, ast.Name) and a.id in SCALAR_TYPES
+               for arg in against for a in ast.walk(arg)):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "exactnum"],
+                         ids=[p.name for p in MODULES if p.stem != "exactnum"])
+def test_only_exactnum_tests_scalar_types(path):
+    lines = _scalar_type_tests(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: scalar type tests at lines {lines}; ask exactnum"
+
+
 STEMS = {path.stem for path in MODULES}
 PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)

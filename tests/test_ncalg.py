@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, coeff_value, deglex_key,
-                         evaluate_scalar, parse_poly, substitute)
+from qpalg.exactnum import coeff_value, zeta
+from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, deglex_key, evaluate_scalar,
+                         parse_poly, substitute)
 from qpalg.rewrite import CONFLUENT, RewriteSystem, TensorPowerSystem, normal_form
 from tensor_reference import reference_tensor_system
 
@@ -159,6 +160,27 @@ def test_bool_coefficients_act_as_integers():
     assert (u12 * True).render() == "1*u12" and u12 * False == 0
     assert (u12 + True).render() == "1*u12 + 1"
     assert type(coeff_value(True)) is int and coeff_value(False) == 0
+
+
+_OPERATORS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+              "right *": lambda a, b: b * a, "==": lambda a, b: a == b}
+
+
+@pytest.mark.parametrize("name", _OPERATORS)
+def test_operators_take_exactly_the_exact_scalars(name):
+    """Each operator takes an int, Fraction, Cyclotomic or bool as the
+    constant polynomial, and refuses a float."""
+    op = _OPERATORS[name]
+    for c in (3, F(1, 2), zeta(4), True):
+        const = NCPoly.scalar(A, c)
+        for p in (u11 + 2, const):
+            assert op(p, c) == op(p, const)
+            assert isinstance(op(p, c), bool if name == "==" else NCPoly)
+    if name == "==":
+        assert (u11 + 2 == 0.5) is False and (NCPoly.scalar(A, 2) == 2.0) is False
+    else:
+        with pytest.raises(TypeError):
+            op(u11 + 2, 0.5)
 
 
 def test_poly_parse_rejects_garbage():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import zeta
-from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key
+from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key, parse_poly
 from qpalg.qperm import block_quotient, magic_presentation
 from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, RewriteSystem,
                            TensorPowerSystem, complete, filtration_dimension,
@@ -580,6 +580,46 @@ def test_overlap_index_matches_every_pair(start, added):
                 return
         assert sorted(index.overlaps(inserted)) == sorted(
             reference_overlaps(table.active, inserted))
+
+
+def _canonical(c) -> bool:
+    return type(c) is int or (type(c) is F and c.denominator > 1)
+
+
+def test_integral_coefficients_leave_rewrite_as_int():
+    """Against x.y -> 1/2*y, 2*x.y reduces to the int 1*y, in A and in its
+    tensor square; two rational relations interreduce to x -> -3, y -> 6."""
+    A = Alphabet(["x", "y"])
+    system = RewriteSystem.from_relations(A, [parse_poly("2*x.y - y", A)])
+    tensor = TensorAlgebra(A, 2)
+    p = parse_poly("2*x.y", A)
+    for nf in (normal_form(p, system),
+               normal_form(tensor.inject(p, 0) * tensor.inject(p, 1),
+                           TensorPowerSystem(system, tensor))):
+        assert [(c, type(c)) for c in nf.terms.values()] == [(1, int)]
+    rules = interreduce(A, [parse_poly("1/2*y + 1/3*x - 2", A), parse_poly("-1/2*y - 1*x", A)])
+    assert [r.render() for r in rules] == ["x -> -3", "y -> 6"]
+    assert [type(c) for r in rules for c in r.rhs.terms.values()] == [int, int]
+
+
+@settings(max_examples=80, deadline=None)
+@given(relations=st.lists(_small_polys, min_size=1, max_size=4),
+       polys=st.lists(_small_polys, min_size=1, max_size=4))
+def test_rules_and_normal_forms_have_canonical_coefficients(relations, polys):
+    """Every rule coefficient and every normal-form coefficient, in A and in
+    its tensor square, is an int or a Fraction with denominator > 1."""
+    try:
+        system = RewriteSystem.from_relations(XYZ, [NCPoly(XYZ, t) for t in relations])
+    except InconsistentPresentation:
+        return
+    tensor = TensorAlgebra(XYZ, 2)
+    square = TensorPowerSystem(system, tensor)
+    coeffs = _rule_coefficients(system)
+    for terms in polys:
+        p = NCPoly(XYZ, terms)
+        coeffs += normal_form(p, system).terms.values()
+        coeffs += normal_form(tensor.inject(p, 0) * tensor.inject(p, 1), square).terms.values()
+    assert all(_canonical(c) for c in coeffs), coeffs
 
 
 def test_critical_pair_counts_are_pinned(completed_magic):
