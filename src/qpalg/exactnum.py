@@ -21,9 +21,10 @@ when x is rational.
 renderer and differ only in how z is spelt and in the term separator.
 This module alone decides what a scalar is: the types `SCALARS`, the
 canonical form `coeff_value` (an integral rational is an int, a Fraction
-only when not integral), the exact `inverse` and the field cap
-`capped_field`.  No other module tests a type against Fraction or
-Cyclotomic, so adding a coefficient field starts with one class here.
+only when not integral; `parse_scalar` returns this form too), the exact
+`inverse` and the field cap `capped_field`.  No other module tests a type
+against Fraction or Cyclotomic, or keeps a Fraction constant of an
+integer, so adding a coefficient field starts with one class here.
 """
 
 from __future__ import annotations
@@ -451,7 +452,9 @@ def capped_field(orders, subject: str) -> int:
 
 
 def parse_scalar(text: str):
-    """Parse the exact scalar syntax; returns Fraction when rational.
+    """Parse the exact scalar syntax into a canonical coefficient: an int
+    when the value is an integer, a Fraction when it is another rational,
+    and a Cyclotomic otherwise.
 
     A scalar whose roots of unity, term by term or summed, live above
     Q(zeta_SCALAR_MAX_ORDER) is refused: the cost of arithmetic there
@@ -490,5 +493,5 @@ def parse_scalar(text: str):
         pos = end
         first = False
     if isinstance(total, Cyclotomic) and total.is_rational():
-        return total.as_rational()
-    return total
+        total = total.as_rational()
+    return coeff_value(total)

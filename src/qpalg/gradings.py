@@ -27,16 +27,12 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .exactnum import capped_field, field_order, format_scalar, parse_scalar
 from .groups import (FiniteAbelianGroup, abelian_groups_of_order, characters,
                      parse_group_descriptor, partitions_desc)
 from .reports import CertificateReport, IdentityCheck, VERIFIED, merge_verdicts
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def grading_from_partition(sizes, groups) -> Grading:
     for i, (block, G) in enumerate(zip(blocks, groups)):
         elems = G.elements()
         for chi in characters(G):
-            vec = [_ZERO] * n
+            vec = [0] * n
             for pos, g in zip(block, elems):
                 vec[pos] = chi(g)
             if chi.exponents == G.identity():
@@ -233,7 +229,7 @@ def grading_from_partition(sizes, groups) -> Grading:
 
 def _pointwise(a, b, common):
     """Entrywise product of a and b, whose supports meet in the indices common."""
-    out = [_ZERO] * len(a)
+    out = [0] * len(a)
     for i in common:
         out[i] = a[i] * b[i]
     return tuple(out)
@@ -288,7 +284,7 @@ def verify_grading(grading: Grading) -> CertificateReport:
             texts[key] = group.key_text(key)
         return texts[key]
 
-    ones = tuple(_ONE for _ in range(grading.n))
+    ones = (1,) * grading.n
     id_span = span_of(group.identity())
     rows.append(IdentityCheck(
         "unit lies in the identity component",
@@ -432,7 +428,7 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
             "not a verified grading of a diagonal algebra")
     fixed = []
     for b in blocks:
-        vec = tuple(_ONE if i in b else _ZERO for i in range(n))
+        vec = tuple(1 if i in b else 0 for i in range(n))
         if vec not in id_span:
             raise ValueError("block indicator is not coinvariant; "
                              "inconsistent identity component")

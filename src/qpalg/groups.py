@@ -17,11 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactnum import Cyclotomic, prime_factorization, zeta
-
-_ZERO = Fraction(0)
 
 
 class Perm:
@@ -123,7 +120,7 @@ class FunctionOnSn:
         self.values = vals
 
     def __call__(self, sigma: Perm):
-        return self.values.get(sigma, _ZERO)
+        return self.values.get(sigma, 0)
 
     def __eq__(self, other):
         return isinstance(other, FunctionOnSn) and self.n == other.n and self.values == other.values

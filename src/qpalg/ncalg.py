@@ -14,12 +14,18 @@ constructor and `parse_poly`, and where reduced terms leave `rewrite`, in
 `normal_form` and every rule set.  The operators in between do not
 re-canonicalise: a sum or product of Fractions may be an integral
 ``Fraction``, which compares and hashes equal to the ``int``.
+
+One sparse merge, `_combine`, sums for `+`, `-`, `*`, `substitute` and
+`rewrite`, and fixes the order of the terms; `substitute` is the one
+extension of a generator map (scalar images are constant polynomials).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .exactnum import RATIONAL, SCALARS, coeff_value
 
@@ -59,6 +65,29 @@ class Alphabet:
 
     def __repr__(self):
         return f"Alphabet({list(self.names)!r})"
+
+
+def _combine(pairs) -> dict:
+    """The sum of c * terms over the (terms, c) pairs, each c nonzero, as a
+    fresh dict without the words whose coefficients cancel.
+
+    A word that cancels is deleted on the spot, so the terms come out in
+    the order of summing the pairs one after another.
+    """
+    acc: dict = {}
+    get = acc.get
+    for terms, c in pairs:
+        for w, tc in terms.items():
+            prev = get(w)
+            if prev is None:
+                acc[w] = c * tc
+            else:
+                s = prev + c * tc
+                if s:
+                    acc[w] = s
+                else:
+                    del acc[w]
+    return acc
 
 
 class NCPoly:
@@ -137,14 +166,7 @@ class NCPoly:
         if other is None:
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return NCPoly._trusted(self.alphabet, terms)
+        return NCPoly._trusted(self.alphabet, _combine(((self.terms, 1), (other.terms, 1))))
 
     __radd__ = __add__
 
@@ -155,7 +177,8 @@ class NCPoly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return NCPoly._trusted(self.alphabet, _combine(((self.terms, 1), (other.terms, -1))))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -169,16 +192,9 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._check(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = terms.get(w, 0) + c1 * c2
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
-        return NCPoly._trusted(self.alphabet, terms)
+        return NCPoly._trusted(self.alphabet, _combine(
+            ({w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
+            for w1, c1 in self.terms.items()))
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):
@@ -216,46 +232,21 @@ class NCPoly:
         return f"NCPoly({self.render()})"
 
 
-def substitute(p: NCPoly, images: dict, antihom: bool = False,
-               target: Alphabet | None = None) -> NCPoly:
+def substitute(p: NCPoly, images: dict, antihom: bool = False) -> NCPoly:
     """Algebra-map (or anti-map) extension of a generator -> NCPoly table.
 
     Words map to the ordered product of their letters' images, reversed for
     the antihomomorphism direction; the map extends linearly and sends the
-    unit to the unit.
+    unit to the unit.  The images fix the target algebra (p's own when
+    there are none).
     """
-    for img in images.values():
-        if target is None:
-            target = img.alphabet
-        break
-    if target is None:
-        target = p.alphabet
-    for i in range(len(p.alphabet)):
-        if any(i in w for w in p.terms) and i not in images:
-            raise ValueError(f"no image for generator {p.alphabet.names[i]}")
-    out = NCPoly.zero(target)
-    for w, c in p.terms.items():
-        letters = reversed(w) if antihom else w
-        acc = NCPoly.scalar(target, c)
-        for letter in letters:
-            acc = acc * images[letter]
-            if not acc:
-                break
-        out = out + acc
-    return out
-
-
-def evaluate_scalar(p: NCPoly, images: dict):
-    """Evaluate p at scalar generator images (e.g. a counit)."""
-    total = 0
-    for w, c in p.terms.items():
-        acc = c
-        for letter in w:
-            acc = acc * coeff_value(images[letter])
-            if not acc:
-                break
-        total = total + acc
-    return total
+    missing = {letter for w in p.terms for letter in w} - images.keys()
+    if missing:
+        raise ValueError(f"no image for generator {p.alphabet.names[min(missing)]}")
+    one = NCPoly.one(next(iter(images.values())).alphabet if images else p.alphabet)
+    return NCPoly._trusted(one.alphabet, _combine(
+        (reduce(mul, [images[letter] for letter in (w[::-1] if antihom else w)], one).terms, c)
+        for w, c in p.terms.items()))
 
 
 class TensorAlgebra:

@@ -1,9 +1,11 @@
 """Certificate and run reports shared by every verifier.
 
-A certificate collects one row per checked identity.  The verdict is
-"verified" only when there is at least one row, every identity reduced
-to zero and no row was inconclusive; a definite nonzero witness yields
-"refuted_with_witness", anything else is "inconclusive".
+A certificate collects one row per checked identity.  Rows and whole
+reports merge by one rule, `merge_verdicts`: a row is "verified" when its
+identity reduced to zero, "refuted_with_witness" when it definitely did
+not, and "inconclusive" otherwise; a merge is refuted when any part is,
+verified only when there is a part and every part is verified, and
+"inconclusive" otherwise, so a merge of nothing is never verified.
 """
 
 from __future__ import annotations
@@ -33,13 +35,8 @@ class IdentityCheck:
 
 def rows_verdict(identities: list[IdentityCheck]) -> str:
     """Verdict of a certificate with exactly these rows."""
-    if not identities:
-        return INCONCLUSIVE             # a certificate without rows shows nothing
-    if all(c.reduced_to_zero and not c.inconclusive for c in identities):
-        return VERIFIED
-    if any(not c.reduced_to_zero and not c.inconclusive for c in identities):
-        return REFUTED
-    return INCONCLUSIVE
+    return merge_verdicts(INCONCLUSIVE if c.inconclusive else
+                          VERIFIED if c.reduced_to_zero else REFUTED for c in identities)
 
 
 @dataclass
@@ -80,12 +77,12 @@ class CertificateReport:
 
 
 def merge_verdicts(verdicts) -> str:
-    verdicts = list(verdicts)
-    if any(v == REFUTED for v in verdicts):
+    """Refuted if any part is, verified if every part is and there is one;
+    no parts at all show nothing, so they are inconclusive."""
+    verdicts = set(verdicts)
+    if REFUTED in verdicts:
         return REFUTED
-    if any(v == INCONCLUSIVE for v in verdicts):
-        return INCONCLUSIVE
-    return VERIFIED
+    return VERIFIED if verdicts == {VERIFIED} else INCONCLUSIVE
 
 
 def _jsonable(value):

@@ -45,7 +45,7 @@ from itertools import accumulate, islice
 from dataclasses import dataclass, field
 
 from .exactnum import SCALARS, inverse
-from .ncalg import Alphabet, NCPoly, TensorAlgebra, Word, deglex_key, parse_poly
+from .ncalg import Alphabet, NCPoly, TensorAlgebra, Word, _combine, deglex_key, parse_poly
 
 RAW = "raw"
 TRUNCATED = "truncated"
@@ -117,29 +117,6 @@ def _orient(p: NCPoly) -> tuple[Word, NCPoly]:
 def _contains(big: Word, small: Word) -> bool:
     ls = len(small)
     return any(big[i:i + ls] == small for i in range(len(big) - ls + 1))
-
-
-def _combine(pairs) -> dict:
-    """The sum of c * terms over the (terms, c) pairs, each c nonzero, as a
-    fresh dict without the words whose coefficients cancel.
-
-    A word that cancels is deleted on the spot, so the terms come out in
-    the order of summing the pairs one after another.
-    """
-    acc: dict = {}
-    get = acc.get
-    for terms, c in pairs:
-        for w, tc in terms.items():
-            prev = get(w)
-            if prev is None:
-                acc[w] = c * tc
-            else:
-                s = prev + c * tc
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
-    return acc
 
 
 def _one_step(w: Word, rhs_of: dict, max_len: int) -> list | None:
@@ -395,6 +372,7 @@ class TensorPowerSystem:
                 acc = {aw + fw: ac * fc for aw, ac in acc.items() for fw, fc in nf.items()}
                 if not acc:
                     break
+            # merged in place: through _combine it measured no faster and needed a second word memo
             for aw, ac in acc.items():
                 s = out.get(aw, 0) + ac
                 if s:

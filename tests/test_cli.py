@@ -13,7 +13,7 @@ from qpalg.gradings import Grading, format_grading, grading_from_regular_abelian
 from qpalg.groups import FiniteAbelianGroup
 from qpalg.qperm import SN_MAX_N
 from qpalg.reports import (CertificateReport, IdentityCheck, INCONCLUSIVE,
-                           REFUTED, VERIFIED)
+                           REFUTED, VERIFIED, merge_verdicts)
 
 
 def run(argv, capsys):
@@ -31,6 +31,16 @@ def test_verdict_logic():
     assert CertificateReport.from_identities("x", [ok, soft]).verdict == INCONCLUSIVE
     assert CertificateReport.from_identities("x", [fail, soft]).verdict == REFUTED
     assert CertificateReport.from_identities("x", []).verdict == INCONCLUSIVE
+
+
+def test_merged_verdicts_follow_the_row_rule():
+    """A merge of reports reads as a certificate of rows does: nothing
+    merged is inconclusive, never a vacuous "verified"."""
+    assert merge_verdicts([]) == INCONCLUSIVE
+    assert merge_verdicts(iter([])) == INCONCLUSIVE
+    assert merge_verdicts([VERIFIED, VERIFIED]) == VERIFIED
+    assert merge_verdicts([VERIFIED, INCONCLUSIVE]) == INCONCLUSIVE
+    assert merge_verdicts([INCONCLUSIVE, REFUTED, VERIFIED]) == REFUTED
 
 
 def test_verify_hopf_exit_zero(capsys):

@@ -91,6 +91,29 @@ def test_only_exactnum_tests_scalar_types(path):
     assert not lines, f"{path.name}: scalar type tests at lines {lines}; ask exactnum"
 
 
+def _integral_fractions(tree) -> list[int]:
+    """Lines that call Fraction on one integer literal, such as Fraction(0)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) == "Fraction" and \
+                len(node.args) == 1 and not node.keywords:
+            arg = node.args[0]
+            if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, (ast.USub, ast.UAdd)):
+                arg = arg.operand
+            if isinstance(arg, ast.Constant) and type(arg.value) is int:
+                lines.append(node.lineno)
+    return lines
+
+
+# an integral rational is the int itself (`exactnum.coeff_value`), so a
+# Fraction constant of an integer would be a second, non-canonical form of it
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "exactnum"],
+                         ids=[p.name for p in MODULES if p.stem != "exactnum"])
+def test_no_integral_fraction_constants(path):
+    lines = _integral_fractions(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: Fraction of an integer literal at lines {lines}; use the int"
+
+
 STEMS = {path.stem for path in MODULES}
 PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)

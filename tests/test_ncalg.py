@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import coeff_value, zeta
-from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, deglex_key, evaluate_scalar,
-                         parse_poly, substitute)
+from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key, parse_poly, substitute
 from qpalg.rewrite import CONFLUENT, RewriteSystem, TensorPowerSystem, normal_form
 from tensor_reference import reference_tensor_system
 
@@ -96,12 +96,14 @@ def test_substitute_identity_images_is_identity():
 def test_substitute_missing_image_rejected():
     with pytest.raises(ValueError):
         substitute(u11, {1: u12})
+    with pytest.raises(ValueError, match="no image for generator u12$"):
+        substitute(u22 * u12 + u21, {0: u11, 2: u21})     # the lowest missing letter
 
 
-def test_evaluate_scalar():
-    images = {0: 1, 1: 0, 2: 0, 3: 1}
-    assert evaluate_scalar(u11 * u12 - u11, images) == -1
-    assert evaluate_scalar(NCPoly.one(A), images) == 1
+def test_substitute_scalar_images():
+    images = {k: NCPoly.scalar(A, c) for k, c in enumerate((1, 0, 0, 1))}
+    assert substitute(u11 * u12 - u11, images) == -1
+    assert substitute(NCPoly.one(A), images) == 1
 
 
 def test_tensor_straightening_confluent():
@@ -208,3 +210,67 @@ def test_ring_axioms_randomized():
         if p * q != q * p:
             saw_noncommutative = True
     assert saw_noncommutative
+
+
+# -- term order: the plain loops each operator ran before it summed through
+# `_combine`; the order of a result's terms is part of the contract, since
+# the rewrite memo is read in insertion order
+
+def _loop_add(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for w, c in b.items():
+        s = terms.get(w, 0) + c
+        if s:
+            terms[w] = s
+        else:
+            terms.pop(w, None)
+    return terms
+
+
+def _loop_mul(a: dict, b: dict) -> dict:
+    terms = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            s = terms.get(w, 0) + c1 * c2
+            if s:
+                terms[w] = s
+            else:
+                del terms[w]
+    return terms
+
+
+def _loop_substitute(p: dict, images: dict, antihom: bool) -> dict:
+    out = {}
+    for w, c in p.items():
+        acc = {(): c}
+        for letter in reversed(w) if antihom else w:
+            acc = _loop_mul(acc, images[letter])
+            if not acc:
+                break
+        out = _loop_add(out, acc)
+    return out
+
+
+_AB = Alphabet(["a", "b"])
+_order_polys = st.dictionaries(st.lists(st.integers(0, 1), max_size=3).map(tuple),
+                               st.sampled_from((1, -1, 2, F(1, 2), F(-1, 2), zeta(3))),
+                               max_size=5).map(lambda terms: NCPoly(_AB, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_order_polys, b=_order_polys, images=st.tuples(_order_polys, _order_polys),
+       antihom=st.booleans())
+def test_terms_come_out_in_summing_order(a, b, images, antihom):
+    """Sums, differences, products and substitutions list their terms as
+    summing the parts one after another, a cancelled word deleted on the
+    spot, lists them."""
+    def items(p: NCPoly) -> list:
+        return list(p.terms.items())
+
+    assert items(a + b) == list(_loop_add(a.terms, b.terms).items())
+    assert items(a - b) == list(_loop_add(a.terms, (-b).terms).items())
+    assert items(a * b) == list(_loop_mul(a.terms, b.terms).items())
+    table = dict(enumerate(images))
+    assert items(substitute(a, table, antihom=antihom)) == \
+        list(_loop_substitute(a.terms, {k: p.terms for k, p in table.items()}, antihom).items())

@@ -500,8 +500,7 @@ def test_block_quotient_rejects_bad_sizes():
 def _rename_p_q(poly: NCPoly, n: int, target: RewriteSystem) -> NCPoly:
     """u11 -> p and u33 -> q, for a normal form in the (2, 2, 1, ...) quotient."""
     return substitute(poly, {0: NCPoly.gen(target.alphabet, 0),
-                             2 * n + 2: NCPoly.gen(target.alphabet, 1)},
-                      target=target.alphabet)
+                             2 * n + 2: NCPoly.gen(target.alphabet, 1)})
 
 
 @pytest.fixture(scope="module")

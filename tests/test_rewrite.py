@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import zeta
-from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key, parse_poly
+from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, _combine, deglex_key, parse_poly
 from qpalg.qperm import block_quotient, magic_presentation
 from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, RewriteSystem,
                            TensorPowerSystem, complete, filtration_dimension,
                            format_presentation, interreduce, irreducible_words_by_length,
                            normal_form, parse_presentation, quotient_basis, _OverlapIndex,
-                           _RuleTable, _combine)
+                           _RuleTable)
 from rewrite_reference import combine, reference_normal_form, reference_overlaps
 from tensor_reference import reference_tensor_system
 
