@@ -1,9 +1,10 @@
 """Finite group machinery: S_n, functions on S_n, finite abelian groups,
 characters with cyclotomic values, and transitive abelian subgroups.
 
-Functions on S_n are values only (storage, evaluation, equality and
-rendering): there is no pointwise algebra on them, and the one map into
-them is qperm.to_sn_function.
+A function on S_n is a dict from image tuples to its nonzero values,
+read at a Perm and rendered in cycle notation: there is no pointwise
+algebra on it, and the one map into such functions is
+qperm.to_sn_function.
 
 Permutations act on 0-based points internally and render 1-based cycle
 notation.  Finite abelian groups are canonicalized by invariant factors
@@ -99,46 +100,27 @@ def all_perms(n: int) -> list[Perm]:
     return [Perm(p) for p in itertools.permutations(range(n))]
 
 
-class FunctionOnSn:
-    """Exact-valued function on S_n, stored by its nonzero values.
+class FunctionOnSn(dict):
+    """Exact-valued function on S_n: a map from image tuples to its nonzero
+    values, so f(sigma) reads the entry of sigma.images (0 where absent).
 
     It is the value type of qperm.to_sn_function, the one map onto
     functions on S_n; there is no pointwise algebra on it.
     """
 
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values=None):
-        self.n = n
-        vals = {}
-        if values:
-            for sigma, c in values.items():
-                if not isinstance(sigma, Perm):
-                    sigma = Perm(sigma)
-                if c:
-                    vals[sigma] = c
-        self.values = vals
+    __slots__ = ()
 
     def __call__(self, sigma: Perm):
-        return self.values.get(sigma, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, FunctionOnSn) and self.n == other.n and self.values == other.values
-
-    def __bool__(self):
-        return bool(self.values)
+        return self.get(sigma.images, 0)
 
     def render(self, limit: int = 8) -> str:
-        if not self.values:
+        if not self:
             return "0"
-        items = sorted(self.values.items(), key=lambda kv: kv[0].images)
-        parts = [f"{c}*e[{s.cycle_string()}]" for s, c in items[:limit]]
-        if len(items) > limit:
-            parts.append(f"... ({len(items)} supported permutations)")
+        support = sorted(self)
+        parts = [f"{self[s]}*e[{Perm._trusted(s).cycle_string()}]" for s in support[:limit]]
+        if len(support) > limit:
+            parts.append(f"... ({len(support)} supported permutations)")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"FunctionOnSn({self.render()})"
 
 
 class FiniteAbelianGroup:

@@ -4,10 +4,10 @@ Builds the universal algebra generated by an n x n magic (or semi-magic)
 matrix, equips it with comultiplication, counit and antipode images, and
 mechanically certifies: coaction/algebra-map equivalence on instances,
 the Hopf axioms, the transpose-product identities that let three
-relation families imply the fourth, the quotient onto functions on S_n,
-and Wang's noncommutativity and infinite-dimension certificate from size
-4 on, read in the block quotient of A_s(n) (the free product of the A_s
-of the blocks).
+relation families imply the fourth, the quotient onto functions on S_n
+(maps from image tuples to values), and Wang's noncommutativity and
+infinite-dimension certificate from size 4 on, read in the block
+quotient of A_s(n) (the free product of the A_s of the blocks).
 
 Every positive verdict is a reduction-to-zero certificate.  A nonzero
 normal form only refutes when the ambient system is confluent; otherwise
@@ -17,6 +17,7 @@ the row is flagged inconclusive.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -46,7 +47,7 @@ def u_alphabet(n: int) -> Alphabet:
     return Alphabet(u_names(n))
 
 
-def _family_relations(entry, zero: NCPoly, n: int, families) -> list[tuple[str, NCPoly]]:
+def _family_relations(entry, n: int, families) -> list[tuple[str, NCPoly]]:
     """Labeled relation instances of the chosen families over entry(i, j)."""
     rels = []
     for fam in families:
@@ -63,9 +64,9 @@ def _family_relations(entry, zero: NCPoly, n: int, families) -> list[tuple[str, 
         elif fam in (ROW_SUM, COL_SUM):
             for i in range(1, n + 1):
                 if fam == ROW_SUM:
-                    total = sum((entry(i, k) for k in range(1, n + 1)), zero)
+                    total = sum(entry(i, k) for k in range(1, n + 1))
                 else:
-                    total = sum((entry(k, i) for k in range(1, n + 1)), zero)
+                    total = sum(entry(k, i) for k in range(1, n + 1))
                 rels.append((f"{fam}[i={i}]", total - 1))
         else:
             raise ValueError(f"unknown relation family {fam!r}")
@@ -74,13 +75,13 @@ def _family_relations(entry, zero: NCPoly, n: int, families) -> list[tuple[str, 
 
 def _coproduct(entry, tensor: TensorAlgebra, n: int, i: int, j: int) -> NCPoly:
     """sum_k entry(i, k) (x) entry(k, j) in the tensor square."""
-    return sum((tensor.inject(entry(i, k), 0) * tensor.inject(entry(k, j), 1)
-                for k in range(1, n + 1)), NCPoly.zero(tensor.alphabet))
+    return sum(tensor.inject(entry(i, k), 0) * tensor.inject(entry(k, j), 1)
+               for k in range(1, n + 1))
 
 
-def _gram(entry, zero: NCPoly, n: int, i: int, j: int) -> NCPoly:
+def _gram(entry, n: int, i: int, j: int) -> NCPoly:
     """sum_k entry(k, i) entry(k, j), the (i, j) entry of x^t x."""
-    return sum((entry(k, i) * entry(k, j) for k in range(1, n + 1)), zero)
+    return sum(entry(k, i) * entry(k, j) for k in range(1, n + 1))
 
 
 def _generators(alphabet: Alphabet, n: int):
@@ -90,7 +91,7 @@ def _generators(alphabet: Alphabet, n: int):
 
 def family_relations(alphabet: Alphabet, n: int, families) -> list[tuple[str, NCPoly]]:
     """Labeled defining relation instances for the chosen families."""
-    return _family_relations(_generators(alphabet, n), NCPoly.zero(alphabet), n, families)
+    return _family_relations(_generators(alphabet, n), n, families)
 
 
 @dataclass
@@ -102,7 +103,7 @@ class HopfPresentation:
     relations: list[tuple[str, NCPoly]]
     tensor2: TensorAlgebra
     delta: dict[int, NCPoly]
-    counit: dict[int, int]
+    counit: dict[int, NCPoly]
     antipode: dict[int, NCPoly] | None
 
     @property
@@ -127,7 +128,7 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
     """
     alphabet = u_alphabet(n)
     u = _generators(alphabet, n)
-    labeled = _family_relations(u, NCPoly.zero(alphabet), n, families)
+    labeled = _family_relations(u, n, families)
     system = RewriteSystem.from_relations(alphabet, [p for _, p in labeled])
     tensor2 = TensorAlgebra(alphabet, 2)
     delta = {}
@@ -137,7 +138,7 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
         for j in range(1, n + 1):
             g = (i - 1) * n + (j - 1)
             delta[g] = _coproduct(u, tensor2, n, i, j)
-            counit[g] = 1 if i == j else 0
+            counit[g] = NCPoly.scalar(alphabet, 1 if i == j else 0)
             if antipode is not None:
                 antipode[g] = u(j, i)
     return HopfPresentation(n, system, labeled, tensor2, delta, counit, antipode)
@@ -164,7 +165,7 @@ def group_algebra_presentation(m: int) -> HopfPresentation:
     system = RewriteSystem.from_relations(alphabet, [p for _, p in relations])
     tensor2 = TensorAlgebra(alphabet, 2)
     delta = {0: tensor2.inject(g, 0) * tensor2.inject(g, 1)}
-    counit = {0: 1}
+    counit = {0: NCPoly.one(alphabet)}
     spoly = NCPoly.one(alphabet)
     for _ in range(m - 1):
         spoly = spoly * g
@@ -212,10 +213,9 @@ def check_multiplicative(x: MatrixOverAlgebra, hopf: HopfPresentation) -> Certif
             expected = _coproduct(x.entry, tensor, n, i, j)
             rows.append(_reduce_row(f"comultiplication[i={i},j={j}]",
                                     image - expected, tensor_system))
-    eps = _counit(hopf)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            val = substitute(x.entry(i, j), eps).terms.get((), 0)
+            val = substitute(x.entry(i, j), hopf.counit).terms.get((), 0)
             d = 1 if i == j else 0
             rows.append(IdentityCheck(
                 f"counit[i={i},j={j}]",
@@ -247,8 +247,7 @@ def coaction_algebra_map_check(x: MatrixOverAlgebra, hopf: HopfPresentation) -> 
                     f"beta(e{i})beta(e{j})=delta*beta(e{i}) [component e{k}]",
                     poly, x.ambient))
     for k in range(1, n + 1):
-        total = sum((x.entry(k, i) for i in range(1, n + 1)),
-                    NCPoly.zero(x.ambient.alphabet))
+        total = sum(x.entry(k, i) for i in range(1, n + 1))
         rows.append(_reduce_row(f"beta(1)=1(x)1 [component e{k}]", total - 1, x.ambient))
     algebra_ok = all(row.reduced_to_zero for row in rows)
     return CertificateReport.from_identities(
@@ -258,11 +257,6 @@ def coaction_algebra_map_check(x: MatrixOverAlgebra, hopf: HopfPresentation) -> 
             "semi_magic": rows_verdict(rows),
             "algebra_map_legs": "pass" if algebra_ok else "fail",
         })
-
-
-def _counit(hopf: HopfPresentation) -> dict:
-    """eps(g) as a constant polynomial, for each generator g in order."""
-    return {g: NCPoly.scalar(hopf.alphabet, hopf.counit[g]) for g in range(len(hopf.alphabet))}
 
 
 def _legs(tensor2: TensorAlgebra, left, right) -> dict:
@@ -288,7 +282,7 @@ def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateRepor
     tensor2, tensor3 = hopf.tensor2, TensorAlgebra(hopf.alphabet, 3)
     t2sys = TensorPowerSystem(base, tensor2)
     t3sys = TensorPowerSystem(base, tensor3)
-    eps = _counit(hopf)
+    eps = hopf.counit
     rows = []
     for label, rel in hopf.relations:
         rows.append(_reduce_row(f"delta well-defined[{label}]",
@@ -377,12 +371,11 @@ def matrix_inverse_from_families(n: int, families) -> CertificateReport:
     label = "x*xt" if use_xxt else "xt*x"
     # x x^t is the x^t x of the transpose
     entry = (lambda i, j: pres.gen(j, i)) if use_xxt else pres.gen
-    zero = NCPoly.zero(pres.alphabet)
     rows = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             d = 1 if i == j else 0
-            total = _gram(entry, zero, n, i, j)
+            total = _gram(entry, n, i, j)
             rows.append(_reduce_row(f"({label})[i={i},j={j}] = delta", total - d, system))
     return CertificateReport.from_identities(
         f"families {sorted(families)} give {label} = I at n={n}", rows,
@@ -402,11 +395,10 @@ def gram_diagonal_check(n: int) -> CertificateReport:
     orthogonality and diagonal entries collapse to the column sums.
     """
     pres = semi_magic_presentation(n)
-    zero = NCPoly.zero(pres.alphabet)
     rows = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            total = _gram(pres.gen, zero, n, i, j)
+            total = _gram(pres.gen, n, i, j)
             if i == j:
                 for k in range(1, n + 1):
                     total = total - pres.gen(k, i)
@@ -431,10 +423,11 @@ def _require_sn_degree(n: int) -> None:
 def to_sn_function(p: NCPoly, n: int) -> FunctionOnSn:
     """Image of a u-polynomial under u_ij -> [sigma(j) = i], pointwise on S_n.
 
-    The letters u_ij of a word fix sigma(j) = i.  When two of them clash
-    the word maps to zero; otherwise it maps to the indicator of the
-    extensions of that partial permutation, which are enumerated directly
-    rather than found by scanning S_n.
+    The image maps each image tuple (sigma(0), ..., sigma(n-1)) to its
+    nonzero value.  The letters u_ij of a word fix sigma(j) = i.  When two
+    of them clash the word maps to zero; otherwise it maps to the
+    indicator of the extensions of that partial permutation, which are
+    enumerated directly rather than found by scanning S_n.
     """
     if len(p.alphabet) != n * n:
         raise ValueError(f"polynomial is not over the {n}x{n} generator alphabet")
@@ -457,7 +450,7 @@ def to_sn_function(p: NCPoly, n: int) -> FunctionOnSn:
                     images[j] = i
                 sigma = tuple(images)
                 values[sigma] = values.get(sigma, 0) + c
-    return FunctionOnSn(n, values)
+    return FunctionOnSn({sigma: c for sigma, c in values.items() if c})
 
 
 def e_sigma_product_check(n: int) -> CertificateReport:
@@ -472,7 +465,7 @@ def e_sigma_product_check(n: int) -> CertificateReport:
         rows.append(IdentityCheck(
             label=f"indicator[{sigma.cycle_string()}]",
             polynomial="product of p[sigma(j),j] over columns j",
-            reduced_to_zero=image == FunctionOnSn(n, {sigma: 1})))
+            reduced_to_zero=image == {sigma.images: 1}))
     return CertificateReport.from_identities(
         f"indicator functions on S_{n} factor through coordinate functions", rows,
         details={"n": n, "permutations": len(perms)})
@@ -506,7 +499,7 @@ def sn_isomorphism_check(n: int) -> CertificateReport:
     surj = e_sigma_product_check(n)
     rows.append(IdentityCheck(
         "surjectivity[e_sigma product formula]",
-        f"all {len(all_perms(n))} indicator functions factor as products",
+        f"all {math.factorial(n)} indicator functions factor as products",
         surj.verdict == VERIFIED))
     rel = sn_relations_check(n)
     rows.append(IdentityCheck(
@@ -515,7 +508,7 @@ def sn_isomorphism_check(n: int) -> CertificateReport:
         rel.verdict == VERIFIED))
     if n <= 3:
         quotient = block_quotient(n, (n,))
-        target = len(all_perms(n))
+        target = math.factorial(n)
         details["completion_status"] = quotient.status_label()
         if quotient.status == CONFLUENT:
             basis = quotient_basis(quotient)
@@ -524,11 +517,11 @@ def sn_isomorphism_check(n: int) -> CertificateReport:
                 "quotient dimension",
                 f"basis size {len(basis)} (expected {target})",
                 len(basis) == target))
+            perms = list(itertools.permutations(range(n)))
             matrix = []
             for w in basis:
-                poly = NCPoly(quotient.alphabet, {w: 1})
-                f = to_sn_function(poly, n)
-                matrix.append([f(sigma) for sigma in all_perms(n)])
+                f = to_sn_function(NCPoly(quotient.alphabet, {w: 1}), n)
+                matrix.append([f.get(sigma, 0) for sigma in perms])
             rnk = linalg.rank(matrix)
             details["evaluation_rank"] = rnk
             rows.append(IdentityCheck(

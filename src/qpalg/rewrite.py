@@ -35,7 +35,8 @@ first retired first.  `interreduce` is a loop of adds and `complete`
 pairs every rule an add inserted, finding its overlaps through an index
 of the active lhs by proper prefix and suffix.  Irreducible words are
 enumerated level by level in `irreducible_words_by_length`, which the
-filtration counts and quotient bases share.
+filtration counts and quotient bases share, under one cap on the letters
+they store.
 """
 
 from __future__ import annotations
@@ -563,18 +564,26 @@ def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word
 
     Each level extends the previous one by a letter: a one-letter
     extension of an irreducible word is irreducible iff no lhs is a
-    suffix of it.
+    suffix of it.  Raises before the stored words would hold more than
+    WORD_ENUMERATION_MAX_LETTERS letters in all.
     """
     if d < 0:
         raise ValueError(f"word length bound must be non-negative, got {d}")
     rhs_of, max_rule = system._table.rhs_of, system.max_rule_degree
     levels = [[()]]
-    for _ in range(d):
+    budget = WORD_ENUMERATION_MAX_LETTERS
+    for length in range(1, d + 1):
         nxt = []
         for w in levels[-1]:
             for a in range(len(system.alphabet)):
                 nw = w + (a,)
-                if not any(nw[-ls:] in rhs_of for ls in range(1, min(max_rule, len(nw)) + 1)):
+                if not any(nw[-ls:] in rhs_of for ls in range(1, min(max_rule, length) + 1)):
+                    budget -= length
+                    if budget < 0:
+                        raise ValueError(
+                            f"irreducible-word enumeration is capped at "
+                            f"{WORD_ENUMERATION_MAX_LETTERS} stored letters; the words "
+                            f"of length <= {d} exceed it")
                     nxt.append(nw)
         levels.append(nxt)
     return levels
@@ -587,6 +596,8 @@ def filtration_dimension(system: RewriteSystem, d: int) -> list[int]:
 
 
 QUOTIENT_BASIS_MAX_DEGREE = 64
+# `wang --n 4 --depth 999` stores 999 000 letters (26 MiB peak RSS); --depth 1000 crosses it
+WORD_ENUMERATION_MAX_LETTERS = 10**6
 
 
 def quotient_basis(system: RewriteSystem) -> list[Word]:

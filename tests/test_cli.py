@@ -14,6 +14,7 @@ from qpalg.groups import FiniteAbelianGroup
 from qpalg.qperm import SN_MAX_N
 from qpalg.reports import (CertificateReport, IdentityCheck, INCONCLUSIVE,
                            REFUTED, VERIFIED, merge_verdicts)
+from qpalg.rewrite import WORD_ENUMERATION_MAX_LETTERS
 
 
 def run(argv, capsys):
@@ -286,6 +287,18 @@ def test_sn_image_poly_file(tmp_path, capsys):
     assert "zero: True" in out
 
 
+def test_sn_image_renders_64_of_120_values(tmp_path, capsys):
+    path, report = tmp_path / "one.txt", tmp_path / "one.json"
+    path.write_text("1\n")
+    code, _, _ = run(["sn-image", "--n", "5", "--poly", str(path), "--json", str(report)], capsys)
+    image = json.loads(report.read_text())["reports"][0]["details"]["image"]
+    assert code == EXIT_VERIFIED and image.count("*e[") == 64
+    assert image.startswith("1*e[id] + 1*e[(4 5)] + 1*e[(3 4)] + ")
+    assert image.endswith(" + 1*e[(1 3 2 4 5)] + ... (120 supported permutations)")
+    assert hashlib.sha256(image.encode()).hexdigest() == \
+        "116bde0b146710f5dffec34f0dd1148b173d9eb48b1aa75c8bf0b69fd736c2a5"
+
+
 def test_sn_image_poly_builds_no_presentation(tmp_path, capsys, monkeypatch):
     def no_presentation(n):
         raise AssertionError("sn-image --poly only needs the alphabet")
@@ -309,6 +322,25 @@ def test_evaluation_on_s_n_is_a_usage_error_above_its_cap(command, tmp_path, cap
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE
     assert err.startswith("error:") and f"capped at n = {SN_MAX_N}" in err
+    assert "overall:" not in out
+
+
+def test_word_enumeration_stays_below_its_cap(capsys):
+    # `wang --n 4` stores two words of each length 1..depth: depth * (depth + 1) letters
+    assert 999 * 1000 <= WORD_ENUMERATION_MAX_LETTERS
+    code, out, _ = run(["wang", "--n", "4", "--depth", "999"], capsys)
+    assert code == EXIT_VERIFIED and "overall: verified" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "wang --n 4 --depth 1000",             # 1000 * 1001 letters
+    "complete --n 4 --basis-degree 31",    # degree 30 stores 903 185 letters
+])
+def test_word_enumeration_is_a_usage_error_above_its_cap(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert f"capped at {WORD_ENUMERATION_MAX_LETTERS} stored letters" in err
     assert "overall:" not in out
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpalg import qperm
 from qpalg.cli import EXIT_INCONCLUSIVE, main
-from qpalg.groups import FunctionOnSn, Perm
+from qpalg.groups import Perm
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, substitute
 from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM, SEMI_FAMILIES,
                          HopfPresentation, MatrixOverAlgebra, check_multiplicative,
@@ -42,8 +42,7 @@ def families_verdict(x: MatrixOverAlgebra, families) -> tuple[str, list[str]]:
     """Verdict of the relation families over x's entries, and the labels of
     the instances left nonzero: each instance is reduced in x's ambient, and
     a nonzero one refutes only when that ambient is confluent."""
-    zero = NCPoly.zero(x.ambient.alphabet)
-    failing = [label for label, poly in qperm._family_relations(x.entry, zero, x.n, families)
+    failing = [label for label, poly in qperm._family_relations(x.entry, x.n, families)
                if normal_form(poly, x.ambient)]
     if not failing:
         return VERIFIED, failing
@@ -97,7 +96,7 @@ def test_family_relations_agree_on_generating_matrix(magic):
     pres = magic[3]
     families = (COL_SUM, ROW_ORTH, ROW_SUM, COL_ORTH)
     x = pres.generating_matrix()
-    assert qperm._family_relations(x.entry, NCPoly.zero(pres.alphabet), 3, families) == \
+    assert qperm._family_relations(x.entry, 3, families) == \
         family_relations(pres.alphabet, 3, families)
     assert family_relations(pres.alphabet, 3, ALL_FAMILIES) == pres.relations
     with pytest.raises(ValueError, match="unknown relation family"):
@@ -321,7 +320,14 @@ def test_pi_on_generators():
     ident = Perm((0, 1))
     swap = Perm((1, 0))
     assert f(ident) == 1 and f(swap) == 0
-    assert to_sn_function(pres.gen(1, 1) * pres.gen(1, 2), 2) == FunctionOnSn(2)
+    assert to_sn_function(pres.gen(1, 1) * pres.gen(1, 2), 2) == {}
+
+
+def test_render_truncates_after_its_limit():
+    # 1 maps to the constant function: the 8 least image tuples of S_4, then the count
+    assert to_sn_function(NCPoly.one(u_alphabet(4)), 4).render() == (
+        "1*e[id] + 1*e[(3 4)] + 1*e[(2 3)] + 1*e[(2 3 4)] + 1*e[(2 4 3)] + 1*e[(2 4)] + "
+        "1*e[(1 2)] + 1*e[(1 2)(3 4)] + ... (24 supported permutations)")
 
 
 def test_pi_kills_relations():
@@ -348,7 +354,7 @@ def test_to_sn_function_agrees_with_scanning_s_n(data, n):
                     if all(images[letter % n] == letter // n for letter in w))
         if total:
             expected[images] = total
-    assert to_sn_function(poly, n) == FunctionOnSn(n, expected)
+    assert to_sn_function(poly, n) == expected
 
 
 def test_evaluation_on_s_n_is_capped():
