@@ -21,7 +21,7 @@ from .gradings import (classify_gradings, format_grading, grading_from_partition
 from .groups import parse_group_descriptor
 from .ncalg import NCPoly, parse_poly
 from .qperm import (ALL_FAMILIES, MatrixOverAlgebra, coaction_algebra_map_check,
-                    gram_diagonal_check, group_algebra_presentation,
+                    completion_rungs, gram_diagonal_check, group_algebra_presentation,
                     magic_presentation, matrix_inverse_from_families,
                     semi_magic_presentation, sn_isomorphism_check,
                     sn_relations_check, to_sn_function, u_alphabet,
@@ -269,9 +269,10 @@ def _dispatch(args, argv, started) -> int:
             if args.n is None:
                 raise UsageError("--n is required without --counterexample")
             pres = magic_presentation(args.n)
-            completed = complete(pres.system, 8).system
-            report = coaction_algebra_map_check(
-                pres.generating_matrix(completed), pres)
+            for ambient in completion_rungs(pres.system, 8):
+                report = coaction_algebra_map_check(pres.generating_matrix(ambient), pres)
+                if report.verdict == VERIFIED:
+                    break
             config = {"n": args.n, "instance": "generating matrix"}
         return _emit(args, argv, config, [report], report.verdict, started)
 

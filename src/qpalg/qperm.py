@@ -265,37 +265,57 @@ def _legs(tensor2: TensorAlgebra, left, right) -> dict:
             for factor, images in enumerate((left, right)) for g, image in enumerate(images)}
 
 
+def completion_rungs(system: RewriteSystem, cap: int):
+    """Completions of `system` for a certificate, lowest cap first.
+
+    Yields the system completed to its maximal rule degree, then, if the
+    caller asks for another and that one is neither confluent nor already
+    at `cap`, the system completed to `cap`.  A `cap` below the rule
+    degree is not raised: `complete` rejects it.  Every rule of either
+    lies in the ideal, so a row that reduces to zero against the first is
+    certified; only a nonzero row needs the second before it can refute.
+    """
+    low = min(system.max_rule_degree, cap)
+    first = complete(system, low).system
+    yield first
+    if first.status != CONFLUENT and low < cap:
+        yield complete(system, cap).system
+
+
 def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateReport:
     """Well-definedness of the structure maps plus the axioms on generators.
 
-    Completes the presentation up to the cap first; reduction-to-zero rows
-    against the completed system (and its tensor squares/cubes) certify:
-    each defining relation is killed by Delta, eps and S, coassociativity
-    and the counit laws hold on generators, the antipode laws hold on
-    generators, and S^2 fixes every generator.  Every row is a law on a
-    relation or a generator, so the base field (no generators, no
-    relations) gets no rows, and a certificate without rows is
-    inconclusive, never verified.
+    Reduction-to-zero rows against the completed system (and its tensor
+    squares/cubes) certify: each defining relation is killed by Delta, eps
+    and S, coassociativity and the counit laws hold on generators, the
+    antipode laws hold on generators, and S^2 fixes every generator.  Every
+    row is a law on a relation or a generator, so the base field (no
+    generators, no relations) gets no rows, and a certificate without rows
+    is inconclusive, never verified.
+
+    The rows are reduced against the rungs of `completion_rungs`: first the
+    presentation completed to its maximal rule degree, then, only if some
+    row failed there, completed to `cap`, against which only the rows that
+    stayed nonzero are reduced again.  Every rule of a truncated completion
+    lies in the ideal (Bergman's diamond lemma), so a row that reduces to
+    zero against it is a certificate; a nonzero row refutes only against a
+    confluent system.  A failing report therefore comes from the cap-`cap`
+    completion, and `details` name the rung the rows were last reduced on.
     """
-    comp = complete(hopf.system, cap)
-    base = comp.system
     tensor2, tensor3 = hopf.tensor2, TensorAlgebra(hopf.alphabet, 3)
-    t2sys = TensorPowerSystem(base, tensor2)
-    t3sys = TensorPowerSystem(base, tensor3)
     eps = hopf.counit
-    rows = []
+    # a row is an IdentityCheck, or (label, poly, k) to reduce in A^(x)k
+    rows: list = []
     for label, rel in hopf.relations:
-        rows.append(_reduce_row(f"delta well-defined[{label}]",
-                                substitute(rel, hopf.delta), t2sys))
+        rows.append((f"delta well-defined[{label}]", substitute(rel, hopf.delta), 2))
     for label, rel in hopf.relations:
         val = substitute(rel, eps).terms.get((), 0)
         rows.append(IdentityCheck(f"counit well-defined[{label}]",
                                   f"eps({label}) = {val}", val == 0))
     if hopf.antipode is not None:
         for label, rel in hopf.relations:
-            rows.append(_reduce_row(f"antipode well-defined[{label}]",
-                                    substitute(rel, hopf.antipode, antihom=True),
-                                    base))
+            rows.append((f"antipode well-defined[{label}]",
+                         substitute(rel, hopf.antipode, antihom=True), 1))
     alphabet = hopf.alphabet
     nb = len(alphabet)
     gens = [NCPoly.gen(alphabet, g) for g in range(nb)]
@@ -309,25 +329,24 @@ def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateRepor
     for g in range(nb):
         lhs = substitute(hopf.delta[g], left_images)
         rhs = substitute(hopf.delta[g], right_images)
-        rows.append(_reduce_row(f"coassociativity[{alphabet.names[g]}]",
-                                lhs - rhs, t3sys))
+        rows.append((f"coassociativity[{alphabet.names[g]}]", lhs - rhs, 3))
     # counit laws (eps (x) id) Delta = id = (id (x) eps) Delta on generators
     eps_left = _legs(tensor2, eps.values(), gens)
     eps_right = _legs(tensor2, gens, eps.values())
     for g in range(nb):
-        rows.append(_reduce_row(f"counit law left[{alphabet.names[g]}]",
-                                substitute(hopf.delta[g], eps_left) - gens[g], base))
-        rows.append(_reduce_row(f"counit law right[{alphabet.names[g]}]",
-                                substitute(hopf.delta[g], eps_right) - gens[g], base))
+        rows.append((f"counit law left[{alphabet.names[g]}]",
+                     substitute(hopf.delta[g], eps_left) - gens[g], 1))
+        rows.append((f"counit law right[{alphabet.names[g]}]",
+                     substitute(hopf.delta[g], eps_right) - gens[g], 1))
     if hopf.antipode is not None:
         antipode = [hopf.antipode[g] for g in range(nb)]
         s_left = _legs(tensor2, antipode, gens)
         s_right = _legs(tensor2, gens, antipode)
         for g in range(nb):
-            rows.append(_reduce_row(f"antipode law left[{alphabet.names[g]}]",
-                                    substitute(hopf.delta[g], s_left) - eps[g], base))
-            rows.append(_reduce_row(f"antipode law right[{alphabet.names[g]}]",
-                                    substitute(hopf.delta[g], s_right) - eps[g], base))
+            rows.append((f"antipode law left[{alphabet.names[g]}]",
+                         substitute(hopf.delta[g], s_left) - eps[g], 1))
+            rows.append((f"antipode law right[{alphabet.names[g]}]",
+                         substitute(hopf.delta[g], s_right) - eps[g], 1))
         for g in range(nb):
             twice = substitute(antipode[g], hopf.antipode, antihom=True)
             if twice == gens[g]:   # literal fixed point, no reduction needed
@@ -335,11 +354,21 @@ def verify_hopf_axioms(hopf: HopfPresentation, cap: int = 8) -> CertificateRepor
                     f"S^2[{alphabet.names[g]}]",
                     f"S(S({alphabet.names[g]})) = {twice.render()}", True))
             else:
-                rows.append(_reduce_row(f"S^2[{alphabet.names[g]}]",
-                                        twice - gens[g], base))
+                rows.append((f"S^2[{alphabet.names[g]}]", twice - gens[g], 1))
+    pending = [r for r, row in enumerate(rows) if not isinstance(row, IdentityCheck)]
+    checks = rows[:]
+    for base in completion_rungs(hopf.system, cap):
+        systems = {1: base, 2: TensorPowerSystem(base, tensor2),
+                   3: TensorPowerSystem(base, tensor3)}
+        for r in pending:
+            label, poly, power = rows[r]
+            checks[r] = _reduce_row(label, poly, systems[power])
+        if all(row.reduced_to_zero for row in checks):
+            break
+        pending = [r for r in pending if not checks[r].reduced_to_zero]
     kind = "Hopf algebra" if hopf.antipode is not None else "bialgebra"
     return CertificateReport.from_identities(
-        f"{kind} axioms for the {hopf.n}x{hopf.n} presentation", rows,
+        f"{kind} axioms for the {hopf.n}x{hopf.n} presentation", checks,
         details={"cap": cap, "completion_status": base.status_label(),
                  "rule_count": len(base.rules)})
 

@@ -118,6 +118,13 @@ def test_complete_report_has_one_row(tmp_path, capsys):
         assert 0 < pairs["reduced_to_zero"] <= pairs["reduced"]
 
 
+def test_cap_below_the_rule_degree_is_a_usage_error(capsys):
+    # the lower rung never raises the cap past what was asked for
+    code, out, err = run(["verify-hopf", "--n", "3", "--cap", "1"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "degree cap 1 is below the maximal rule degree 2" in err
+
+
 def test_usage_errors(capsys):
     assert run(["no-such-command"], capsys)[0] == EXIT_USAGE
     assert run([], capsys)[0] == EXIT_USAGE
@@ -422,6 +429,8 @@ _GOLDEN_SUITE = [
     ["verify-hopf", "--n", "4"],
     ["verify-hopf", "--semi", "--n", "3"],
     ["verify-hopf", "--semi", "--n", "4"],
+    ["verify-hopf", "--n", "5"],
+    ["verify-hopf", "--n", "6"],
     ["transpose-inverse", "--n", "3", "--families", "row-orth,row-sum,col-orth"],
     ["gram-diagonal", "--n", "3"],
     ["sn-image", "--n", "3"],
@@ -431,6 +440,7 @@ _GOLDEN_SUITE = [
     ["coaction-check", "--n", "2"],
     ["coaction-check", "--n", "3"],
     ["coaction-check", "--n", "4"],
+    ["coaction-check", "--n", "5"],
     ["coaction-check", "--counterexample"],
     ["classify", "--n", "6"],
     ["grade", "--blocks", "3,2", "--groups", "Z3,Z2", "--save", "g.grading"],
@@ -453,15 +463,19 @@ _GOLDEN_SHA256 = {
     "verify-hopf --n 1":
         "e62ef64739aab0d512b878bd2f66da4e9aaf94192653e0e418a23864829fbcd9",
     "verify-hopf --n 2":
-        "d516ac6406a3fad1f4b6947de7acfaf53b083684655fc3ba5d17dc1cedd0e7e8",
+        "f33032403a2343c4945b96ccbdae8c942807599c82abf6458115d535661a27b5",
     "verify-hopf --n 3":
-        "b8cdda89bbf301add35ace755121e457d1402136a8e3db7d299f820152eaf2c6",
+        "d155a4c78cdaf000fe279f662b108b7e10a54ba247ca0b1ddcc6948dfa47e951",
     "verify-hopf --n 4":
-        "0c9158cdafed7fc83332a5b11f8b2c249abd586e605e6b581c1677c9d5eb30f1",
+        "da4d8e0420c656b3453d44746dbc7c0bf2308477f496d7851a53b8acd599fb10",
     "verify-hopf --semi --n 3":
-        "26f7ee045e1c081508034885caa76fc3b0d87c56848ce2c1c7126009a7b2dd83",
+        "118696bba2e985584816d240a5996a480f5685b9f53eb62d05a6236b8ddb7aa1",
     "verify-hopf --semi --n 4":
-        "02c3c8cc223f445bb474f1eb72e325fddacfb52ddea4e0d9f415ab5c57a899ad",
+        "c6376051531c84423bfa11ef08c3c720f4e4f03b8a224feee9a4ec8cac4b6c4b",
+    "verify-hopf --n 5":
+        "a5f624832c182d3846f05a83e05f0c88fb22b698a1ff4489682bf3a26493ae36",
+    "verify-hopf --n 6":
+        "24916bc9d61d51115d08cc361eba0c7da88232c1241ce78bb97b877f79096cd2",
     "transpose-inverse --n 3 --families row-orth,row-sum,col-orth":
         "0fd422a137a4c91deb8c7747b3c071697c9e85b37c0d70d42e27ec37519c843c",
     "gram-diagonal --n 3":
@@ -480,6 +494,8 @@ _GOLDEN_SHA256 = {
         "fdbb8c349680040258357127792fb28f85fa6fbee95573b2202c56f692d52090",
     "coaction-check --n 4":
         "52d337fa239cfd915db85bd08121af464ba7f7103ba8431c18797e3130addb96",
+    "coaction-check --n 5":
+        "5c5585d741358362f0178a6555e4184dec592e0e2def03a21e3e359b481a3ce0",
     "coaction-check --counterexample":
         "4bb7f98d0bd278916116bc76950e7d2aefe1852e9c91c51725ff4fef7b03d6fc",
     "classify --n 6":

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -256,11 +258,9 @@ def test_wrong_delta_refutes_on_definite_tensor_rows():
     assert {c.label.split("[")[1] for c in failing} == {"row-sum", "col-sum"}
 
 
-def test_wrong_delta_coassociativity_rows_are_definite():
-    # Delta(u_ij) = sum_k u_ik (x) u_jk is not coassociative
-    n = 3
-    pres = magic_presentation(n)
-    t2 = pres.tensor2
+def sum_delta(pres: HopfPresentation) -> HopfPresentation:
+    """Delta(u_ij) = sum_k u_ik (x) u_jk: well defined, not coassociative."""
+    n, t2 = pres.n, pres.tensor2
     delta = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -268,12 +268,97 @@ def test_wrong_delta_coassociativity_rows_are_definite():
                 (t2.inject(pres.gen(i, k), 0) * t2.inject(pres.gen(j, k), 1)
                  for k in range(1, n + 1)),
                 NCPoly.zero(t2.alphabet))
-    rep = verify_hopf_axioms(dataclasses.replace(pres, delta=delta), cap=8)
+    return dataclasses.replace(pres, delta=delta)
+
+
+def identity_antipode(pres: HopfPresentation) -> HopfPresentation:
+    """S(u_ij) = u_ij, which breaks the antipode law."""
+    n = pres.n
+    return dataclasses.replace(pres, antipode={
+        (i - 1) * n + (j - 1): pres.gen(i, j)
+        for i in range(1, n + 1) for j in range(1, n + 1)})
+
+
+def test_wrong_delta_coassociativity_rows_are_definite():
+    # Delta(u_ij) = sum_k u_ik (x) u_jk is not coassociative
+    rep = verify_hopf_axioms(sum_delta(magic_presentation(3)), cap=8)
     assert rep.verdict == REFUTED
     failing = [c for c in rep.identities
                if c.label.startswith("coassociativity") and not c.reduced_to_zero]
     assert failing
     assert all(not c.inconclusive for c in failing)
+
+
+def _report_sha(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+# verify_hopf_axioms at cap 8, recorded when every presentation was completed
+# to the cap before any row was reduced: sha256 of to_dict() without its
+# details, and of the whole to_dict() for the refuted ones.
+_HOPF_ROWS_SHA256 = {
+    "magic1": "0b7ef75724a42092721cfb51f243d97b8fbda3f8a6598c1a6293fd877597fdb2",
+    "magic2": "0ed5235498decf2313a7e9bdd6a54a45f6e6b3b220a47b91c5e4fb941b313931",
+    "magic3": "045c47a0fac832cd7552663883ebd9b829c0b085add59b2fadf8a7acdcb33c08",
+    "magic4": "6d2818e729ddccc87f8ac149ea647d16c3064fff7d1536487883bfd3f7ca0038",
+    "magic5": "043e3e7f52b707ff069e0d649c97aaaffa7b37c9b038bace855277656d02f208",
+    "semi2": "36a4ff765228567dcb64380d858f8143924a319cb9c6508bd71f7015f37f1732",
+    "semi3": "a9153cbdf4088f047404ca7890f566e01b601b59fa88bc4b8ad272e9f3895f05",
+    "semi4": "9b9a395b9e269af281916c611bc96aca6fe483722c2b5a1915d77cdcbd1238b8",
+    "kz2": "b2d898c811ed7b3f749d7b8f394c834356f099644217cd502bbb8e69c581f6b4",
+    "kz3": "74d97c312df45baed03750b3abf9f3a574a367c4353ae8701988e846268cac0b",
+    "kz4": "e0295f8c36da2a0636baca6e2bd3fc379a83ee5e59644c7b7a3c4579ad868ca5",
+    "wrong-delta3": "3eec88f8065c0513d764d6e236cdac0948e118053ad025c47c4bd0c1be748c8e",
+    "wrong-s3": "0624ef047c9d2154ebe1ebe3f9d2386cc247b50c063e973a795b408db61f8683",
+}
+_HOPF_REFUTED_SHA256 = {
+    "wrong-delta3": "2f652a90f1f177d3783a7f5625cf1e17bd6ed43ebf690b0d85219db663f9cd9e",
+    "wrong-s3": "95a5fedcf13115e8a20603cc9261dc6f71c9fc01131506fb2074732ab93d37f3",
+}
+_HOPF_CASES = {
+    **{f"magic{n}": lambda n=n: magic_presentation(n) for n in range(1, 6)},
+    **{f"semi{n}": lambda n=n: semi_magic_presentation(n) for n in range(2, 5)},
+    **{f"kz{m}": lambda m=m: group_algebra_presentation(m) for m in range(2, 5)},
+    "wrong-delta3": lambda: sum_delta(magic_presentation(3)),
+    "wrong-s3": lambda: identity_antipode(magic_presentation(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOPF_CASES))
+def test_rungs_keep_every_row_of_the_cap_completion(name):
+    """A row that reduces to zero against the lower rung is the row the
+    cap-8 completion gives, and a refuted report is the cap-8 one whole."""
+    payload = verify_hopf_axioms(_HOPF_CASES[name](), cap=8).to_dict()
+    if name in _HOPF_REFUTED_SHA256:
+        assert payload["verdict"] == REFUTED
+        assert _report_sha(payload) == _HOPF_REFUTED_SHA256[name]
+    else:
+        assert payload["verdict"] == VERIFIED
+    del payload["details"]
+    assert _report_sha(payload) == _HOPF_ROWS_SHA256[name]
+
+
+def test_completion_rungs_run_the_cap_only_for_nonzero_rows(magic, monkeypatch):
+    caps = []
+
+    def recording_complete(system, cap):
+        caps.append(cap)
+        return complete(system, cap)
+
+    monkeypatch.setattr(qperm, "complete", recording_complete)
+    rep = verify_hopf_axioms(magic[4])
+    assert (rep.verdict, caps) == (VERIFIED, [2])
+    assert rep.details == {"cap": 8, "completion_status": "complete_up_to(2)",
+                           "rule_count": 63}
+    wrong = sum_delta(magic[3])
+    # at cap 2 the lower rung is the cap, so its nonzero rows stay inconclusive
+    for cap, verdict, expected in ((8, REFUTED, [2, 8]), (2, INCONCLUSIVE, [2])):
+        caps.clear()
+        assert verify_hopf_axioms(wrong, cap=cap).verdict == verdict
+        assert caps == expected
+    caps.clear()
+    assert main(["coaction-check", "--n", "4"]) == 0
+    assert caps == [2]
 
 
 # -- transpose-product identities --
