@@ -3,17 +3,18 @@
 A grading is stored by explicit component bases: a map from group elements
 to lists of coordinate vectors over cyclotomic scalars, so the grading law
 A_g * A_h inside A_gh becomes exact linear algebra.  Supported grading
-groups are finite abelian groups (ergodic case: character gradings from
-regular embeddings) and free products of block groups attached to a
-partition of the point set (the general case).
+groups are the two classes of `groups`: a finite abelian group (the
+ergodic case, the character grading of one block) and a free product of
+block groups attached to a partition of the point set (the general case).
+`grading_from_partition` is the one constructor of both: one character
+loop over the blocks, keyed by the grading group's `block_element`.
 
 Element keys are whatever the grading group uses for its elements:
 exponent tuples for a finite abelian group, and for a free product reduced
 words, i.e. tuples of (block index, exponent tuple) letters with no
 identity letters and no adjacent letters in the same block.  Both group
-classes share one interface (identity, mul, element_order, is_abelian,
-generates, key_text, parse_key), so the group owns its element syntax in
-grading files and the test of whether a support generates it.
+classes share one interface (see `groups`), so the group owns its element
+syntax in grading files and the test of whether a support generates it.
 
 A grading splits along the 0/1 indicators 1_b spanning its identity
 component (`orbit_decompose`).  The restriction of a verified grading to
@@ -30,117 +31,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .exactnum import capped_field, field_order, format_scalar, parse_scalar
-from .groups import (FiniteAbelianGroup, abelian_groups_of_order, characters,
-                     parse_group_descriptor, partitions_desc)
+from .groups import (FiniteAbelianGroup, FreeProductGroup, abelian_groups_of_order,
+                     characters, parse_group_descriptor, partitions_desc)
 from .reports import CertificateReport, IdentityCheck, VERIFIED, merge_verdicts
-
-
-@dataclass(frozen=True)
-class FreeProductGroup:
-    """Free product of finite abelian block groups over a partition of [n]."""
-
-    blocks: tuple          # tuple of tuples of 0-based point indices
-    groups: tuple          # FiniteAbelianGroup per block
-
-    def __post_init__(self):
-        if len(self.blocks) != len(self.groups):
-            raise ValueError(f"{len(self.blocks)} blocks need as many groups, "
-                             f"not {len(self.groups)}")
-        points = sorted(p for b in self.blocks for p in b)
-        n = sum(len(b) for b in self.blocks)
-        if points != list(range(n)):
-            raise ValueError("blocks must partition the point set")
-        for b, g in zip(self.blocks, self.groups):
-            if len(b) != g.order:
-                raise ValueError(f"block of size {len(b)} cannot carry {g.descriptor()}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def identity(self) -> tuple:
-        return ()
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        word = list(a) + list(b)
-        out: list = []
-        for letter in word:
-            if out and out[-1][0] == letter[0]:
-                i = letter[0]
-                combined = self.groups[i].add(out[-1][1], letter[1])
-                out.pop()
-                if combined != self.groups[i].identity():
-                    out.append((i, combined))
-            else:
-                out.append(letter)
-        return tuple(out)
-
-    def element_order(self, a: tuple):
-        """Order of a reduced word; None means infinite.
-
-        Conjugating x*u*y by x gives u*(y*x), a conjugate of the same
-        order, so the word is first cyclically reduced: conjugated by its
-        first letter while its first and last letters share a block.
-        """
-        while len(a) >= 2 and a[0][0] == a[-1][0]:
-            a = self.mul(a[1:], a[:1])
-        if not a:
-            return 1
-        if len(a) == 1:
-            i, c = a[0]
-            return self.groups[i].element_order(c)
-        return None   # a cyclically reduced word of length >= 2 in a free product
-
-    def is_abelian(self) -> bool:
-        return sum(1 for g in self.groups if g.order > 1) <= 1
-
-    def descriptor(self) -> str:
-        return "*".join(g.descriptor() for g in self.groups)
-
-    def generates(self, support) -> bool:
-        """Do the supported words generate the whole free product?
-
-        Grows, per block, a subgroup of letters known to lie in the
-        generated subgroup H: a letter joins when some supported word holds
-        it at the only position whose letter is not yet known, since it is
-        then a product of elements of H.  Only when every block group is
-        reached is H everything, so True is never said of a proper
-        subgroup.  The test is sound, not complete: {a*b, a^2*b} in Z3*Z2
-        generates (it holds a^-1) but no letter of it joins, so it gets
-        False.
-        """
-        known = [g.subgroup(()) for g in self.groups]
-        grown = True
-        while grown:
-            grown = False
-            for key in support:
-                unknown = [(i, c) for i, c in key if c not in known[i]]
-                if len(unknown) == 1:
-                    i, c = unknown[0]
-                    known[i] = self.groups[i].subgroup(known[i] | {c})
-                    grown = True
-        return all(len(h) == g.order for h, g in zip(known, self.groups))
-
-    def key_text(self, key: tuple) -> str:
-        """Element syntax: "e", or letters "b<block>:<element>" joined by "*"."""
-        if not key:
-            return "e"
-        return "*".join(f"b{i}:{self.groups[i].key_text(c)}" for i, c in key)
-
-    def parse_key(self, text: str) -> tuple:
-        """Inverse of key_text; the word read is reduced."""
-        if text == "e":
-            return self.identity()
-        letters = []
-        for chunk in text.split("*"):
-            if not chunk.startswith("b") or ":" not in chunk:
-                raise ValueError(f"bad free-product element {text!r}")
-            i_str, elem_str = chunk[1:].split(":", 1)
-            i = int(i_str)
-            if not 0 <= i < len(self.groups):
-                raise ValueError(f"block index {i} out of range in element {text!r}")
-            letters.append((i, self.groups[i].parse_key(elem_str)))
-        return self.mul(tuple(letters), ())
 
 
 class Grading:
@@ -169,29 +62,17 @@ class Grading:
         return self.components.get(self.group.identity(), [])
 
 
-def grading_from_regular_abelian(G: FiniteAbelianGroup) -> Grading:
-    """Character grading of K^|G| from the regular action of G on itself.
-
-    Component of (the element identified with) chi is spanned by
-    f_chi = sum over g of chi(g) e_g, using the lexicographic point
-    labeling; every component is one-dimensional, so the grading is
-    ergodic, and it is faithful.
-    """
-    elems = G.elements()
-    components = {}
-    for chi in characters(G):
-        vec = tuple(chi(g) for g in elems)
-        components[chi.exponents] = [vec]
-    return Grading(G.order, G, components)
-
-
 def grading_from_partition(sizes, groups) -> Grading:
     """Blockwise character grading of K^n for a partition with block groups.
 
-    Blocks are laid out on consecutive points in (size-descending) order;
-    block i carries the character grading of its group, embedded with
-    zero coordinates outside the block.  The identity component is spanned
-    by the block indicators, so its dimension equals the number of blocks.
+    Blocks are laid out on consecutive points in (size-descending) order,
+    block i labelled by the elements of its group G_i in lexicographic
+    order.  The component of block i's element chi (a character of G_i,
+    named by its exponents) is spanned by f_chi = sum over g of chi(g) e_g,
+    zero outside the block.  One block is graded by its own group: every
+    component is one-dimensional, so the grading is ergodic, and it is
+    faithful.  Several blocks are graded by the free product of their
+    groups, and the block indicators span the identity component.
     """
     sizes = list(sizes)
     groups = list(groups)
@@ -204,27 +85,22 @@ def grading_from_partition(sizes, groups) -> Grading:
                    key=lambda i: (-sizes[i], groups[i].invariant_factors))
     sizes = [sizes[i] for i in order]
     groups = [groups[i] for i in order]
-    if len(sizes) == 1:
-        return grading_from_regular_abelian(groups[0])
     n = sum(sizes)
     blocks = []
     start = 0
     for m in sizes:
         blocks.append(tuple(range(start, start + m)))
         start += m
-    fp = FreeProductGroup(tuple(blocks), tuple(groups))
-    components: dict = {(): []}
+    group = groups[0] if len(groups) == 1 else FreeProductGroup(tuple(blocks), tuple(groups))
+    components: dict = {}
     for i, (block, G) in enumerate(zip(blocks, groups)):
         elems = G.elements()
         for chi in characters(G):
             vec = [0] * n
             for pos, g in zip(block, elems):
                 vec[pos] = chi(g)
-            if chi.exponents == G.identity():
-                components[()].append(tuple(vec))
-            else:
-                components[((i, chi.exponents),)] = [tuple(vec)]
-    return Grading(n, fp, components)
+            components.setdefault(group.block_element(i, chi.exponents), []).append(tuple(vec))
+    return Grading(n, group, components)
 
 
 def _pointwise(a, b, common):

@@ -1,5 +1,6 @@
-"""Finite group machinery: S_n, functions on S_n, finite abelian groups,
-characters with cyclotomic values, and transitive abelian subgroups.
+"""Finite group machinery: S_n, functions on S_n, the grading groups
+(finite abelian groups and free products of them), characters with
+cyclotomic values, and transitive abelian subgroups.
 
 A function on S_n is a dict from image tuples to its nonzero values,
 read at a Perm and rendered in cycle notation: there is no pointwise
@@ -10,11 +11,17 @@ Permutations act on 0-based points internally and render 1-based cycle
 notation.  Finite abelian groups are canonicalized by invariant factors
 d_1 | d_2 | ... | d_r (all >= 2, empty chain = trivial group); elements
 are exponent tuples, written "e" or dot-joined exponents in grading files
-(key_text / parse_key).
+(key_text / parse_key).  A free product of block groups over a partition
+of the point set has reduced words of (block, exponent tuple) letters as
+elements, written "e" or "b<block>:<element>" letters joined by "*".
+Both grading groups share one interface: identity, mul, block_element
+(block i's element c as an element of the grading group), element_order,
+is_abelian, generates, key_text and parse_key.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -152,10 +159,12 @@ class FiniteAbelianGroup:
     def identity(self) -> tuple:
         return (0,) * len(self.invariant_factors)
 
-    def add(self, a: tuple, b: tuple) -> tuple:
+    def mul(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
-    mul = add     # the group law under the name every grading group shares
+    def block_element(self, i: int, c: tuple) -> tuple:
+        """The element c of the one block: the group is its own block group."""
+        return c
 
     def element_order(self, a: tuple) -> int:
         return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, self.invariant_factors))) \
@@ -172,7 +181,7 @@ class FiniteAbelianGroup:
             x = frontier.pop()
             if x not in closure:
                 closure.add(x)
-                frontier.extend(self.add(x, y) for y in list(closure))
+                frontier.extend(self.mul(x, y) for y in list(closure))
         return closure
 
     def generates(self, support) -> bool:
@@ -208,6 +217,119 @@ class FiniteAbelianGroup:
 
     def __repr__(self):
         return f"FiniteAbelianGroup({self.descriptor()})"
+
+
+@dataclass(frozen=True)
+class FreeProductGroup:
+    """Free product of finite abelian block groups over a partition of [n]."""
+
+    blocks: tuple          # tuple of tuples of 0-based point indices
+    groups: tuple          # FiniteAbelianGroup per block
+
+    def __post_init__(self):
+        if len(self.blocks) != len(self.groups):
+            raise ValueError(f"{len(self.blocks)} blocks need as many groups, "
+                             f"not {len(self.groups)}")
+        points = sorted(p for b in self.blocks for p in b)
+        n = sum(len(b) for b in self.blocks)
+        if points != list(range(n)):
+            raise ValueError("blocks must partition the point set")
+        for b, g in zip(self.blocks, self.groups):
+            if len(b) != g.order:
+                raise ValueError(f"block of size {len(b)} cannot carry {g.descriptor()}")
+
+    @property
+    def n(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    def identity(self) -> tuple:
+        return ()
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        word = list(a) + list(b)
+        out: list = []
+        for letter in word:
+            if out and out[-1][0] == letter[0]:
+                i = letter[0]
+                combined = self.groups[i].mul(out[-1][1], letter[1])
+                out.pop()
+                if combined != self.groups[i].identity():
+                    out.append((i, combined))
+            else:
+                out.append(letter)
+        return tuple(out)
+
+    def block_element(self, i: int, c: tuple) -> tuple:
+        """Block i's element c as a reduced word: e, or the one letter (i, c)."""
+        return () if c == self.groups[i].identity() else ((i, c),)
+
+    def element_order(self, a: tuple):
+        """Order of a reduced word; None means infinite.
+
+        Conjugating x*u*y by x gives u*(y*x), a conjugate of the same
+        order, so the word is first cyclically reduced: conjugated by its
+        first letter while its first and last letters share a block.
+        """
+        while len(a) >= 2 and a[0][0] == a[-1][0]:
+            a = self.mul(a[1:], a[:1])
+        if not a:
+            return 1
+        if len(a) == 1:
+            i, c = a[0]
+            return self.groups[i].element_order(c)
+        return None   # a cyclically reduced word of length >= 2 in a free product
+
+    def is_abelian(self) -> bool:
+        return sum(1 for g in self.groups if g.order > 1) <= 1
+
+    def descriptor(self) -> str:
+        return "*".join(g.descriptor() for g in self.groups)
+
+    def generates(self, support) -> bool:
+        """Do the supported words generate the whole free product?
+
+        Grows, per block, a subgroup of letters known to lie in the
+        generated subgroup H: a letter joins when some supported word holds
+        it at the only position whose letter is not yet known, since it is
+        then a product of elements of H.  Only when every block group is
+        reached is H everything, so True is never said of a proper
+        subgroup.  The test is sound, not complete: {a*b, a^2*b} in Z3*Z2
+        generates (it holds a^-1) but no letter of it joins, so it gets
+        False.
+        """
+        known = [g.subgroup(()) for g in self.groups]
+        grown = True
+        while grown:
+            grown = False
+            for key in support:
+                unknown = [(i, c) for i, c in key if c not in known[i]]
+                if len(unknown) == 1:
+                    i, c = unknown[0]
+                    known[i] = self.groups[i].subgroup(known[i] | {c})
+                    grown = True
+        return all(len(h) == g.order for h, g in zip(known, self.groups))
+
+    def key_text(self, key: tuple) -> str:
+        """Element syntax: "e", or letters "b<block>:<element>" joined by "*"."""
+        if not key:
+            return "e"
+        return "*".join(f"b{i}:{self.groups[i].key_text(c)}" for i, c in key)
+
+    def parse_key(self, text: str) -> tuple:
+        """Inverse of key_text; the word read is reduced, so every spelling
+        of the identity (e, b0:0, b1:e, b0:1*b0:1 in Z2) reads as e."""
+        if text == "e":
+            return self.identity()
+        letters = []
+        for chunk in text.split("*"):
+            if not chunk.startswith("b") or ":" not in chunk:
+                raise ValueError(f"bad free-product element {text!r}")
+            i_str, elem_str = chunk[1:].split(":", 1)
+            i = int(i_str)
+            if not 0 <= i < len(self.groups):
+                raise ValueError(f"block index {i} out of range in element {text!r}")
+            letters.append(self.block_element(i, self.groups[i].parse_key(elem_str)))
+        return functools.reduce(self.mul, letters, ())
 
 
 def parse_group_descriptor(text: str) -> FiniteAbelianGroup:
@@ -277,7 +399,7 @@ def regular_embedding(G: FiniteAbelianGroup) -> list[Perm]:
     """
     elems = G.elements()
     index = {e: i for i, e in enumerate(elems)}
-    return [Perm(tuple(index[G.add(g, x)] for x in elems)) for g in elems]
+    return [Perm(tuple(index[G.mul(g, x)] for x in elems)) for g in elems]
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def test_criterion_08_grading_law_exact():
                 for psi in chars:
                     prod = tuple(x * y for x, y in
                                  zip(vec[chi.exponents], vec[psi.exponents]))
-                    assert prod == vec[G.add(chi.exponents, psi.exponents)], \
+                    assert prod == vec[G.mul(chi.exponents, psi.exponents)], \
                         (G.descriptor(), chi.exponents, psi.exponents)
     _ok("08 f_chi * f_psi = f_{chi psi} exactly, all |G| = n <= 8")
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qpalg import cli
 from qpalg.cli import (EXIT_INCONCLUSIVE, EXIT_REFUTED, EXIT_USAGE,
                        EXIT_VERIFIED, main)
-from qpalg.gradings import Grading, format_grading, grading_from_regular_abelian
+from qpalg.gradings import Grading, format_grading, grading_from_partition
 from qpalg.groups import FiniteAbelianGroup
 from qpalg.qperm import SN_MAX_N
 from qpalg.reports import (CertificateReport, IdentityCheck, INCONCLUSIVE,
@@ -76,7 +76,7 @@ def test_counterexample_exit_one(capsys):
 
 
 def test_broken_grading_exits_one(tmp_path, capsys):
-    g = grading_from_regular_abelian(FiniteAbelianGroup((4,)))
+    g = grading_from_partition((4,), (FiniteAbelianGroup((4,)),))
     comps = dict(g.components)
     comps[(1,)], comps[(2,)] = comps[(2,)], comps[(1,)]
     broken = Grading(4, g.group, comps)
@@ -85,6 +85,27 @@ def test_broken_grading_exits_one(tmp_path, capsys):
     code, out, _ = run(["verify-grading", "--input", str(path)], capsys)
     assert code == EXIT_REFUTED
     assert "witness" in out
+
+
+def test_any_spelling_of_the_identity_reads_as_e(tmp_path, capsys, monkeypatch):
+    # a free-product identity written b0:0 names the element e, so the file
+    # verifies and reports as the one that writes e
+    monkeypatch.chdir(tmp_path)
+    assert run(["grade", "--blocks", "2,1", "--groups", "Z2,Z1", "--save", "e.grading"],
+               capsys)[0] == EXIT_VERIFIED
+    text = (tmp_path / "e.grading").read_text()
+    assert "component e: (1,1,0)\n" in text
+    (tmp_path / "b0.grading").write_text(text.replace("component e:", "component b0:0:", 1))
+    reports = []
+    for name in ("e", "b0"):
+        code, out, _ = run(["verify-grading", "--input", f"{name}.grading",
+                            "--json", f"{name}.json"], capsys)
+        assert code == EXIT_VERIFIED and "ergodic: False" in out
+        report = json.loads((tmp_path / f"{name}.json").read_text())
+        for key in ("command", "config", "wall_time_s"):
+            del report[key]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_truncated_completion_exits_two(capsys):
@@ -418,7 +439,7 @@ def test_coaction_check_generating_matrix(capsys):
 
 # The CLI suite pinned by test_golden_cli_reports, run in this order in one
 # directory (orbit-decompose and verify-grading read the file that the
-# first grade command saves).
+# grade command before them saves).
 _GOLDEN_SUITE = [
     ["present", "--n", "2"],
     ["complete", "--n", "3"],
@@ -449,6 +470,10 @@ _GOLDEN_SUITE = [
     ["classify", "--n", "8"],
     ["grade", "--blocks", "4,2,2", "--groups", "Z2xZ2,Z2,Z2"],
     ["classify", "--n", "4", "--ergodic-only"],
+    ["grade", "--blocks", "6", "--groups", "Z6", "--save", "one.grading"],
+    ["verify-grading", "--input", "one.grading"],
+    ["orbit-decompose", "--input", "one.grading"],
+    ["grade", "--blocks", "4", "--groups", "Z2xZ2"],
 ]
 
 # sha256 over the exit code, the stdout and the --json report without
@@ -512,6 +537,14 @@ _GOLDEN_SHA256 = {
         "492a1a29c9f61947e006a7abcec5fb12ef54790338717d930c5aedea16c49dfb",
     "classify --n 4 --ergodic-only":
         "cf80ab7f306c981524a91dec4006bf4a288df62849476f9b184b9ae2e476af76",
+    "grade --blocks 6 --groups Z6 --save one.grading":
+        "45cdaa3fbed4c7e56cd192903c301d61d9f4368d2c1b6774c73e3c6901ef6169",
+    "verify-grading --input one.grading":
+        "afa7e791d6969df9216ab7d3b6c1b14842d8bffa43d57571216c5f277b67ba18",
+    "orbit-decompose --input one.grading":
+        "1caee3939a190b1afd73f7613fb03f0c70f0324ed8eeba2f2e2ea9879bfa5024",
+    "grade --blocks 4 --groups Z2xZ2":
+        "b67202103d61e39b45b189e3e6536d4439e8090d95839de2ddca8a246cbf4ffb",
 }
 
 

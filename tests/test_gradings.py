@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from qpalg import gradings, linalg
 from qpalg.exactnum import format_scalar, zeta
-from qpalg.gradings import (FreeProductGroup, Grading,
-                            classify_gradings, format_grading,
-                            grading_from_partition, grading_from_regular_abelian,
-                            orbit_decompose, parse_grading, partitions_desc,
-                            verify_grading)
-from qpalg.groups import FiniteAbelianGroup, abelian_groups_of_order, characters
+from qpalg.gradings import (Grading, classify_gradings, format_grading,
+                            grading_from_partition, orbit_decompose, parse_grading,
+                            partitions_desc, verify_grading)
+from qpalg.groups import (FiniteAbelianGroup, FreeProductGroup, abelian_groups_of_order,
+                          characters)
 from qpalg.reports import REFUTED, VERIFIED, CertificateReport, IdentityCheck
 from linalg_reference import in_reference_span, reference_rank
 
@@ -31,7 +30,7 @@ def trivial_grading(n: int) -> Grading:
 
 
 def test_z2_grading_components():
-    g = grading_from_regular_abelian(Z2)
+    g = grading_from_partition((2,), (Z2,))
     assert g.components[(0,)] == [(F(1), F(1))]
     assert g.components[(1,)] == [(F(1), F(-1))]
     # (e1 - e2)^2 = e1 + e2 lands back in the identity component
@@ -44,7 +43,7 @@ def test_z2_grading_components():
 
 
 def test_z3_grading_components():
-    g = grading_from_regular_abelian(Z3)
+    g = grading_from_partition((3,), (Z3,))
     for c in range(3):
         vec = g.components[(c,)][0]
         assert vec == tuple(zeta(3, c * k) for k in range(3))
@@ -52,7 +51,7 @@ def test_z3_grading_components():
 
 
 def test_klein_grading_pm1():
-    g = grading_from_regular_abelian(K4)
+    g = grading_from_partition((4,), (K4,))
     for key, vecs in g.components.items():
         for v in vecs:
             assert all(x == 1 or x == -1 for x in v)
@@ -70,11 +69,11 @@ def test_character_basis_multiplies_along_the_group():
                 for psi in chars:
                     prod = tuple(x * y for x, y in
                                  zip(vec[chi.exponents], vec[psi.exponents]))
-                    assert prod == vec[G.add(chi.exponents, psi.exponents)]
+                    assert prod == vec[G.mul(chi.exponents, psi.exponents)]
 
 
 def test_swapped_labels_refuted_with_witness():
-    g = grading_from_regular_abelian(Z4)
+    g = grading_from_partition((4,), (Z4,))
     comps = dict(g.components)
     comps[(1,)], comps[(2,)] = comps[(2,)], comps[(1,)]
     rep = verify_grading(Grading(4, Z4, comps))
@@ -88,7 +87,7 @@ def test_non_direct_sum_refuted():
     non_direct = Grading(1, Z2, {(0,): [(F(1),)], (1,): [(F(1),)]})
     assert verify_grading(non_direct).verdict == REFUTED
     # the regular Z2 grading of K^2 with its non-identity vector listed twice
-    g = grading_from_regular_abelian(Z2)
+    g = grading_from_partition((2,), (Z2,))
     comps = dict(g.components)
     comps[(1,)] = comps[(1,)] * 2
     rep = verify_grading(Grading(2, Z2, comps))
@@ -125,9 +124,16 @@ def test_partition_grading_identity_dimension():
 
 
 def test_single_block_partition_is_abelian_grading():
-    g = grading_from_partition((4,), (Z4,))
-    h = grading_from_regular_abelian(Z4)
-    assert g.group == h.group and g.components == h.components
+    # one block is graded by its own group, keyed by character exponents,
+    # chi spanning its component with the values chi(g) on the points g
+    for m in range(1, 17):
+        for G in abelian_groups_of_order(m):
+            g = grading_from_partition((m,), (G,))
+            assert g.group == G
+            chars = characters(G)
+            assert list(g.components) == [chi.exponents for chi in chars]
+            for chi in chars:
+                assert g.components[chi.exponents] == [tuple(chi(x) for x in G.elements())]
 
 
 def test_all_singleton_partition_is_trivial():
@@ -139,7 +145,7 @@ def test_all_singleton_partition_is_trivial():
 
 
 def test_orbit_decompose_ergodic():
-    orb = orbit_decompose(grading_from_regular_abelian(Z4))
+    orb = orbit_decompose(grading_from_partition((4,), (Z4,)))
     assert orb.partition == (4,) and orb.k == 1
 
 
@@ -244,7 +250,7 @@ def test_classification_cost_guard():
 
 
 def test_grading_file_roundtrip_abelian():
-    g = grading_from_regular_abelian(Z4)
+    g = grading_from_partition((4,), (Z4,))
     back = parse_grading(format_grading(g))
     assert back.components == g.components
     assert verify_grading(back).verdict == VERIFIED
@@ -350,6 +356,11 @@ def test_free_product_group_interface():
     assert fp.key_text(()) == "e" and fp.parse_key("e") == ()
     assert fp.key_text(((0, (2,)), (1, (1,)))) == "b0:2*b1:1"
     assert fp.parse_key("b0:1*b0:2*b1:3") == ((1, (1,)),)    # read as a reduced word
+    for identity in ("b0:0", "b1:e", "b0:3*b1:2", "b0:e*b1:0"):
+        assert fp.parse_key(identity) == ()
+    assert fp.parse_key("b0:0*b1:1") == fp.parse_key("b1:1") == ((1, (1,)),)
+    assert fp.block_element(0, (2,)) == ((0, (2,)),) and fp.block_element(1, (0,)) == ()
+    assert Z3.block_element(0, (2,)) == (2,) and Z3.block_element(0, (0,)) == (0,)
     assert fp.generates([((0, (1,)),), ((1, (1,)),)])
     assert not fp.generates([((0, (1,)),)])
     for bad in ("b2:1", "b-1:1", "c0:1", "b0:1.1"):
@@ -357,6 +368,52 @@ def test_free_product_group_interface():
             fp.parse_key(bad)
     with pytest.raises(ValueError, match="groups"):
         FreeProductGroup(((0, 1), (2,)), (Z2,))
+
+
+_LETTER_GROUPS = (Z3, Z2, FiniteAbelianGroup(()))
+
+
+@st.composite
+def _letter_strings(draw):
+    """Free-product element text over Z3*Z2*Z1 as letters b<i>:<exponent>,
+    identity letters and adjacent letters of one block included, exponents
+    spelled "e" or unreduced; with the (block, exponents) letters it names."""
+    letters, chunks = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, 2))
+        d = _LETTER_GROUPS[i].order
+        k = draw(st.integers(0, 2 * d - 1)) if d > 1 else 0
+        c = (k % d,) if d > 1 else ()
+        text = "e" if k == 0 and (d == 1 or draw(st.booleans())) else str(k)
+        letters.append((i, c))
+        chunks.append(f"b{i}:{text}")
+    return "*".join(chunks), letters
+
+
+def _reduced(letters):
+    """The reduced word of a product of letters: drop an identity letter or
+    merge the first two adjacent letters of one block, until neither is left."""
+    word = list(letters)
+    while True:
+        word = [(i, c) for i, c in word if any(c)]      # the identity has zero exponents
+        for k in range(len(word) - 1):
+            (i, a), (j, b) = word[k], word[k + 1]
+            if i == j:
+                factors = _LETTER_GROUPS[i].invariant_factors
+                word[k:k + 2] = [(i, tuple((x + y) % d for x, y, d in zip(a, b, factors)))]
+                break
+        else:
+            return tuple(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_letter_strings())
+def test_parse_key_reads_reduced_words(drawn):
+    text, letters = drawn
+    fp = _free_product(_LETTER_GROUPS)
+    word = fp.parse_key(text)
+    assert word == _reduced(letters)
+    assert fp.parse_key(fp.key_text(word)) == word
 
 
 def test_free_product_generates_only_when_every_letter_is_reached():
@@ -412,7 +469,7 @@ def _small_gradings(draw):
     G = draw(st.sampled_from(_SMALL_GROUPS))
     copies = draw(st.integers(1, 4 // G.order))
     n = copies * G.order
-    regular = grading_from_regular_abelian(G)
+    regular = grading_from_partition((G.order,), (G,))
     comps = {key: [] for key in G.elements()}
     for c in range(copies):
         for key, (v,) in regular.components.items():
@@ -508,6 +565,39 @@ def test_scaled_components_take_the_span_path(data, grading):
     assert verify_grading(scaled).to_dict() == _reference_report(scaled).to_dict()
 
 
+@st.composite
+def _partition_gradings(draw):
+    """Partition gradings of K^n, n <= 8, with 2 or 3 blocks whose groups
+    have order at most 4, so graded by free products; then possibly one
+    coordinate perturbed, or one vector moved to another key, a product of
+    two supported keys (whose two orders may differ)."""
+    groups = draw(st.lists(st.sampled_from(_SMALL_GROUPS), min_size=2, max_size=3)
+                  .filter(lambda gs: sum(G.order for G in gs) <= 8))
+    grading = grading_from_partition([G.order for G in groups], groups)
+    fp, n = grading.group, grading.n
+    comps = {key: list(vecs) for key, vecs in grading.components.items()}
+    source = draw(st.sampled_from(sorted(comps)))
+    i = draw(st.integers(0, len(comps[source]) - 1))
+    change = draw(st.sampled_from(["none", "perturb", "move"]))
+    if change == "perturb":
+        v = list(comps[source][i])
+        v[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_PERTURBATIONS))
+        comps[source][i] = tuple(v)
+    elif change == "move":
+        keys = sorted(grading.components)
+        target = fp.mul(draw(st.sampled_from(keys)), draw(st.sampled_from(keys)))
+        comps.setdefault(target, []).append(comps[source].pop(i))
+    return Grading(n, fp, comps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partition_gradings())
+def test_partition_gradings_match_the_reference_report(grading):
+    report = verify_grading(grading)
+    assert report.to_dict() == _reference_report(grading).to_dict()
+    assert (report.verdict == VERIFIED) == _grading_law_holds(grading)
+
+
 def test_mirrored_rows_check_their_own_targets():
     # in Z2*Z2, a*b != b*a: the one product of A_a and A_b lies in A_{a*b}
     # but not in A_{b*a}, so its two rows disagree
@@ -585,7 +675,7 @@ def test_classification_makes_no_product_span_query(monkeypatch):
 
 def test_verify_grading_does_each_exact_operation_once(monkeypatch):
     built, queries, products = _count_exact_operations(monkeypatch)
-    z4 = grading_from_regular_abelian(Z4)
+    z4 = grading_from_partition((4,), (Z4,))
     for grading, literal in ((grading_from_partition((4, 3, 2), (K4, Z3, Z2)), True),
                              (z4, True),
                              (_scaled(z4, [((1,), 0, 2), ((2,), 0, F(-1, 3))]), False),

@@ -197,7 +197,7 @@ def test_characters_form_a_group():
     chars = characters(G)
     for chi in chars[:4]:
         for psi in chars[:4]:
-            prod = Character(G, G.add(chi.exponents, psi.exponents))
+            prod = Character(G, G.mul(chi.exponents, psi.exponents))
             for g in G.elements():
                 assert prod(g) == chi(g) * psi(g)
 

@@ -114,6 +114,17 @@ def test_no_integral_fraction_constants(path):
     assert not lines, f"{path.name}: Fraction of an integer literal at lines {lines}; use the int"
 
 
+# a grading group is a class with an element_order; they all live in groups,
+# next to each other, so their shared interface cannot drift apart
+def test_grading_groups_live_in_groups():
+    elsewhere = [f"{path.name}:{node.lineno} {node.name}" for path in MODULES
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, ast.ClassDef) and path.stem != "groups"
+                 and any(isinstance(sub, ast.FunctionDef) and sub.name == "element_order"
+                         for sub in node.body)]
+    assert not elsewhere, f"grading groups outside groups.py: {elsewhere}"
+
+
 STEMS = {path.stem for path in MODULES}
 PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
