@@ -76,6 +76,8 @@ def grading_from_partition(sizes, groups) -> Grading:
     """
     sizes = list(sizes)
     groups = list(groups)
+    # block i's characters live in Q(zeta_exponent), and are rational at exponent <= 2
+    capped_field((G.exponent for G in groups if G.exponent > 2), "the grading's characters live")
     if len(sizes) != len(groups):
         raise ValueError("one group per block is required")
     for m, g in zip(sizes, groups):

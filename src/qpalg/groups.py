@@ -16,7 +16,14 @@ of the point set has reduced words of (block, exponent tuple) letters as
 elements, written "e" or "b<block>:<element>" letters joined by "*".
 Both grading groups share one interface: identity, mul, block_element
 (block i's element c as an element of the grading group), element_order,
-is_abelian, generates, key_text and parse_key.
+is_abelian, generates, key_text and parse_key.  Descriptors of order
+above GROUP_MAX_ORDER are refused.
+
+Every group closed here is abelian, and subgroup_closure is the one
+closure, of pairwise commuting generators under any law: it serves
+FiniteAbelianGroup.subgroup (so both generates tests) and the
+brute-force search for transitive abelian subgroups of S_n, which reads
+transitivity off the point 0 and names each class by its element orders.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .exactnum import Cyclotomic, prime_factorization, zeta
@@ -77,9 +85,6 @@ class Perm:
 
     def __hash__(self):
         return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
 
     def cycle_string(self) -> str:
         seen = [False] * self.n
@@ -175,14 +180,7 @@ class FiniteAbelianGroup:
 
     def subgroup(self, elems) -> set:
         """The subgroup the given elements generate, as a set of elements."""
-        closure = {self.identity()}
-        frontier = list(elems)
-        while frontier:
-            x = frontier.pop()
-            if x not in closure:
-                closure.add(x)
-                frontier.extend(self.mul(x, y) for y in list(closure))
-        return closure
+        return set(subgroup_closure(elems, self.mul, self.identity()))
 
     def generates(self, support) -> bool:
         """Do the given elements generate the whole group?"""
@@ -332,8 +330,15 @@ class FreeProductGroup:
         return functools.reduce(self.mul, letters, ())
 
 
+GROUP_MAX_ORDER = 2**16
+
+
 def parse_group_descriptor(text: str) -> FiniteAbelianGroup:
-    """Parse "Z4xZ2"-style descriptors (any factor order; canonicalized)."""
+    """Parse "Z4xZ2"-style descriptors (any factor order; canonicalized).
+
+    A group of order above GROUP_MAX_ORDER is refused: closing a subgroup
+    costs a product per element.  Canonicalizing keeps the order, so it
+    is checked first, before the factoriser meets a large cyclic order."""
     parts = [p.strip() for p in text.lower().split("x")]
     sizes = []
     for p in parts:
@@ -344,6 +349,10 @@ def parse_group_descriptor(text: str) -> FiniteAbelianGroup:
             raise ValueError(f"bad cyclic order {d}")
         if d > 1:
             sizes.append(d)
+    order = math.prod(sizes)
+    if order > GROUP_MAX_ORDER:
+        raise ValueError(f"group of order {order}; grading groups are capped at order "
+                         f"{GROUP_MAX_ORDER} (subgroup closure cost)")
     return abelian_group_from_cyclic_orders(sizes)
 
 
@@ -421,22 +430,27 @@ def characters(G: FiniteAbelianGroup) -> list[Character]:
     return [Character(G, e) for e in G.elements()]
 
 
-def subgroup_closure(gens: list[Perm], n: int, maxsize: int | None = None) -> frozenset[Perm]:
-    """Multiplicative closure; stops early once maxsize is exceeded."""
-    elems = {Perm.identity(n)}
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for g in gens:
-            for h in frontier:
-                x = g * h
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-                    if maxsize is not None and len(elems) > maxsize:
-                        return frozenset(elems)
-        frontier = new
-    return frozenset(elems)
+def subgroup_closure(gens, mul, identity) -> list:
+    """The subgroup that pairwise commuting generators generate, as a list
+    that starts at the identity.
+
+    A generator g outside the subgroup H closed so far adds the cosets
+    g^k H for k = 1, 2, ... until g^k lies in H; as g commutes with H,
+    their union is a subgroup again.  Each coset is g times the one
+    before it, so every new element costs one product.  Every group qpalg
+    closes is abelian; a non-abelian one needs a closure of its own.
+    """
+    closure, members = [identity], {identity}
+    for g in gens:
+        cosets, coset, power = [], closure, g
+        while power not in members:
+            coset = [power] + [mul(g, x) for x in coset[1:]]
+            cosets.append(coset)
+            power = mul(g, power)
+        new = [x for coset in cosets for x in coset]
+        closure += new
+        members.update(new)
+    return closure
 
 
 def _conjugates(elements: frozenset[Perm], n: int) -> list[tuple]:
@@ -448,26 +462,6 @@ def _conjugates(elements: frozenset[Perm], n: int) -> list[tuple]:
     return out
 
 
-def is_transitive(elements, n: int) -> bool:
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in elements:
-            for x in frontier:
-                y = g(x)
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(reached) == n
-
-
-def is_abelian(elements) -> bool:
-    elems = list(elements)
-    return all(a * b == b * a for a, b in itertools.combinations(elems, 2))
-
-
 def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     """Transitive abelian subgroups of S_n, one per conjugacy class.
 
@@ -477,21 +471,19 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     searches S_n directly and is the cross-validation oracle.
 
     The brute-force search closes every commuting pair of fixed-point-free
-    permutations.  The first closure of a new class that is transitive and
-    abelian of order n has all n! of its conjugates computed once: the class
+    permutations.  The closure is abelian, and one of order n is transitive
+    exactly when it moves the point 0 to all n points.  The first closure
+    of a new class has all n! of its conjugates computed once: the class
     is keyed by the minimal one, and all of them go into a seen set, so a
     later closure that is any conjugate of a class already found is skipped
-    before it is checked or conjugated again.  Each class is still recorded
-    at its first closure and keyed by its minimal conjugate, so the classes,
-    their order and their representatives are those of conjugating every
-    closure.
+    before it is conjugated again.  Each class is still recorded at its
+    first closure and keyed by its minimal conjugate, so the classes, their
+    order and their representatives are those of conjugating every
+    closure.  A class is named by the abelian group of order n with its
+    element orders, an element's order being the size of its closure.
     """
     if mode == "classified":
-        out = []
-        for G in abelian_groups_of_order(n):
-            elems = frozenset(regular_embedding(G))
-            out.append((G, elems))
-        return out
+        return [(G, frozenset(regular_embedding(G))) for G in abelian_groups_of_order(n)]
     if mode != "brute_force":
         raise ValueError(f"unknown mode {mode!r}")
     if n > 6:
@@ -499,41 +491,23 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
                          "use classified mode for larger n")
     if n == 1:
         return [(FiniteAbelianGroup(()), frozenset([Perm.identity(1)]))]
+    ident = Perm.identity(n)
     # every non-identity element of a regular subgroup is fixed-point-free
-    candidates = [g for g in all_perms(n)
-                  if all(g(i) != i for i in range(n)) ]
+    candidates = [g for g in all_perms(n) if all(g(i) != i for i in range(n))]
     found: dict[tuple, frozenset[Perm]] = {}
     seen: set[tuple] = set()     # every conjugate of every class found so far
     for a, b in itertools.combinations_with_replacement(candidates, 2):
         if a * b != b * a:
             continue
-        elems = subgroup_closure([a, b], n, maxsize=n)
-        if len(elems) != n or tuple(sorted(g.images for g in elems)) in seen:
-            continue
-        if not is_transitive(elems, n) or not is_abelian(elems):
+        elems = frozenset(subgroup_closure((a, b), operator.mul, ident))
+        if len(elems) != n or len({g(0) for g in elems}) != n or \
+                tuple(sorted(g.images for g in elems)) in seen:
             continue
         conjugates = _conjugates(elems, n)
         seen.update(conjugates)
         found[min(conjugates)] = elems
-    out = []
-    for key in sorted(found):
-        elems = found[key]
-        orders = sorted(_perm_order(g) for g in elems)
-        match = None
-        for G in abelian_groups_of_order(n):
-            reg = regular_embedding(G)
-            if sorted(_perm_order(g) for g in reg) == orders:
-                match = G
-                break
-        out.append((match, elems))
-    return out
-
-
-def _perm_order(g: Perm) -> int:
-    k = 1
-    x = g
-    ident = Perm.identity(g.n)
-    while x != ident:
-        x = x * g
-        k += 1
-    return k
+    named = {tuple(sorted(map(G.element_order, G.elements()))): G
+             for G in abelian_groups_of_order(n)}
+    return [(named[tuple(sorted(len(subgroup_closure((g,), operator.mul, ident))
+                                for g in elems))], elems)
+            for _, elems in sorted(found.items())]

@@ -216,6 +216,8 @@ _FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,
                        "component e: (1,0)\ncomponent e: (0,1)\n"),
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z25601,-1)\n"),
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (z97,z89)\n"),
+    ("verify-grading", "n: 2\ngroup: " + "x".join(["Z2"] * 17) + "\ncomponent e: (1,1)\n"),
+    ("verify-grading", "n: 2\ngroup: Z1000000000000000003\ncomponent e: (1,1)\n"),
     ("orbit-decompose", _FREE_PRODUCT_HEAD + "component b0:1: (z97+z89,-1,0)\n"),
     ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
     ("complete", "1*p.p - 1*p\nalphabet: p q\n"),
@@ -400,6 +402,16 @@ def test_conjugate_block_is_graded_by_the_letter_group(tmp_path, capsys):
     assert restriction["verdict"] == VERIFIED
     assert restriction["details"]["faithful"] is True
     assert restriction["details"]["ergodic"] is True
+
+
+def test_grade_refuses_characters_above_the_field_cap(tmp_path, capsys):
+    # lcm(17, 16) = 272: the saved file would be refused by its own reader
+    path = tmp_path / "g.grading"
+    code, out, err = run(["grade", "--blocks", "17,16", "--groups", "Z17,Z16",
+                          "--save", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "Q(zeta_272)" in err and "overall:" not in out
+    assert not path.exists()
 
 
 def test_grade_save_and_orbit(tmp_path, capsys):

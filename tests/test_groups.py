@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 from qpalg.exactnum import Cyclotomic, zeta
 from qpalg.groups import (Character, FiniteAbelianGroup, Perm,
                           abelian_group_from_cyclic_orders,
-                          abelian_groups_of_order, all_perms,
-                          characters, is_abelian,
-                          is_transitive, parse_group_descriptor,
+                          abelian_groups_of_order,
+                          characters, parse_group_descriptor,
                           regular_embedding, subgroup_closure,
                           transitive_abelian_subgroups)
 from qpalg.ncalg import Alphabet, parse_poly
 from qpalg.qperm import e_sigma_product_check, to_sn_function, u_names
 from qpalg.reports import VERIFIED
-from groups_reference import canonical_conjugate
+from groups_reference import (canonical_conjugate, compose, is_abelian, is_transitive,
+                              product_closure)
 
 F = Fraction
 
@@ -132,8 +133,8 @@ def test_regular_embedding_examples():
     assert {p.cycle_string() for p in klein} == \
         {"id", "(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"}
     z4 = regular_embedding(FiniteAbelianGroup((4,)))
-    gen = Perm((1, 2, 3, 0))   # the 4-cycle (1 2 3 4)
-    assert set(z4) == subgroup_closure([gen], 4)
+    gen = (1, 2, 3, 0)         # the 4-cycle (1 2 3 4)
+    assert {p.images for p in z4} == product_closure([gen], (0, 1, 2, 3))
 
 
 def test_regular_embedding_is_regular_transitive_abelian():
@@ -141,8 +142,9 @@ def test_regular_embedding_is_regular_transitive_abelian():
         for G in abelian_groups_of_order(n):
             elems = regular_embedding(G)
             assert len(set(elems)) == n
-            assert is_transitive(elems, n)
-            assert is_abelian(elems)
+            images = [g.images for g in elems]
+            assert is_transitive(images, n)
+            assert is_abelian(images)
             for g in elems:                     # trivial point stabilizers
                 if g != Perm.identity(n):
                     assert all(g(i) != i for i in range(n))
@@ -211,8 +213,11 @@ def test_transitive_abelian_subgroups_modes_agree():
         canon_b = sorted(canonical_conjugate(e, n) for _, e in brute)
         assert canon_c == canon_b
         for G, elems in brute:
-            assert G is not None and G.order == n
-            assert is_transitive(elems, n) and is_abelian(elems)
+            images = [g.images for g in elems]
+            assert G.order == n and len(images) == n
+            assert is_transitive(images, n) and is_abelian(images)
+            assert sorted(len(product_closure([g], tuple(range(n))))
+                          for g in images) == sorted(map(G.element_order, G.elements()))
 
 
 # sha256 of [(descriptor, sorted element images)] from brute_force mode,
@@ -235,22 +240,25 @@ def test_brute_force_output_is_pinned(n):
 
 
 def _unpruned_class_representatives(n):
-    """Reference search: canonicalize every closure, keep the first per class."""
-    candidates = [g for g in all_perms(n) if all(g(i) != i for i in range(n))]
+    """Reference search on image tuples: close every commuting pair,
+    canonicalize every closure, keep the first per class."""
+    ident = tuple(range(n))
+    candidates = [g for g in itertools.permutations(ident) if all(g[i] != i for i in ident)]
     found = {}
     for a, b in itertools.combinations_with_replacement(candidates, 2):
-        if a * b != b * a:
+        if compose(a, b) != compose(b, a):
             continue
-        elems = subgroup_closure([a, b], n, maxsize=n)
+        elems = product_closure([a, b], ident)
         if len(elems) != n or not is_transitive(elems, n) or not is_abelian(elems):
             continue
-        found.setdefault(canonical_conjugate(elems, n), elems)
+        found.setdefault(canonical_conjugate([Perm(g) for g in elems], n), elems)
     return [found[key] for key in sorted(found)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_pruning_matches_unpruned_search(n):
-    pruned = [elems for _, elems in transitive_abelian_subgroups(n, "brute_force")]
+    pruned = [frozenset(g.images for g in elems)
+              for _, elems in transitive_abelian_subgroups(n, "brute_force")]
     assert pruned == _unpruned_class_representatives(n)
 
 
@@ -259,3 +267,50 @@ def test_brute_force_cost_guard():
         transitive_abelian_subgroups(7, "brute_force")
     with pytest.raises(ValueError):
         transitive_abelian_subgroups(4, "nonsense")
+
+
+def _exponent_sum(G):
+    """The law of G written out here, apart from G.mul."""
+    return lambda a, b: tuple((x + y) % d for x, y, d in zip(a, b, G.invariant_factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 48))
+def test_subgroup_is_the_product_closure(data, m):
+    G = data.draw(st.sampled_from(abelian_groups_of_order(m)))
+    elems = G.elements()
+    gens = data.draw(st.lists(st.sampled_from(elems), max_size=4))
+    gens.insert(data.draw(st.integers(0, len(gens))), G.identity())
+    gens.append(data.draw(st.sampled_from(gens)))               # a repeat
+    closure = subgroup_closure(gens, G.mul, G.identity())
+    assert len(closure) == len(set(closure)) and closure[0] == G.identity()
+    assert G.subgroup(gens) == set(closure) == product_closure(gens, G.identity(), _exponent_sum(G))
+
+
+def test_closure_of_one_element_has_its_order():
+    for m in range(1, 49):
+        for G in abelian_groups_of_order(m):
+            for g in G.elements():
+                assert len(subgroup_closure((g,), G.mul, G.identity())) == G.element_order(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_closure_of_commuting_permutations(data, n):
+    a = tuple(data.draw(st.permutations(range(n))))
+    b = data.draw(st.sampled_from([g for g in itertools.permutations(range(n))
+                                   if compose(a, g) == compose(g, a)]))
+    closure = subgroup_closure((Perm(a), Perm(b)), operator.mul, Perm.identity(n))
+    assert len(closure) == len(set(closure))
+    assert {g.images for g in closure} == product_closure([a, b], tuple(range(n)))
+
+
+def test_closure_costs_one_product_per_element():
+    class Counting(FiniteAbelianGroup):
+        def mul(self, a, b):
+            self.calls += 1
+            return super().mul(a, b)
+    G = Counting((8192,))
+    G.calls = 0
+    assert G.generates([G.identity(), (1,)])
+    assert G.calls <= 8192

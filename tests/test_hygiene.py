@@ -23,6 +23,7 @@ or a refactor would zero its metric silently.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,19 @@ def test_grading_groups_live_in_groups():
                  and any(isinstance(sub, ast.FunctionDef) and sub.name == "element_order"
                          for sub in node.body)]
     assert not elsewhere, f"grading groups outside groups.py: {elsewhere}"
+
+
+# a named cap decides which requests exit 64, so a user reads them all in one place
+def test_every_named_cap_is_documented():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Guarantees and guards\n", 1)[1].split("\n## ", 1)[0]
+    caps = {target.id for path in MODULES
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and re.fullmatch(r"\w+_MAX_\w+", target.id)}
+    assert "SN_MAX_N" in caps
+    missing = sorted(cap for cap in caps if f"`{cap}`" not in section)
+    assert not missing, f"named caps missing from the README's Guarantees and guards: {missing}"
 
 
 STEMS = {path.stem for path in MODULES}
