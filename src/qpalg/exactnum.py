@@ -22,9 +22,11 @@ renderer and differ only in how z is spelt and in the term separator.
 This module alone decides what a scalar is: the types `SCALARS`, the
 canonical form `coeff_value` (an integral rational is an int, a Fraction
 only when not integral; `parse_scalar` returns this form too), the exact
-`inverse` and the field cap `capped_field`.  No other module tests a type
-against Fraction or Cyclotomic, or keeps a Fraction constant of an
-integer, so adding a coefficient field starts with one class here.
+`inverse`, the field cap `capped_field`, and the map `residue` of
+Q(zeta_m) modulo a prime that splits there (`split_prime`).  No other
+module tests a type against Fraction or Cyclotomic, reads a Cyclotomic's
+coordinates, or keeps a Fraction constant of an integer, so adding a
+coefficient field starts with one class here.
 """
 
 from __future__ import annotations
@@ -399,6 +401,49 @@ def inverse(c):
 def field_order(x) -> int:
     """The m of the field Q(zeta_m) a scalar is stored in; 1 for a rational."""
     return x.order if isinstance(x, Cyclotomic) else 1
+
+
+# -- reduction modulo a split prime: a ring map Z[zeta_m] -> F_p --
+
+@lru_cache(maxsize=None)
+def split_prime(m: int) -> tuple[int, int]:
+    """A prime p = 1 (mod m) above 2^30 and an r of multiplicative order
+    exactly m modulo p.
+
+    F_p* is cyclic of order p - 1, which m divides, so it holds a root r of
+    Phi_m, and zeta_m -> r maps Z[zeta_m] onto F_p (`residue`).  The first
+    such p above 2^30 is found by trial division; r is g^((p-1)/m) for the
+    first g whose power has no order below m.
+    """
+    p = (2**30 // m + 1) * m + 1
+    while not all(p % d for d in range(2, math.isqrt(p) + 1)):
+        p += m
+    cofactors = [m // q for q in prime_factorization(m)]
+    g = 2
+    while True:
+        r = pow(g, (p - 1) // m, p)
+        if all(pow(r, c, p) != 1 for c in cofactors):
+            return p, r
+        g += 1
+
+
+def residue(x, p: int, r: int, m: int) -> int:
+    """Image in F_p of a scalar of Q(zeta_m) under zeta_m -> r, for
+    (p, r) = split_prime(m): a ring map on the scalars whose denominator p
+    does not divide; ZeroDivisionError for the others."""
+    if isinstance(x, Cyclotomic):
+        if m % x.order:
+            raise ValueError(f"Q(zeta_{x.order}) is not a subfield of Q(zeta_{m})")
+        s = pow(r, m // x.order, p)          # the image of zeta_order
+        num = 0
+        for c in reversed(x._num):
+            num = (num * s + c) % p
+        den = x._den
+    else:
+        num, den = x.numerator, x.denominator
+    if den % p == 0:
+        raise ZeroDivisionError(f"{p} divides the denominator of {x}")
+    return num * pow(den, -1, p) % p
 
 
 def _render_terms(x: Cyclotomic, z: str, sep: str) -> str:

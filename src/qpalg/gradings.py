@@ -125,17 +125,23 @@ def verify_grading(grading: Grading) -> CertificateReport:
     reported as flags in the details.
 
     Each exact operation is done once, and none whose result is known.
-    Each basis vector's support is read once, as a bitmask: two vectors
-    with disjoint supports (any two from different blocks of a partition
-    grading) have product zero, so their rows hold with no multiply, and
-    other pairs multiply only where their supports meet.  K^n is
-    commutative, so the product of an unordered pair of basis vectors is
-    computed once, held until its mirrored row, and checked in both rows,
-    each against its own target (one check when the targets agree).  A
-    product equal, entry for entry, to one of its target's basis vectors
-    lies in the target (every product of a character grading does); only
-    a product matching none is reduced against the target's echelon form
-    (`linalg.Span`), built the first time it is needed.
+    The rank comes from `linalg.rank`: n vectors independent modulo a split
+    prime are independent, so a grading builds the echelon form of all its
+    vectors only when their modular rank falls short (a refuted direct sum
+    prints its exact rank).  Each basis vector's support is read once, as
+    a bitmask: two vectors with disjoint supports (any two from different
+    blocks of a partition grading) have product zero, so their rows hold
+    with no multiply, and other pairs multiply only where their supports
+    meet.  K^n is commutative, so the product of an unordered pair of basis
+    vectors is computed once and checked in both rows, each against its own
+    target.  It is held until its mirrored row only when that row's target
+    differs; when the targets agree (always, for an abelian group) the
+    mirrored row reads the first row's result, and a failing pair's witness
+    comes from its first row.  A product equal, entry for entry, to one of
+    its target's basis vectors lies in the target (every product of a
+    character grading does); only a product matching none is reduced
+    against the target's echelon form (`linalg.Span`), built the first time
+    it is needed.
     """
     group = grading.group
     comps = grading.components
@@ -180,6 +186,7 @@ def verify_grading(grading: Grading) -> CertificateReport:
         for h in support:
             h_text = text_of(h)
             target = group.mul(g, h)
+            keep = group.mul(h, g) != target     # the mirrored row checks another target
             target_text = text_of(target)
             target_basis = comps.get(target)
             for ai, a in enumerate(comps[g]):
@@ -202,7 +209,7 @@ def verify_grading(grading: Grading) -> CertificateReport:
                             else:
                                 ok = prod in target_basis or prod in span_of(target)
                             if seen is None and p != q:
-                                products[pair] = (target, prod, ok)
+                                products[pair] = (target, prod if keep else None, ok)
                     # a classification repeats these labels across its gradings;
                     # interned, each is stored once however many reports keep it
                     label = sys.intern(f"product law [{g_text}][{ai}] * "

@@ -486,6 +486,7 @@ _GOLDEN_SUITE = [
     ["verify-grading", "--input", "one.grading"],
     ["orbit-decompose", "--input", "one.grading"],
     ["grade", "--blocks", "4", "--groups", "Z2xZ2"],
+    ["grade", "--blocks", "64", "--groups", "Z64"],
 ]
 
 # sha256 over the exit code, the stdout and the --json report without
@@ -557,6 +558,8 @@ _GOLDEN_SHA256 = {
         "1caee3939a190b1afd73f7613fb03f0c70f0324ed8eeba2f2e2ea9879bfa5024",
     "grade --blocks 4 --groups Z2xZ2":
         "b67202103d61e39b45b189e3e6536d4439e8090d95839de2ddca8a246cbf4ffb",
+    "grade --blocks 64 --groups Z64":
+        "015669cc813471d04aec4c5f802381fc165a536af3888b5a8b7eaa0c347e4444",
 }
 
 

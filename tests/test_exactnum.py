@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import cyclotomic_reference as ref
 from qpalg.exactnum import (SCALAR_MAX_ORDER, Cyclotomic, _phi_ints, divisors,
-                            euler_phi, format_scalar, inverse, parse_scalar,
-                            prime_factorization, zeta)
+                            euler_phi, field_order, format_scalar, inverse, parse_scalar,
+                            prime_factorization, residue, split_prime, zeta)
 from qpalg.gradings import parse_grading
 
 F = Fraction
@@ -288,3 +288,49 @@ def test_rational_operand_keeps_the_lcm_order():
     # -2/3 stored in Q(zeta_6) inverts to -3/2 there
     inv = Cyclotomic(6, [F(-2, 3), 0]).inverse()
     assert (inv.order, inv.coeffs) == (6, (F(-3, 2), F(0)))
+
+
+def test_split_primes_up_to_the_order_cap():
+    sieve = bytearray([1]) * (math.isqrt(2**31) + 1)
+    small = []
+    for d in range(2, len(sieve)):
+        if sieve[d]:
+            small.append(d)
+            sieve[d * d::d] = bytearray(len(sieve[d * d::d]))
+    for m in range(1, SCALAR_MAX_ORDER + 1):
+        p, r = split_prime(m)
+        assert 2**30 < p < 2**31 and (p - 1) % m == 0
+        assert all(p % d for d in small if d * d <= p)
+        assert pow(r, m, p) == 1 and all(pow(r, k, p) != 1 for k in range(1, m))
+
+
+_RING = st.one_of(_values().map(lambda v: v[0]), _roots().map(lambda v: v[0]),
+                  _rationals_at_order().map(lambda v: v[0]), _SCALARS,
+                  st.integers(-5, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RING, _RING, _RING, st.integers(1, 3))
+def test_residue_is_a_ring_map(x, y, z, k):
+    # at the lcm of the orders or a multiple of it, zeta_m -> r respects + and *
+    m = k * math.lcm(field_order(x), field_order(y), field_order(z))
+    p, r = split_prime(m)
+
+    def image(v):
+        return residue(v, p, r, m)
+
+    assert image(x + y) == (image(x) + image(y)) % p
+    assert image(x * y) == image(x) * image(y) % p
+    assert image(x * y - z) == (image(x) * image(y) - image(z)) % p
+    assert image(1) == 1 and image(zeta(m)) == r
+
+
+def test_residue_refuses_what_it_cannot_map():
+    p, r = split_prime(12)
+    assert residue(zeta(4), p, r, 12) == pow(r, 3, p)
+    with pytest.raises(ZeroDivisionError):
+        residue(F(1, p), p, r, 12)
+    with pytest.raises(ZeroDivisionError):
+        residue(zeta(3) * F(3, p), p, r, 12)
+    with pytest.raises(ValueError):
+        residue(zeta(5), p, r, 12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg import gradings, linalg
-from qpalg.exactnum import format_scalar, zeta
+from qpalg.exactnum import format_scalar, split_prime, zeta
 from qpalg.gradings import (Grading, classify_gradings, format_grading,
                             grading_from_partition, orbit_decompose, parse_grading,
                             partitions_desc, verify_grading)
@@ -676,19 +676,24 @@ def test_classification_makes_no_product_span_query(monkeypatch):
 def test_verify_grading_does_each_exact_operation_once(monkeypatch):
     built, queries, products = _count_exact_operations(monkeypatch)
     z4 = grading_from_partition((4,), (Z4,))
-    for grading, literal in ((grading_from_partition((4, 3, 2), (K4, Z3, Z2)), True),
-                             (z4, True),
-                             (_scaled(z4, [((1,), 0, 2), ((2,), 0, F(-1, 3))]), False),
-                             (trivial_grading(3), True)):
+    p, _ = split_prime(4)
+    for grading, literal, exact in (
+            (grading_from_partition((4, 3, 2), (K4, Z3, Z2)), True, False),
+            (z4, True, False),
+            (_scaled(z4, [((1,), 0, 2), ((2,), 0, F(-1, 3))]), False, False),
+            (trivial_grading(3), True, False),
+            # p divides a denominator, so the modular rank falls short
+            (_scaled(z4, [((1,), 0, F(1, p))]), False, True)):
         built.clear()
         queries.clear()
         products.clear()
         assert verify_grading(grading).verdict == VERIFIED
         comps, identity = grading.components, grading.group.identity()
         vectors = [v for key in grading.support() for v in comps[key]]
-        # the rank form, the identity form, then each other form at most once
-        assert built[:2] == [vectors, comps[identity]]
-        later = built[2:]
+        # the rank form only when the modular rank falls short, then the
+        # identity form, then each other form at most once
+        assert built[:exact + 1] == [vectors] * exact + [comps[identity]]
+        later = built[exact + 1:]
         assert len(later) == len({tuple(b) for b in later})
         assert all(b in comps.values() and b != comps[identity] for b in later)
         supports = [{i for i, x in enumerate(v) if x} for v in vectors]
@@ -707,6 +712,16 @@ def test_verify_grading_does_each_exact_operation_once(monkeypatch):
         # the unit row queries the identity form; a product queries a form
         # only when it equals none of its target's basis vectors
         assert (len(queries) == 1) == literal
+
+
+def test_a_large_cyclic_block_builds_only_the_identity_form(monkeypatch):
+    # the 64 character vectors are independent modulo a split prime, so the
+    # direct-sum row eliminates nothing over Q(zeta_64); every product is a
+    # character, so no other form is built either
+    built, _, _ = _count_exact_operations(monkeypatch)
+    grading = grading_from_partition((64,), (FiniteAbelianGroup((64,)),))
+    assert verify_grading(grading).verdict == VERIFIED
+    assert built == [grading.components[grading.group.identity()]]
 
 
 def test_partly_overlapping_supports_give_the_plain_witness(monkeypatch):

@@ -1,9 +1,9 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qpalg import linalg
-from qpalg.exactnum import Cyclotomic, zeta
+from qpalg.exactnum import Cyclotomic, field_order, split_prime, zeta
 from qpalg.linalg import Span, rank
 from linalg_reference import reference_rank
 
@@ -63,6 +63,34 @@ def test_rank_inverts_each_pivot_once(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(Cyclotomic, "inverse", counting)
-    assert linalg.rank(rows) == expected == n
+    assert Span(rows).rank == expected == n
     assert len(calls) <= n
+
+
+def _combination(coeffs, rows):
+    return [sum((c * row[j] for c, row in zip(coeffs, rows)), 0) for j in range(len(rows[0]))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=3),
+    st.lists(st.lists(_ENTRIES, min_size=3, max_size=3), max_size=2),
+    st.booleans(), st.randoms(use_true_random=False))))
+def test_rank_agrees_with_reference_on_dependent_rows(case):
+    rows, combos, over_p, rng = case
+    rows = rows + [_combination(c, rows) for c in combos]
+    rng.shuffle(rows)
+    if over_p:              # a denominator p leaves the rank to the exact form
+        m = math.lcm(*(field_order(x) for row in rows for x in row))
+        p, _ = split_prime(m)
+        rows[0] = [x * F(1, p) for x in rows[0]]
+    assert rank(rows) == reference_rank(rows)
+
+
+def test_rows_dependent_only_mod_p_take_the_exact_rank():
+    p, _ = split_prime(1)
+    for rows in ([[1, 0], [1, p]],                 # equal images in F_p
+                 [[F(1, p), 0], [0, 1]],           # p divides a denominator
+                 [[zeta(4), 1], [1, zeta(4, 3)], [1, 0]]):   # more rows than columns
+        assert rank(rows) == reference_rank(rows) == 2
 
