@@ -14,7 +14,8 @@ exponent tuples for a finite abelian group, and for a free product reduced
 words, i.e. tuples of (block index, exponent tuple) letters with no
 identity letters and no adjacent letters in the same block.  Both group
 classes share one interface (see `groups`), so the group owns its element
-syntax in grading files and the test of whether a support generates it.
+syntax and header in grading files, the test of whether a support
+generates it, and the restriction of a grading to an orbit block.
 
 A grading splits along the 0/1 indicators 1_b spanning its identity
 component (`orbit_decompose`).  The restriction of a verified grading to
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .exactnum import capped_field, field_order, format_scalar, parse_scalar
-from .groups import (FiniteAbelianGroup, FreeProductGroup, abelian_groups_of_order,
-                     characters, parse_group_descriptor, partitions_desc)
+from .groups import (FreeProductGroup, abelian_groups_of_order, characters,
+                     parse_group_descriptor, partitions_desc)
 from .reports import CertificateReport, IdentityCheck, VERIFIED, merge_verdicts
 
 
@@ -62,6 +63,9 @@ class Grading:
         return self.components.get(self.group.identity(), [])
 
 
+GRADE_MAX_N = 256
+
+
 def grading_from_partition(sizes, groups) -> Grading:
     """Blockwise character grading of K^n for a partition with block groups.
 
@@ -73,6 +77,7 @@ def grading_from_partition(sizes, groups) -> Grading:
     component is one-dimensional, so the grading is ergodic, and it is
     faithful.  Several blocks are graded by the free product of their
     groups, and the block indicators span the identity component.
+    More than GRADE_MAX_N points are refused before any vector is built.
     """
     sizes = list(sizes)
     groups = list(groups)
@@ -83,11 +88,14 @@ def grading_from_partition(sizes, groups) -> Grading:
     for m, g in zip(sizes, groups):
         if g.order != m:
             raise ValueError(f"block of size {m} cannot carry {g.descriptor()}")
+    n = sum(sizes)
+    if n > GRADE_MAX_N:
+        raise ValueError(f"K^{n}; gradings are built on at most {GRADE_MAX_N} points "
+                         "(GRADE_MAX_N, exact character vectors and products)")
     order = sorted(range(len(sizes)),
                    key=lambda i: (-sizes[i], groups[i].invariant_factors))
     sizes = [sizes[i] for i in order]
     groups = [groups[i] for i in order]
-    n = sum(sizes)
     blocks = []
     start = 0
     for m in sizes:
@@ -132,16 +140,16 @@ def verify_grading(grading: Grading) -> CertificateReport:
     a bitmask: two vectors with disjoint supports (any two from different
     blocks of a partition grading) have product zero, so their rows hold
     with no multiply, and other pairs multiply only where their supports
-    meet.  K^n is commutative, so the product of an unordered pair of basis
-    vectors is computed once and checked in both rows, each against its own
-    target.  It is held until its mirrored row only when that row's target
-    differs; when the targets agree (always, for an abelian group) the
-    mirrored row reads the first row's result, and a failing pair's witness
-    comes from its first row.  A product equal, entry for entry, to one of
-    its target's basis vectors lies in the target (every product of a
-    character grading does); only a product matching none is reduced
-    against the target's echelon form (`linalg.Span`), built the first time
-    it is needed.
+    meet.  K^n is commutative, so one product is computed per unordered
+    pair and target: a row keeps its verdict, keyed by the pair and its
+    target, until the mirrored row reads it.  Only a mirrored row whose
+    target differs (non-commuting keys whose vectors' supports meet, which
+    no partition grading has) computes the product again, and the witness
+    comes from the first failing row.  A product equal, entry for entry, to
+    one of its target's basis vectors lies in the target (every product of
+    a character grading does); only a product matching none is reduced
+    against the target's echelon form (`linalg.Span`), built the first
+    time it is needed.
     """
     group = grading.group
     comps = grading.components
@@ -174,42 +182,34 @@ def verify_grading(grading: Grading) -> CertificateReport:
         "unit lies in the identity component",
         "all-ones vector against the identity component basis",
         id_span.rank > 0 and ones in id_span))
-    first, count = {}, 0        # key -> position of its first vector in all_vectors
-    for key in support:
-        first[key], count = count, count + len(comps[key])
+    starts = itertools.accumulate((len(comps[key]) for key in support), initial=0)
+    # key -> positions of its vectors in all_vectors
+    positions = {key: range(s, s + len(comps[key])) for key, s in zip(support, starts)}
     supports = [[i for i, x in enumerate(v) if x] for v in all_vectors]
     masks = [sum(1 << i for i in s) for s in supports]
-    products: dict = {}         # unordered pair of positions -> (target, product, ok)
+    verdicts: dict = {}         # (p, q, target) with p < q -> ok, until the mirrored row
     witness = None
     for g in support:
         g_text = text_of(g)
         for h in support:
             h_text = text_of(h)
             target = group.mul(g, h)
-            keep = group.mul(h, g) != target     # the mirrored row checks another target
             target_text = text_of(target)
             target_basis = comps.get(target)
-            for ai, a in enumerate(comps[g]):
-                p = first[g] + ai
-                for bi, b in enumerate(comps[h]):
-                    q = first[h] + bi
+            for ai, (p, a) in enumerate(zip(positions[g], comps[g])):
+                for bi, (q, b) in enumerate(zip(positions[h], comps[h])):
                     common = masks[p] & masks[q]
                     if not common:                       # the product is zero
                         ok = True
                     else:
-                        pair = (p, q) if p <= q else (q, p)
-                        seen = products.pop(pair, None)  # the mirrored row, if done
-                        if seen is not None and seen[0] == target:
-                            _, prod, ok = seen
-                        else:
-                            prod = seen[1] if seen is not None else _pointwise(
-                                a, b, [i for i in supports[p] if common >> i & 1])
-                            if target_basis is None:
-                                ok = False
-                            else:
-                                ok = prod in target_basis or prod in span_of(target)
-                            if seen is None and p != q:
-                                products[pair] = (target, prod if keep else None, ok)
+                        pair = (p, q, target) if p <= q else (q, p, target)
+                        ok = verdicts.pop(pair, None)    # the mirrored row, if done
+                        if ok is None:
+                            prod = _pointwise(a, b, [i for i in supports[p] if common >> i & 1])
+                            ok = target_basis is not None and (
+                                prod in target_basis or prod in span_of(target))
+                            if p != q:
+                                verdicts[pair] = ok
                     # a classification repeats these labels across its gradings;
                     # interned, each is stored once however many reports keep it
                     label = sys.intern(f"product law [{g_text}][{ai}] * "
@@ -285,43 +285,30 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
     grading restricts to an ergodic grading on each block, unverified as
     none is needed: 1_b in A_identity gives A_g * 1_b inside A_g.  The
     `orbit-decompose` command verifies the restrictions as a cross-check.
-    A component keeps the independent ones of its nonzero restrictions to
-    a block; a lone nonzero restriction is independent, so only a
-    component with two or more builds an echelon form.
+    Points are classed by their column of identity basis values.  Each
+    identity vector is constant on every class, so with as many classes as
+    the identity dimension k the class indicators span the identity
+    component, and the blocks need no span query.  A component keeps the
+    independent ones of its nonzero restrictions to a block; only one with
+    two or more builds an echelon form.
     """
     id_basis = grading.identity_basis()
-    id_span = linalg.Span(id_basis)
-    k = id_span.rank
+    k = linalg.rank(id_basis)
     n = grading.n
-    # points are equivalent when every coinvariant vector agrees on them
-    reps: list[int] = []
-    assignment = {}
+    classes: dict = {}
     for i in range(n):
-        for r in reps:
-            if all(v[i] == v[r] for v in id_basis):
-                assignment[i] = r
-                break
-        else:
-            reps.append(i)
-            assignment[i] = i
-    blocks = [tuple(i for i in range(n) if assignment[i] == r) for r in reps]
-    blocks.sort(key=lambda b: (-len(b), b))
+        classes.setdefault(tuple(v[i] for v in id_basis), []).append(i)
+    blocks = sorted((tuple(c) for c in classes.values()), key=lambda b: (-len(b), b))
     if len(blocks) != k:
         raise ValueError(
             f"identity component of dimension {k} does not split into 0/1 "
             f"idempotents ({len(blocks)} coordinate classes); the grading is "
             "not a verified grading of a diagonal algebra")
-    fixed = []
-    for b in blocks:
-        vec = tuple(1 if i in b else 0 for i in range(n))
-        if vec not in id_span:
-            raise ValueError("block indicator is not coinvariant; "
-                             "inconsistent identity component")
-        fixed.append(vec)
+    support = grading.support()
     restrictions = []
     for b in blocks:
         comps: dict = {}
-        for key in grading.support():
+        for key in support:
             vecs = [rv for rv in (tuple(v[i] for i in b) for v in grading.components[key])
                     if any(rv)]
             if len(vecs) > 1:
@@ -329,57 +316,13 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
                 vecs = [rv for rv in vecs if span.add(rv)]
             if vecs:
                 comps[key] = vecs
-        restrictions.append(_simplify_restriction(grading, comps, len(b)))
+        restrictions.append(Grading(len(b), *grading.group.restriction(comps)))
     return OrbitReport(
         partition=tuple(len(b) for b in blocks),
         k=k,
         blocks=tuple(blocks),
-        fixed_basis=tuple(fixed),
+        fixed_basis=tuple(tuple(1 if i in b else 0 for i in range(n)) for b in blocks),
         restrictions=restrictions)
-
-
-def _simplify_restriction(grading: Grading, comps: dict, m: int) -> Grading:
-    """Rebuild a block restriction over its own abelian group.
-
-    The support of a restriction is a finite subgroup of the free product,
-    hence conjugate into one factor (Kurosh): when its keys name more than
-    one block, each is x*l*x^-1 for one shared x, and l is read in l's block.
-    """
-    if not isinstance(grading.group, FreeProductGroup):
-        return Grading(m, grading.group, comps)
-    factors = {i for key in comps if key for i, _ in key}
-    if len(factors) > 1:
-        comps = _unconjugate(grading.group, comps)
-        factors = {key[0][0] for key in comps if key}
-    if not factors:
-        return Grading(m, FiniteAbelianGroup(()), {(): comps.get((), [])})
-    i = factors.pop()
-    G = grading.group.groups[i]
-    out = {}
-    for key, vecs in comps.items():
-        if not key:
-            out[G.identity()] = vecs
-        else:
-            out[key[0][1]] = vecs
-    return Grading(m, G, out)
-
-
-def _unconjugate(group: FreeProductGroup, comps: dict) -> dict:
-    """Components keyed x*l*x^-1, one x and one block for l, rekeyed by l."""
-    first = next(key for key in comps if key)
-    r = len(first) // 2
-    out = {}
-    for key, vecs in comps.items():
-        if key:
-            if len(key) != 2 * r + 1 or key[:r] != first[:r] or \
-                    key[r][0] != first[r][0] or group.mul(key[:r], key[r + 1:]) != ():
-                raise ValueError(
-                    f"restricted key {group.key_text(key)} is no conjugate x*l*x^-1 with "
-                    f"the x and the block of {group.key_text(first)}; the grading is "
-                    "not a verified grading of a diagonal algebra")
-            key = key[r:r + 1]
-        out[key] = vecs
-    return out
 
 
 @dataclass
@@ -487,14 +430,7 @@ def classify_gradings(n: int, ergodic_only: bool = False) -> ClassificationRepor
 # -- grading file format --
 
 def format_grading(grading: Grading) -> str:
-    lines = [f"n: {grading.n}"]
-    if isinstance(grading.group, FreeProductGroup):
-        lines.append("blocks: " + " | ".join(
-            ",".join(str(p + 1) for p in b) for b in grading.group.blocks))
-        lines.append("groups: " + " | ".join(
-            g.descriptor() for g in grading.group.groups))
-    else:
-        lines.append(f"group: {grading.group.descriptor()}")
+    lines = [f"n: {grading.n}", *grading.group.header_lines()]
     for key in grading.support():
         for vec in grading.components[key]:
             coords = ",".join(format_scalar(x) for x in vec)

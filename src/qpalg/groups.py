@@ -16,7 +16,8 @@ of the point set has reduced words of (block, exponent tuple) letters as
 elements, written "e" or "b<block>:<element>" letters joined by "*".
 Both grading groups share one interface: identity, mul, block_element
 (block i's element c as an element of the grading group), element_order,
-is_abelian, generates, key_text and parse_key.  Descriptors of order
+is_abelian, generates, key_text, parse_key, header_lines (the grading
+file header) and restriction (to an orbit block).  Descriptors of order
 above GROUP_MAX_ORDER are refused.
 
 Every group closed here is abelian, and subgroup_closure is the one
@@ -171,6 +172,14 @@ class FiniteAbelianGroup:
         """The element c of the one block: the group is its own block group."""
         return c
 
+    def header_lines(self) -> list[str]:
+        """The grading file header that names the group."""
+        return [f"group: {self.descriptor()}"]
+
+    def restriction(self, comps: dict) -> tuple:
+        """(group, components) of an orbit block's restriction: both unchanged."""
+        return self, comps
+
     def element_order(self, a: tuple) -> int:
         return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, self.invariant_factors))) \
             if self.invariant_factors else 1
@@ -260,6 +269,35 @@ class FreeProductGroup:
     def block_element(self, i: int, c: tuple) -> tuple:
         """Block i's element c as a reduced word: e, or the one letter (i, c)."""
         return () if c == self.groups[i].identity() else ((i, c),)
+
+    def header_lines(self) -> list[str]:
+        """The grading file header that names the blocks and their groups."""
+        return ["blocks: " + " | ".join(",".join(str(p + 1) for p in b) for b in self.blocks),
+                "groups: " + " | ".join(g.descriptor() for g in self.groups)]
+
+    def restriction(self, comps: dict) -> tuple:
+        """(group, components) of an orbit block's restriction, over one
+        block group.  Its support is a finite subgroup of the free product,
+        hence conjugate into one factor (Kurosh): when its keys name more
+        than one block, each is x*l*x^-1 for one shared x, read as l in l's
+        block."""
+        factors = {i for key in comps if key for i, _ in key}
+        if len(factors) > 1:
+            first = next(key for key in comps if key)
+            r = len(first) // 2
+            for key in comps:
+                if key and (len(key) != 2 * r + 1 or key[:r] != first[:r] or
+                            key[r][0] != first[r][0] or self.mul(key[:r], key[r + 1:]) != ()):
+                    raise ValueError(
+                        f"restricted key {self.key_text(key)} is no conjugate x*l*x^-1 with "
+                        f"the x and the block of {self.key_text(first)}; the grading is "
+                        "not a verified grading of a diagonal algebra")
+            comps = {key[r:r + 1] if key else key: vecs for key, vecs in comps.items()}
+            factors = {first[r][0]}
+        if not factors:
+            return FiniteAbelianGroup(()), {(): comps.get((), [])}
+        G = self.groups[factors.pop()]
+        return G, {key[0][1] if key else G.identity(): vecs for key, vecs in comps.items()}
 
     def element_order(self, a: tuple):
         """Order of a reduced word; None means infinite.

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qpalg import cli
 from qpalg.cli import (EXIT_INCONCLUSIVE, EXIT_REFUTED, EXIT_USAGE,
                        EXIT_VERIFIED, main)
-from qpalg.gradings import Grading, format_grading, grading_from_partition
+from qpalg.gradings import GRADE_MAX_N, Grading, format_grading, grading_from_partition
 from qpalg.groups import FiniteAbelianGroup
 from qpalg.qperm import SN_MAX_N
 from qpalg.reports import (CertificateReport, IdentityCheck, INCONCLUSIVE,
@@ -412,6 +412,16 @@ def test_grade_refuses_characters_above_the_field_cap(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "Q(zeta_272)" in err and "overall:" not in out
     assert not path.exists()
+
+
+def test_grade_refuses_more_points_than_the_cap(tmp_path, capsys):
+    # Z2^12 on 4096 points: its character vectors alone hold 2^24 entries
+    path = tmp_path / "g.grading"
+    code, out, err = run(["grade", "--blocks", "4096", "--groups", "x".join(["Z2"] * 12),
+                          "--save", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "GRADE_MAX_N" in err and "overall:" not in out
+    assert str(GRADE_MAX_N) in err and not path.exists()
 
 
 def test_grade_save_and_orbit(tmp_path, capsys):

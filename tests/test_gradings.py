@@ -177,6 +177,13 @@ def test_restricted_support_must_be_a_conjugate_of_one_factor():
         orbit_decompose(Grading(4, fp, {**comps, (a, b): [(0, 0, 1, -1)]}))
 
 
+def test_orbit_decompose_refuses_an_identity_component_of_no_idempotents():
+    # (1,2) alone spans no subalgebra: two coordinate classes, dimension 1
+    grading = Grading(2, Z2, {(0,): [(1, 2)], (1,): [(1, -1)]})
+    with pytest.raises(ValueError, match="does not split into 0/1 idempotents"):
+        orbit_decompose(grading)
+
+
 def test_orbit_roundtrip_all_partitions_up_to_5():
     for n in range(1, 6):
         for partition in partitions_desc(n):
@@ -667,9 +674,10 @@ def test_classification_makes_no_product_span_query(monkeypatch):
     _, queries, _ = _count_exact_operations(monkeypatch)
     rep = classify_gradings(6)
     assert all(e.orbit is not None for e in rep.general) and len(rep.general) == 13
-    # every product equals a target basis vector: the queries left are the
-    # unit row of each grading and orbit_decompose's block indicators
-    assert len(queries) == sum(1 + e.orbit.k for e in rep.general)
+    # every product equals a target basis vector, and orbit_decompose reads
+    # its block indicators off the coordinate classes: the one query left
+    # is the unit row of each grading
+    assert len(queries) == len(rep.general)
     assert all(set(v) <= {0, 1} for v in queries)
 
 

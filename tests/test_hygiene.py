@@ -136,6 +136,17 @@ def test_grading_groups_live_in_groups():
     assert not elsewhere, f"grading groups outside groups.py: {elsewhere}"
 
 
+# a grading asks its group, through the shared interface, and never which kind it is
+def test_gradings_make_no_isinstance_test_against_a_group_class():
+    source = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    classes = {node.name for node in ast.walk(source["groups"])
+               if isinstance(node, ast.ClassDef)}
+    tests = [f"gradings.py:{node.lineno}" for node in ast.walk(source["gradings"])
+             if isinstance(node, ast.Call) and _dotted(node.func) == "isinstance"
+             and {(_dotted(n) or "").split(".")[-1] for n in ast.walk(node.args[1])} & classes]
+    assert not tests, f"isinstance tests against a grading group class: {tests}"
+
+
 # a named cap decides which requests exit 64, so a user reads them all in one place
 def test_every_named_cap_is_documented():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
