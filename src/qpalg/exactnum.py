@@ -173,9 +173,16 @@ class Cyclotomic:
     at any order is a scaling: the product is the other operand embedded
     at the lcm of the orders and scaled, which is the convolution's
     result since the form at a fixed order is canonical.
+
+    A root of unity made by `zeta` remembers its exponent k in ``_root``
+    (every computed value has None there).  Two roots multiply by adding
+    exponents at the lcm L of their orders, zeta_m1^j * zeta_m2^k =
+    zeta_L^(j L/m1 + k L/m2), which returns the shared root object at the
+    order the convolution would give; a root's residue is a power of the
+    prime's root of unity, and its hash is the Ramanujan sum in closed form.
     """
 
-    __slots__ = ("order", "_num", "_den")
+    __slots__ = ("order", "_num", "_den", "_root")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
@@ -184,7 +191,7 @@ class Cyclotomic:
         den = math.lcm(*(c.denominator for c in vec))
         raw = _reduce(order, [c.numerator * (den // c.denominator) for c in vec])
         made = Cyclotomic._trusted(order, raw, den)
-        self.order, self._num, self._den = order, made._num, made._den
+        self.order, self._num, self._den, self._root = order, made._num, made._den, None
 
     @classmethod
     def _trusted(cls, order: int, num, den: int) -> "Cyclotomic":
@@ -196,7 +203,7 @@ class Cyclotomic:
                 num = [c // g for c in num]
                 den //= g
         x = object.__new__(cls)
-        x.order, x._num, x._den = order, tuple(num), den
+        x.order, x._num, x._den, x._root = order, tuple(num), den, None
         return x
 
     @property
@@ -282,6 +289,10 @@ class Cyclotomic:
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
+        if self._root is not None and other._root is not None:
+            m = math.lcm(self.order, other.order)
+            k = self._root * (m // self.order) + other._root * (m // other.order)
+            return _zeta(m, k % m)
         # a rational operand at any order scales the other one; the order
         # stays the lcm, as format_scalar prints it
         if other.is_rational():
@@ -342,6 +353,9 @@ class Cyclotomic:
         """Hash of Tr(x)/phi(order), the same at every order and x itself
         for a rational x.  Over Q(zeta_m), Tr(z^k) is the Ramanujan sum
         mu(m/g) phi(m)/phi(m/g) with g = gcd(k, m)."""
+        if self._root is not None:
+            d = self.order // math.gcd(self._root, self.order)
+            return hash(Fraction(_mobius(d), euler_phi(d)))
         m, mean = self.order, Fraction(0)
         for k, c in enumerate(self._num):
             if c:
@@ -367,7 +381,9 @@ def zeta(m: int, k: int = 1) -> Cyclotomic:
 
 @lru_cache(maxsize=None)
 def _zeta(m: int, k: int) -> Cyclotomic:
-    return Cyclotomic(m, [0] * k + [1])
+    x = Cyclotomic(m, [0] * k + [1])
+    x._root = k
+    return x
 
 
 # -- the scalar interface: every other module asks here what a scalar is --
@@ -434,6 +450,8 @@ def residue(x, p: int, r: int, m: int) -> int:
     if isinstance(x, Cyclotomic):
         if m % x.order:
             raise ValueError(f"Q(zeta_{x.order}) is not a subfield of Q(zeta_{m})")
+        if x._root is not None:
+            return pow(r, x._root * (m // x.order), p)
         s = pow(r, m // x.order, p)          # the image of zeta_order
         num = 0
         for c in reversed(x._num):
@@ -450,9 +468,10 @@ def _render_terms(x: Cyclotomic, z: str, sep: str) -> str:
     """The nonzero power-basis terms of x joined by sep, with z^k spelt
     through the symbol z; a negative term turns the "+" of sep into "-"."""
     parts = []
-    for k, c in enumerate(x.coeffs):
+    for k, c in enumerate(x._num):
         if not c:
             continue
+        c = Fraction(c, x._den)
         if k == 0:
             parts.append(str(c))
             continue

@@ -497,6 +497,7 @@ _GOLDEN_SUITE = [
     ["orbit-decompose", "--input", "one.grading"],
     ["grade", "--blocks", "4", "--groups", "Z2xZ2"],
     ["grade", "--blocks", "64", "--groups", "Z64"],
+    ["grade", "--blocks", "97", "--groups", "Z97"],
 ]
 
 # sha256 over the exit code, the stdout and the --json report without
@@ -570,6 +571,8 @@ _GOLDEN_SHA256 = {
         "b67202103d61e39b45b189e3e6536d4439e8090d95839de2ddca8a246cbf4ffb",
     "grade --blocks 64 --groups Z64":
         "015669cc813471d04aec4c5f802381fc165a536af3888b5a8b7eaa0c347e4444",
+    "grade --blocks 97 --groups Z97":
+        "9110a1c05f64737d97779bf3fa0875fa5b13c48913ab5a656fb31ceb848d0a6f",
 }
 
 

@@ -334,3 +334,33 @@ def test_residue_refuses_what_it_cannot_map():
         residue(zeta(3) * F(3, p), p, r, 12)
     with pytest.raises(ValueError):
         residue(zeta(5), p, r, 12)
+
+
+@st.composite
+def _root_pairs(draw):
+    """Two roots of unity zeta(m1, j), zeta(m2, k) whose orders divide an L <= 64."""
+    field = draw(st.integers(1, 64))
+    m1, m2 = (draw(st.sampled_from(divisors(field))) for _ in range(2))
+    return (m1, draw(st.integers(0, m1 - 1))), (m2, draw(st.integers(0, m2 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_root_pairs())
+def test_roots_agree_with_the_same_values_without_exponents(pair):
+    (m1, j), (m2, k) = pair
+    x, y = zeta(m1, j), zeta(m2, k)
+    # the same values rebuilt from coordinates remember no exponent
+    px, py = Cyclotomic(m1, x.coeffs), Cyclotomic(m2, y.coeffs)
+    L = math.lcm(m1, m2)
+    product = x * y
+    assert product is zeta(L, j * (L // m1) + k * (L // m2))
+    for exact in (px * py, px * y, x * py):
+        assert (exact.order, exact._num, exact._den) == \
+            (product.order, product._num, product._den)
+    _agree(product, ref.mul(ref.reduce(m1, [0] * j + [1]), ref.reduce(m2, [0] * k + [1])))
+    assert (x == y) == (px == py) and x == px and y == py
+    assert hash(x) == hash(px) and hash(y) == hash(py) and hash(product) == hash(px * py)
+    p, r = split_prime(L)
+    for root, plain in ((x, px), (y, py), (product, px * py)):
+        assert residue(root, p, r, L) == residue(plain, p, r, L)
+    assert format_scalar(product) == format_scalar(px * py)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpalg import gradings, linalg
+from qpalg import exactnum, gradings, linalg
 from qpalg.exactnum import format_scalar, split_prime, zeta
 from qpalg.gradings import (Grading, classify_gradings, format_grading,
                             grading_from_partition, orbit_decompose, parse_grading,
@@ -730,6 +730,22 @@ def test_a_large_cyclic_block_builds_only_the_identity_form(monkeypatch):
     grading = grading_from_partition((64,), (FiniteAbelianGroup((64,)),))
     assert verify_grading(grading).verdict == VERIFIED
     assert built == [grading.components[grading.group.identity()]]
+
+
+def test_products_of_characters_convolve_nothing(monkeypatch):
+    # every character value is a root of unity, so each pointwise product
+    # adds exponents and no product convolves power-basis vectors
+    calls = []
+    convolve = exactnum._convolve
+
+    def counted(a, b):
+        calls.append((a, b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(exactnum, "_convolve", counted)
+    grading = grading_from_partition((64,), (FiniteAbelianGroup((64,)),))
+    assert verify_grading(grading).verdict == VERIFIED
+    assert calls == []
 
 
 def test_partly_overlapping_supports_give_the_plain_witness(monkeypatch):

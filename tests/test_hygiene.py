@@ -115,14 +115,16 @@ def test_no_integral_fraction_constants(path):
     assert not lines, f"{path.name}: Fraction of an integer literal at lines {lines}; use the int"
 
 
-# a Cyclotomic's coordinates are `exactnum`'s representation; a module that
-# needs their image modulo a prime asks `exactnum.residue`
+# a Cyclotomic's coordinates, and the exponent a root of unity remembers, are
+# `exactnum`'s representation; a module that needs their image modulo a prime
+# asks `exactnum.residue`
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "exactnum"],
                          ids=[p.name for p in MODULES if p.stem != "exactnum"])
 def test_only_exactnum_reads_cyclotomic_coordinates(path):
     lines = sorted({node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                    if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den")})
-    assert not lines, f"{path.name}: Cyclotomic._num/_den read at lines {lines}; ask exactnum"
+                    if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den", "_root")})
+    assert not lines, (f"{path.name}: Cyclotomic._num/_den/_root read at lines {lines}; "
+                       "ask exactnum")
 
 
 # a grading group is a class with an element_order; they all live in groups,
