@@ -23,7 +23,7 @@ from .ncalg import NCPoly, parse_poly
 from .qperm import (ALL_FAMILIES, MatrixOverAlgebra, coaction_algebra_map_check,
                     completion_rungs, gram_diagonal_check, group_algebra_presentation,
                     magic_presentation, matrix_inverse_from_families,
-                    semi_magic_presentation, sn_isomorphism_check,
+                    render_on_sn, semi_magic_presentation, sn_isomorphism_check,
                     sn_relations_check, to_sn_function, u_alphabet,
                     verify_hopf_axioms, wang_witness)
 from .reports import (INCONCLUSIVE, REFUTED, VERIFIED, CertificateReport,
@@ -241,7 +241,7 @@ def _dispatch(args, argv, started) -> int:
             report = CertificateReport(
                 claim=f"S_{n} image of {poly.render()}",
                 identities=[], verdict=VERIFIED,
-                details={"image": image.render(limit=64), "zero": not image})
+                details={"image": render_on_sn(image, limit=64), "zero": not image})
             return _emit(args, argv, {"n": n, "poly": args.poly}, [report],
                          VERIFIED, started)
         report = sn_relations_check(n)

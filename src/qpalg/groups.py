@@ -1,24 +1,19 @@
-"""Finite group machinery: S_n, functions on S_n, the grading groups
-(finite abelian groups and free products of them), characters with
-cyclotomic values, and transitive abelian subgroups.
+"""Finite group machinery: the grading groups (finite abelian groups and
+free products of them), characters with cyclotomic values, and
+permutations for the search for transitive abelian subgroups of S_n.
 
-A function on S_n is a dict from image tuples to its nonzero values,
-read at a Perm and rendered in cycle notation: there is no pointwise
-algebra on it, and the one map into such functions is
-qperm.to_sn_function.
-
-Permutations act on 0-based points internally and render 1-based cycle
-notation.  Finite abelian groups are canonicalized by invariant factors
-d_1 | d_2 | ... | d_r (all >= 2, empty chain = trivial group); elements
-are exponent tuples, written "e" or dot-joined exponents in grading files
-(key_text / parse_key).  A free product of block groups over a partition
-of the point set has reduced words of (block, exponent tuple) letters as
-elements, written "e" or "b<block>:<element>" letters joined by "*".
-Both grading groups share one interface: identity, mul, block_element
-(block i's element c as an element of the grading group), element_order,
-is_abelian, generates, key_text, parse_key, header_lines (the grading
-file header) and restriction (to an orbit block).  Descriptors of order
-above GROUP_MAX_ORDER are refused.
+Permutations act on 0-based points.  Finite abelian groups are
+canonicalized by invariant factors d_1 | d_2 | ... | d_r (all >= 2,
+empty chain = trivial group); elements are exponent tuples, written "e"
+or dot-joined exponents in grading files (key_text / parse_key).  A free
+product of block groups over a partition of the point set has reduced
+words of (block, exponent tuple) letters as elements, written "e" or
+"b<block>:<element>" letters joined by "*".  Both grading groups share
+one interface: identity, mul, block_element (block i's element c as an
+element of the grading group), element_order, is_abelian, generates,
+key_text, parse_key, header_lines (the grading file header) and
+restriction (to an orbit block).  Descriptors of order above
+GROUP_MAX_ORDER are refused.
 
 Every group closed here is abelian, and subgroup_closure is the one
 closure, of pairwise commuting generators under any law: it serves
@@ -87,23 +82,6 @@ class Perm:
     def __hash__(self):
         return hash(self.images)
 
-    def cycle_string(self) -> str:
-        seen = [False] * self.n
-        cycles = []
-        for start in range(self.n):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            nxt = self.images[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt] = True
-                nxt = self.images[nxt]
-            cycles.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
-        return "".join(cycles) if cycles else "id"
-
     def __repr__(self):
         return f"Perm{self.images}"
 
@@ -111,29 +89,6 @@ class Perm:
 def all_perms(n: int) -> list[Perm]:
     """All of S_n in lexicographic image order."""
     return [Perm(p) for p in itertools.permutations(range(n))]
-
-
-class FunctionOnSn(dict):
-    """Exact-valued function on S_n: a map from image tuples to its nonzero
-    values, so f(sigma) reads the entry of sigma.images (0 where absent).
-
-    It is the value type of qperm.to_sn_function, the one map onto
-    functions on S_n; there is no pointwise algebra on it.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, sigma: Perm):
-        return self.get(sigma.images, 0)
-
-    def render(self, limit: int = 8) -> str:
-        if not self:
-            return "0"
-        support = sorted(self)
-        parts = [f"{self[s]}*e[{Perm._trusted(s).cycle_string()}]" for s in support[:limit]]
-        if len(support) > limit:
-            parts.append(f"... ({len(support)} supported permutations)")
-        return " + ".join(parts)
 
 
 class FiniteAbelianGroup:

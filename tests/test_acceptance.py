@@ -43,7 +43,7 @@ def test_criterion_01_dimension_counts(completed_magic):
         for w in basis:
             poly = NCPoly(completed_magic[n].system.alphabet, {w: 1})
             f = to_sn_function(poly, n)
-            rows.append([f(sigma) for sigma in all_perms(n)])
+            rows.append([f.get(sigma.images, 0) for sigma in all_perms(n)])
         assert linalg.rank(rows) == expected, f"evaluation rank at n={n}"
     _ok("01 dimension counts 1, 2, 6 and full evaluation rank for n <= 3")
 

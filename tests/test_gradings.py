@@ -435,6 +435,53 @@ def test_free_product_generates_only_when_every_letter_is_reached():
     assert fp.generates([ab, b]) and not fp.generates([ab, aba])
 
 
+def _inverse_word(fp, word):
+    return tuple((i, tuple(-x % d for x, d in zip(c, fp.groups[i].invariant_factors)))
+                 for i, c in reversed(word))
+
+
+def _reaches_every_letter(fp, support) -> bool:
+    """Does the support, with its inverses, closed under the products whose
+    reduced length is at most max(3, its longest word), hold every letter?"""
+    bound = max(3, *map(len, support))
+    closure = set(support) | {_inverse_word(fp, w) for w in support}
+    frontier = set(closure)
+    while frontier:
+        new = {z for x in frontier for y in list(closure)
+               for z in (fp.mul(x, y), fp.mul(y, x)) if len(z) <= bound} - closure
+        closure |= new
+        frontier = new
+    return all(((i, c),) in closure for i, G in enumerate(fp.groups)
+               for c in G.elements() if c != G.identity())
+
+
+_GENERATES_GROUPS = [(Z2, Z2), (Z3, Z2), (Z2, Z2, Z2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), groups=st.sampled_from(_GENERATES_GROUPS))
+def test_free_product_generates_only_what_short_words_reach(data, groups):
+    # soundness: True is never said of a proper subgroup, so every letter is
+    # a product of the supported words and their inverses
+    fp = _free_product(groups)
+    words = [w for w in _reduced_words(fp, 3) if w]
+    support = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+    if fp.generates(support):
+        assert _reaches_every_letter(fp, support), [fp.key_text(w) for w in support]
+
+
+def test_a_b_and_a2_b_reach_every_letter_of_z3_z2():
+    fp = _free_product((Z3, Z2))
+    assert _reaches_every_letter(fp, [fp.parse_key("b0:1*b1:1"), fp.parse_key("b0:2*b1:1")])
+
+
+@pytest.mark.xfail(strict=True, reason="generates is sound, not complete: no letter of "
+                   "a*b or a^2*b joins, though their closure holds every letter")
+def test_generates_knows_a_b_and_a2_b_generate_z3_z2():
+    fp = _free_product((Z3, Z2))
+    assert fp.generates([fp.parse_key("b0:1*b1:1"), fp.parse_key("b0:2*b1:1")])
+
+
 def test_subgroup_closure():
     assert Z4.subgroup([(2,)]) == {(0,), (2,)}
     assert K4.subgroup([(1, 0)]) == {(0, 0), (1, 0)}

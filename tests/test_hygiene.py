@@ -149,6 +149,19 @@ def test_gradings_make_no_isinstance_test_against_a_group_class():
     assert not tests, f"isinstance tests against a grading group class: {tests}"
 
 
+# how a function on S_n is stored and printed is qperm's decision alone; the
+# permutations of groups serve the subgroup search
+def test_qperm_imports_nothing_from_groups():
+    tree = ast.parse((Path(qpalg.__file__).parent / "qperm.py").read_text())
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (
+                   (node.module or "").split(".")[-1] == "groups"
+                   or any(alias.name == "groups" for alias in node.names))
+               or isinstance(node, ast.Import)
+               and any(alias.name.split(".")[-1] == "groups" for alias in node.names)]
+    assert not imports, f"qperm.py imports from groups at lines {imports}"
+
+
 # a named cap decides which requests exit 64, so a user reads them all in one place
 def test_every_named_cap_is_documented():
     readme = (Path(__file__).parents[1] / "README.md").read_text()

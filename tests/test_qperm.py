@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM, SEM
                          block_quotient, coaction_algebra_map_check, family_relations,
                          gram_diagonal_check, group_algebra_presentation,
                          magic_presentation, matrix_inverse_from_families,
-                         semi_magic_presentation, sn_isomorphism_check,
+                         cycle_string, render_on_sn, semi_magic_presentation, sn_isomorphism_check,
                          sn_relations_check, to_sn_function, u_alphabet,
                          verify_hopf_axioms, wang_witness)
 from qpalg.reports import INCONCLUSIVE, REFUTED, VERIFIED
@@ -401,18 +402,38 @@ def test_gram_diagonal_examples():
 
 def test_pi_on_generators():
     pres = magic_presentation(2)
-    f = to_sn_function(pres.gen(1, 1), 2)
-    ident = Perm((0, 1))
-    swap = Perm((1, 0))
-    assert f(ident) == 1 and f(swap) == 0
+    # u_11 is the indicator of sigma(1) = 1: the identity, not the swap
+    assert to_sn_function(pres.gen(1, 1), 2) == {(0, 1): 1}
     assert to_sn_function(pres.gen(1, 1) * pres.gen(1, 2), 2) == {}
 
 
 def test_render_truncates_after_its_limit():
     # 1 maps to the constant function: the 8 least image tuples of S_4, then the count
-    assert to_sn_function(NCPoly.one(u_alphabet(4)), 4).render() == (
+    assert render_on_sn(to_sn_function(NCPoly.one(u_alphabet(4)), 4)) == (
         "1*e[id] + 1*e[(3 4)] + 1*e[(2 3)] + 1*e[(2 3 4)] + 1*e[(2 4 3)] + 1*e[(2 4)] + "
         "1*e[(1 2)] + 1*e[(1 2)(3 4)] + ... (24 supported permutations)")
+
+
+def test_cycle_string_round_trips_on_every_permutation_up_to_degree_6():
+    for n in range(1, 7):
+        identity = tuple(range(n))
+        for images in itertools.permutations(range(n)):
+            text = cycle_string(images)
+            assert (text == "id") == (images == identity), images
+            if text == "id":
+                continue
+            cycles = [[int(p) - 1 for p in body.split(" ")]
+                      for body in re.findall(r"\(([^()]*)\)", text)]
+            assert "".join(f"({' '.join(str(p + 1) for p in c)})" for c in cycles) == text
+            points = [p for c in cycles for p in c]
+            assert len(set(points)) == len(points) and all(len(c) >= 2 for c in cycles)
+            assert all(c[0] == min(c) for c in cycles)           # each starts at its least point
+            assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+            parsed = list(identity)
+            for c in cycles:
+                for a, b in zip(c, c[1:] + c[:1]):
+                    parsed[a] = b
+            assert tuple(parsed) == images
 
 
 def test_pi_kills_relations():
