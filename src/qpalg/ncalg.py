@@ -17,7 +17,11 @@ re-canonicalise: a sum or product of Fractions may be an integral
 
 One sparse merge, `_combine`, sums for `+`, `-`, `*`, `substitute` and
 `rewrite`, and fixes the order of the terms; `substitute` is the one
-extension of a generator map (scalar images are constant polynomials).
+extension of a generator map (scalar images are constant polynomials).  It
+maps a word to the product of its letters' images alone, with no unit
+polynomial in front, and the empty word to one.  `render` prints the terms
+in descending deglex order, which it gets from two sorts on builtin keys:
+the words descending, then stably by length, descending.
 """
 
 from __future__ import annotations
@@ -145,10 +149,6 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=deglex_key)
 
-    def sorted_terms(self):
-        """Terms in descending deglex order."""
-        return [(w, self.terms[w]) for w in sorted(self.terms, key=deglex_key, reverse=True)]
-
     # -- arithmetic --
 
     def _check(self, other: "NCPoly"):
@@ -213,17 +213,23 @@ class NCPoly:
     # -- rendering --
 
     def render(self) -> str:
-        if not self.terms:
+        """Terms in descending deglex order, as `parse_poly` reads them."""
+        terms = self.terms
+        if not terms:
             return "0"
+        names = self.alphabet.names
+        words = sorted(terms, reverse=True)
+        words.sort(key=len, reverse=True)
         parts = []
-        for w, c in self.sorted_terms():
+        for w in words:
+            c = terms[w]
             cs = str(c)
-            if any(ch in cs for ch in "+- ") and not cs.lstrip("-").replace("/", "").isdigit():
+            # an int prints as digits after at most a sign, never parenthesised
+            if type(c) is not int and any(ch in cs for ch in "+- ") and \
+                    not cs.lstrip("-").replace("/", "").isdigit():
                 cs = f"({cs})"
-            body = cs if not w else f"{cs}*" + ".".join(self.alphabet.names[i] for i in w)
-            parts.append(body)
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+            parts.append(f"{cs}*" + ".".join([names[i] for i in w]) if w else cs)
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __str__(self):
         return self.render()
@@ -238,14 +244,19 @@ def substitute(p: NCPoly, images: dict, antihom: bool = False) -> NCPoly:
     Words map to the ordered product of their letters' images, reversed for
     the antihomomorphism direction; the map extends linearly and sends the
     unit to the unit.  The images fix the target algebra (p's own when
-    there are none).
+    there are none), and the images of p's letters must all live in it.
     """
-    missing = {letter for w in p.terms for letter in w} - images.keys()
+    letters = {letter for w in p.terms for letter in w}
+    missing = letters - images.keys()
     if missing:
         raise ValueError(f"no image for generator {p.alphabet.names[min(missing)]}")
-    one = NCPoly.one(next(iter(images.values())).alphabet if images else p.alphabet)
-    return NCPoly._trusted(one.alphabet, _combine(
-        (reduce(mul, [images[letter] for letter in (w[::-1] if antihom else w)], one).terms, c)
+    alphabet = next(iter(images.values())).alphabet if images else p.alphabet
+    if any(images[letter].alphabet != alphabet for letter in letters):
+        raise ValueError("alphabet mismatch")
+    one = {(): 1}
+    return NCPoly._trusted(alphabet, _combine(
+        (reduce(mul, [images[letter] for letter in (w[::-1] if antihom else w)]).terms
+         if w else one, c)
         for w, c in p.terms.items()))
 
 

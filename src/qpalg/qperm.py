@@ -39,10 +39,19 @@ def u_names(n: int) -> list[str]:
     return [f"u{i}{sep}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
+MATRIX_MAX_N = 12
+
+
 def u_alphabet(n: int) -> Alphabet:
-    """The n^2 generators u_ij of a size-n matrix presentation."""
+    """The n^2 generators u_ij of a size-n matrix presentation.
+
+    Every matrix presentation starts here, so a size above MATRIX_MAX_N is
+    refused before anything is built."""
     if n < 1:
         raise ValueError("matrix size must be positive")
+    if n > MATRIX_MAX_N:
+        raise ValueError(f"matrix presentations are capped at n = {MATRIX_MAX_N} "
+                         "(n^2 generators, n^3 relations)")
     return Alphabet(u_names(n))
 
 

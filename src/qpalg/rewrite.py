@@ -323,7 +323,10 @@ class TensorPowerSystem:
     factor word missing from `_memo` is reduced by the base system, whose
     table memoises the untagged word's normal form; `_memo` keeps the
     re-tagged copy for the life of the instance.  Build one per
-    certificate.
+    certificate.  A word's factor normal forms are all looked up before
+    any product of them is built, and the word is dropped at its first
+    zero factor: most terms of a Delta row die there (u_ia.u_ib -> 0 for
+    a != b), and only the surviving words are multiplied out and merged.
     """
 
     __slots__ = ("tensor", "base", "_memo")
@@ -347,39 +350,44 @@ class TensorPowerSystem:
         return self.base.status_label()
 
     def _factor_nf(self, part: Word, shift: int) -> dict:
-        """Normal form of one factor's tagged word, as tagged terms."""
-        nf = self._memo.get(part)
-        if nf is None:
-            word = tuple(l - shift for l in part)
-            nf = {tuple(l + shift for l in w): c for w, c in
-                  self.base.reduce_terms({word: 1}).items()}
-            self._memo[part] = nf
+        """Normal form of one factor's tagged word missing from `_memo`, as
+        tagged terms, now kept there."""
+        word = tuple(l - shift for l in part)
+        nf = self._memo[part] = {tuple(l + shift for l in w): c for w, c in
+                                 self.base.reduce_terms({word: 1}).items()}
         return nf
 
     def reduce_terms(self, terms: dict) -> dict:
         """Straighten each word by factor, then reduce every factor word in A."""
         nb = len(self.tensor.base)
         factors = self.tensor.factors
+        memo = self._memo
         out: dict = {}
         for w, c in terms.items():
             parts: list[list[int]] = [[] for _ in range(factors)]
             for letter in w:
                 parts[letter // nb].append(letter)
-            acc = {(): c}
+            nfs = []
             for f, part in enumerate(parts):
-                if not part:
-                    continue
-                nf = self._factor_nf(tuple(part), f * nb)
-                acc = {aw + fw: ac * fc for aw, ac in acc.items() for fw, fc in nf.items()}
-                if not acc:
-                    break
-            # merged in place: through _combine it measured no faster and needed a second word memo
-            for aw, ac in acc.items():
-                s = out.get(aw, 0) + ac
-                if s:
-                    out[aw] = s
-                else:
-                    del out[aw]
+                if part:
+                    part = tuple(part)
+                    nf = memo.get(part)
+                    if nf is None:
+                        nf = self._factor_nf(part, f * nb)
+                    if not nf:
+                        break
+                    nfs.append(nf)
+            else:
+                acc = {(): c}
+                for nf in nfs:
+                    acc = {aw + fw: ac * fc for aw, ac in acc.items() for fw, fc in nf.items()}
+                # merged in place: through _combine it measured no faster and needed a second word memo
+                for aw, ac in acc.items():
+                    s = out.get(aw, 0) + ac
+                    if s:
+                        out[aw] = s
+                    else:
+                        del out[aw]
         return out
 
 

@@ -6,12 +6,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpalg import cli
+from qpalg import cli, qperm
 from qpalg.cli import (EXIT_INCONCLUSIVE, EXIT_REFUTED, EXIT_USAGE,
                        EXIT_VERIFIED, main)
 from qpalg.gradings import GRADE_MAX_N, Grading, format_grading, grading_from_partition
 from qpalg.groups import FiniteAbelianGroup
-from qpalg.qperm import SN_MAX_N
+from qpalg.qperm import MATRIX_MAX_N, SN_MAX_N
 from qpalg.reports import (CertificateReport, IdentityCheck, INCONCLUSIVE,
                            REFUTED, VERIFIED, merge_verdicts)
 from qpalg.rewrite import WORD_ENUMERATION_MAX_LETTERS
@@ -352,6 +352,19 @@ def test_evaluation_on_s_n_is_a_usage_error_above_its_cap(command, tmp_path, cap
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE
     assert err.startswith("error:") and f"capped at n = {SN_MAX_N}" in err
+    assert "overall:" not in out
+
+
+@pytest.mark.parametrize("command", ["verify-hopf", "verify-hopf --semi", "present", "complete"])
+def test_matrix_size_above_its_cap_is_a_usage_error(command, capsys, monkeypatch):
+    def no_names(n):
+        raise AssertionError("generator names built above the cap")
+
+    assert len(qperm.u_alphabet(MATRIX_MAX_N)) == MATRIX_MAX_N ** 2
+    monkeypatch.setattr(qperm, "u_names", no_names)
+    code, out, err = run(command.split() + ["--n", str(MATRIX_MAX_N + 1)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and f"capped at n = {MATRIX_MAX_N}" in err
     assert "overall:" not in out
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qpalg.exactnum import coeff_value, zeta
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, deglex_key, parse_poly, substitute
 from qpalg.rewrite import CONFLUENT, RewriteSystem, TensorPowerSystem, normal_form
+from render_reference import reference_render
 from tensor_reference import reference_tensor_system
 
 F = Fraction
@@ -100,6 +101,19 @@ def test_substitute_missing_image_rejected():
         substitute(u22 * u12 + u21, {0: u11, 2: u21})     # the lowest missing letter
 
 
+def test_substitute_rejects_images_over_two_alphabets():
+    # the first image fixes the target algebra; one-letter words are checked too
+    B = Alphabet(["p", "q"])
+    p_b = NCPoly.gen(B, 0)
+    for images, polys in (({0: u11, 1: p_b}, (u12, u12 * u12, u11 * u12, u12 + u11)),
+                          ({1: p_b, 0: u11}, (u11, u11 * u11, u12 * u11, 2 * u11 - 1))):
+        for poly in polys:
+            for antihom in (False, True):
+                with pytest.raises(ValueError, match="alphabet mismatch"):
+                    substitute(poly, images, antihom=antihom)
+    assert substitute(u11 * u11 - 1, {0: u12, 1: p_b}) == u12 * u12 - 1   # unused images
+
+
 def test_substitute_scalar_images():
     images = {k: NCPoly.scalar(A, c) for k, c in enumerate((1, 0, 0, 1))}
     assert substitute(u11 * u12 - u11, images) == -1
@@ -141,6 +155,23 @@ def test_poly_text_roundtrip():
     assert parse_poly("1*u11.u12 - 1*u12.u11", A) == u11 * u12 - u12 * u11
     assert parse_poly("3/2 - u11", A) == NCPoly.scalar(A, F(3, 2)) - u11
     assert parse_poly("0", A) == NCPoly.zero(A)
+
+
+_render_coeffs = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(max_denominator=12),
+    st.builds(lambda m, coeffs: sum((c * zeta(m, k) for k, c in enumerate(coeffs)), 0),
+              st.sampled_from((3, 4, 5, 8)), st.lists(st.integers(-3, 3), min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.dictionaries(st.lists(st.integers(0, 3), max_size=4).map(tuple), _render_coeffs,
+                             max_size=8))
+def test_render_matches_the_one_key_sort(terms):
+    """Two sorts on builtin keys give descending deglex, and ints skip a
+    parenthesis test they would always pass: the text is the reference's."""
+    p = NCPoly(A, terms)
+    assert p.render() == reference_render(p)
 
 
 def test_integral_rationals_are_stored_as_int():

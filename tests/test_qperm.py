@@ -296,7 +296,10 @@ def _report_sha(payload: dict) -> str:
 
 # verify_hopf_axioms at cap 8, recorded when every presentation was completed
 # to the cap before any row was reduced: sha256 of to_dict() without its
-# details, and of the whole to_dict() for the refuted ones.
+# details, and of the whole to_dict() for the refuted ones.  The two refuted
+# ones are the wrong-map controls of perfbench's hopf workload, and
+# wrong-delta3 is the only report here whose rows print a nonzero normal form
+# in a tensor power.
 _HOPF_ROWS_SHA256 = {
     "magic1": "0b7ef75724a42092721cfb51f243d97b8fbda3f8a6598c1a6293fd877597fdb2",
     "magic2": "0ed5235498decf2313a7e9bdd6a54a45f6e6b3b220a47b91c5e4fb941b313931",
@@ -333,6 +336,9 @@ def test_rungs_keep_every_row_of_the_cap_completion(name):
     if name in _HOPF_REFUTED_SHA256:
         assert payload["verdict"] == REFUTED
         assert _report_sha(payload) == _HOPF_REFUTED_SHA256[name]
+        tails = [row["polynomial"].split("~>")[1] for row in payload["identities"]
+                 if not row["reduced_to_zero"]]
+        assert any("@2" in tail for tail in tails) == (name == "wrong-delta3")
     else:
         assert payload["verdict"] == VERIFIED
     del payload["details"]
