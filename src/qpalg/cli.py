@@ -102,9 +102,10 @@ def _build_parser() -> _Parser:
 
     p = add_parser("coaction-check",
                        help="coaction/semi-magic equivalence on an instance")
-    p.add_argument("--n", type=int)
-    p.add_argument("--counterexample", action="store_true",
-                   help="run the diag(g,g) counterexample over K[Z2]")
+    instance = p.add_mutually_exclusive_group(required=True)
+    instance.add_argument("--n", type=int)
+    instance.add_argument("--counterexample", action="store_true",
+                          help="run the diag(g,g) counterexample over K[Z2]")
 
     p = add_parser("classify", help="classify gradings of K^n")
     p.add_argument("--n", type=int, required=True)
@@ -189,6 +190,8 @@ def _dispatch(args, argv, started) -> int:
         if args.basis_degree is not None and args.basis_degree < 0:
             raise UsageError("--basis-degree must be non-negative")
         if args.input:
+            if args.n is not None or args.semi:
+                raise UsageError("--input excludes --n and --semi")
             with open(args.input) as fh:
                 alphabet, relations = parse_presentation(fh.read())
             system = RewriteSystem.from_relations(alphabet, relations)
@@ -266,8 +269,6 @@ def _dispatch(args, argv, started) -> int:
             report = coaction_algebra_map_check(x, hopf)
             config = {"instance": "diag(g,g) over K[Z2]"}
         else:
-            if args.n is None:
-                raise UsageError("--n is required without --counterexample")
             pres = magic_presentation(args.n)
             for ambient in completion_rungs(pres.system, 8):
                 report = coaction_algebra_map_check(pres.generating_matrix(ambient), pres)

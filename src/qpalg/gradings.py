@@ -29,6 +29,7 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import linalg
 from .exactnum import capped_field, field_order, format_scalar, parse_scalar
@@ -162,20 +163,8 @@ def verify_grading(grading: Grading) -> CertificateReport:
         "direct sum spans K^n",
         f"rank {rk} of {len(all_vectors)} component basis vectors (need {grading.n})",
         rk == grading.n == len(all_vectors)))
-    spans: dict = {}
-
-    def span_of(key):
-        if key not in spans:
-            spans[key] = linalg.Span(comps.get(key, ()))
-        return spans[key]
-
-    texts: dict = {}
-
-    def text_of(key):
-        if key not in texts:
-            texts[key] = group.key_text(key)
-        return texts[key]
-
+    span_of = cache(lambda key: linalg.Span(comps.get(key, ())))
+    text_of = cache(group.key_text)
     ones = (1,) * grading.n
     id_span = span_of(group.identity())
     rows.append(IdentityCheck(

@@ -196,10 +196,7 @@ class NCPoly:
             ({w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
             for w1, c1 in self.terms.items()))
 
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__        # scalars commute with polynomials
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -213,7 +210,8 @@ class NCPoly:
     # -- rendering --
 
     def render(self) -> str:
-        """Terms in descending deglex order, as `parse_poly` reads them."""
+        """Terms in descending deglex order; `parse_poly` reads the text back
+        when every coefficient is rational."""
         terms = self.terms
         if not terms:
             return "0"

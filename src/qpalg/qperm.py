@@ -166,18 +166,13 @@ def group_algebra_presentation(m: int) -> HopfPresentation:
         raise ValueError("cyclic order must be >= 2")
     alphabet = Alphabet(["g"])
     g = NCPoly.gen(alphabet, 0)
-    power = NCPoly.one(alphabet)
-    for _ in range(m):
-        power = power * g
-    relations = [("group-like[g^m=1]", power - 1)]
+    relations = [("group-like[g^m=1]", NCPoly(alphabet, {(0,) * m: 1, (): -1}))]
     system = RewriteSystem.from_relations(alphabet, [p for _, p in relations])
     tensor2 = TensorAlgebra(alphabet, 2)
     delta = {0: tensor2.inject(g, 0) * tensor2.inject(g, 1)}
     counit = {0: NCPoly.one(alphabet)}
-    spoly = NCPoly.one(alphabet)
-    for _ in range(m - 1):
-        spoly = spoly * g
-    return HopfPresentation(1, system, relations, tensor2, delta, counit, {0: spoly})
+    antipode = {0: NCPoly(alphabet, {(0,) * (m - 1): 1})}
+    return HopfPresentation(1, system, relations, tensor2, delta, counit, antipode)
 
 
 @dataclass
@@ -551,13 +546,6 @@ def sn_relations_check(n: int) -> CertificateReport:
         details={"n": n, "relations": len(relations)})
 
 
-def _commutator_11_33(n: int) -> NCPoly:
-    """[u11, u33] = u11 u33 - u33 u11 over the n x n generator alphabet."""
-    alphabet = u_alphabet(n)
-    u11, u33 = NCPoly.gen(alphabet, 0), NCPoly.gen(alphabet, 2 * n + 2)
-    return u11 * u33 - u33 * u11
-
-
 def sn_isomorphism_check(n: int) -> CertificateReport:
     """Surjectivity always; basis count and evaluation rank for n <= 3;
     an explicit kernel element for n >= 4.  Both read `block_quotient`: on
@@ -603,14 +591,12 @@ def sn_isomorphism_check(n: int) -> CertificateReport:
         details["conclusion"] = "isomorphism" if all(
             r.reduced_to_zero for r in rows) else "not verified"
     if n >= 4:
-        witness = _commutator_11_33(n)
+        witness, quotient, upstream = _wang_witness(n)
         image = to_sn_function(witness, n)
         rows.append(IdentityCheck(
             "kernel witness maps to zero",
             f"pi({witness.render()}) = {render_on_sn(image)}",
             not image))
-        quotient = block_quotient(n, _wang_blocks(n))
-        upstream = normal_form(witness, quotient)
         rows.append(IdentityCheck(
             "kernel witness is nonzero upstream",
             f"block quotient normal form: {upstream.render()}",
@@ -647,6 +633,15 @@ def _wang_blocks(n: int) -> tuple[int, ...]:
     return (2, 2) + (1,) * (n - 4)
 
 
+def _wang_witness(n: int) -> tuple[NCPoly, RewriteSystem, NCPoly]:
+    """[u11, u33], the block quotient on `_wang_blocks(n)` and its normal form there."""
+    alphabet = u_alphabet(n)
+    u11, u33 = NCPoly.gen(alphabet, 0), NCPoly.gen(alphabet, 2 * n + 2)
+    commutator = u11 * u33 - u33 * u11
+    quotient = block_quotient(n, _wang_blocks(n))
+    return commutator, quotient, normal_form(commutator, quotient)
+
+
 def wang_witness(n: int, depth: int = 10) -> CertificateReport:
     """Noncommutativity and infinite dimension of the size-n magic algebra.
 
@@ -659,10 +654,7 @@ def wang_witness(n: int, depth: int = 10) -> CertificateReport:
     """
     if n < 4:
         raise ValueError("the certificate requires n >= 4")
-    blocks = _wang_blocks(n)
-    quotient = block_quotient(n, blocks)
-    commutator = _commutator_11_33(n)
-    image = normal_form(commutator, quotient)
+    commutator, quotient, image = _wang_witness(n)
     witnessed = bool(image) and image == commutator
     rows = [IdentityCheck(
         "noncommutativity witness",
@@ -677,7 +669,7 @@ def wang_witness(n: int, depth: int = 10) -> CertificateReport:
     return CertificateReport.from_identities(
         f"size-{n} magic algebra is noncommutative and infinite-dimensional", rows,
         details={
-            "blocks": list(blocks),
+            "blocks": list(_wang_blocks(n)),
             "depth": depth,
             "filtration": dims,
             "target_status": quotient.status_label(),

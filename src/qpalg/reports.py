@@ -109,8 +109,7 @@ class RunReport:
         return {
             "command": list(self.command),
             "config": _jsonable(self.config),
-            "reports": [r.to_dict() if hasattr(r, "to_dict") else _jsonable(r)
-                        for r in self.reports],
+            "reports": [r.to_dict() for r in self.reports],
             "verdict": self.verdict,
             "wall_time_s": self.wall_time_s,
         }

@@ -326,7 +326,8 @@ class TensorPowerSystem:
     certificate.  A word's factor normal forms are all looked up before
     any product of them is built, and the word is dropped at its first
     zero factor: most terms of a Delta row die there (u_ia.u_ib -> 0 for
-    a != b), and only the surviving words are multiplied out and merged.
+    a != b).  Each surviving word's product of factor normal forms goes,
+    with the word's coefficient, to one `_combine` call for the whole map.
     """
 
     __slots__ = ("tensor", "base", "_memo")
@@ -359,10 +360,13 @@ class TensorPowerSystem:
 
     def reduce_terms(self, terms: dict) -> dict:
         """Straighten each word by factor, then reduce every factor word in A."""
+        return _combine(self._products(terms))
+
+    def _products(self, terms: dict):
+        """(product of w's factor normal forms, c) per term c*w with no zero factor."""
         nb = len(self.tensor.base)
         factors = self.tensor.factors
         memo = self._memo
-        out: dict = {}
         for w, c in terms.items():
             parts: list[list[int]] = [[] for _ in range(factors)]
             for letter in w:
@@ -378,17 +382,10 @@ class TensorPowerSystem:
                         break
                     nfs.append(nf)
             else:
-                acc = {(): c}
-                for nf in nfs:
+                acc = nfs[0] if nfs else {(): 1}
+                for nf in nfs[1:]:
                     acc = {aw + fw: ac * fc for aw, ac in acc.items() for fw, fc in nf.items()}
-                # merged in place: through _combine it measured no faster and needed a second word memo
-                for aw, ac in acc.items():
-                    s = out.get(aw, 0) + ac
-                    if s:
-                        out[aw] = s
-                    else:
-                        del out[aw]
-        return out
+                yield acc, c
 
 
 def normal_form(p: NCPoly, system: RewriteSystem | TensorPowerSystem) -> NCPoly:

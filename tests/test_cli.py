@@ -472,6 +472,20 @@ def test_coaction_check_generating_matrix(capsys):
     assert run(["coaction-check", "--n", "2"], capsys)[0] == EXIT_VERIFIED
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["complete", "--input", "{path}", "--n", "3"], ("--input", "--n")),
+    (["complete", "--input", "{path}", "--semi"], ("--input", "--semi")),
+    (["coaction-check", "--n", "3", "--counterexample"], ("--n", "--counterexample")),
+])
+def test_conflicting_flags_are_a_usage_error(argv, flags, tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("alphabet: p\norder: deglex\n1*p.p - 1*p\n")
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and "overall:" not in out
+    assert all(flag in err for flag in flags)
+
+
 # The CLI suite pinned by test_golden_cli_reports, run in this order in one
 # directory (orbit-decompose and verify-grading read the file that the
 # grade command before them saves).
@@ -492,7 +506,9 @@ _GOLDEN_SUITE = [
     ["sn-image", "--n", "3"],
     ["iso-check", "--n", "3"],
     ["iso-check", "--n", "4"],
+    ["iso-check", "--n", "5"],
     ["wang", "--n", "4", "--depth", "10"],
+    ["wang", "--n", "5", "--depth", "6"],
     ["coaction-check", "--n", "2"],
     ["coaction-check", "--n", "3"],
     ["coaction-check", "--n", "4"],
@@ -548,8 +564,12 @@ _GOLDEN_SHA256 = {
         "1e7fa53b30e7da821c846780ba9ce358f3e7d3efbcd834369d5a23fcee4b8c23",
     "iso-check --n 4":
         "0708184908243fdd6288caac16895fa966f2f06e2481c65d39bbe93a1cc17774",
+    "iso-check --n 5":
+        "26c272406203cb419ce0470617b5c32dbc17ad1d6a852d5afb6e964495a25f26",
     "wang --n 4 --depth 10":
         "b3cf864f2bab58b388e511f21055c4b558fe619f7248dde6642532a09a29e32f",
+    "wang --n 5 --depth 6":
+        "3d5e5273188d803a3f9acac39f27dc8a80d89de1a3882fa59d439f1037561a9e",
     "coaction-check --n 2":
         "5729dde6620086fb56ae49d9062ce9dcb2a2eea40f7935669d993818d9cffc21",
     "coaction-check --n 3":

@@ -238,8 +238,19 @@ def test_coassociativity_rows_present(magic):
     assert len(s2) == 9 and all(c.reduced_to_zero for c in s2)
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_group_algebra_presentation_renders(m):
+    hopf = group_algebra_presentation(m)
+    power = ".".join(["g"] * m)
+    assert [(label, rel.render()) for label, rel in hopf.relations] == \
+        [("group-like[g^m=1]", f"1*{power} - 1")]
+    assert hopf.antipode[0].render() == "1*" + ".".join(["g"] * (m - 1))
+    assert hopf.delta[0].render() == "1*g@0.g@1" and hopf.counit[0].render() == "1"
+    assert [rule.render() for rule in hopf.system.rules] == [f"{power} -> 1"]
+
+
 def test_group_algebra_hopf_axioms():
-    for m in (2, 3):
+    for m in range(2, 7):
         rep = verify_hopf_axioms(group_algebra_presentation(m), cap=8)
         assert rep.verdict == VERIFIED
 

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpalg import rewrite
 from qpalg.exactnum import zeta
-from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, _combine, deglex_key, parse_poly
+from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, _combine, deglex_key, parse_poly,
+                         substitute)
 from qpalg.qperm import block_quotient, magic_presentation
 from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, RewriteSystem,
                            TensorPowerSystem, complete, filtration_dimension,
@@ -99,13 +101,31 @@ def tensor_systems(completed_magic):
 def test_tensor_normal_form_matches_reference(tensor_systems, n, k, data):
     factorwise, reference = tensor_systems[n, k]
     letters = st.integers(0, k * n * n - 1)
+    coefficients = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
     terms = data.draw(st.dictionaries(st.lists(letters, max_size=5).map(tuple),
-                                      st.integers(-3, 3), max_size=4))
+                                      coefficients, max_size=4))
     p = NCPoly(factorwise.alphabet, terms)
     nf = normal_form(p, factorwise)
     assert nf == normal_form(p, reference)
     assert normal_form(nf, factorwise) == nf
     assert factorwise.status == CONFLUENT
+
+
+def test_tensor_normal_form_is_one_merge(magic, monkeypatch):
+    """A tensor-power normal form is one `_combine` over the products of its
+    words' factor normal forms, with no merge of its own."""
+    hopf = magic[3]
+    system = TensorPowerSystem(hopf.system, hopf.tensor2)
+    rows = [substitute(rel, hopf.delta).terms for _, rel in hopf.relations]
+    rows.append({(): F(1, 2), (0, 9): 3, (9, 0): -3})
+    for terms in rows:              # fills the factor memo: no base reduction below
+        system.reduce_terms(terms)
+    calls = []
+    merge = rewrite._combine
+    monkeypatch.setattr(rewrite, "_combine", lambda pairs: calls.append(1) or merge(pairs))
+    for terms in rows:
+        system.reduce_terms(terms)
+    assert len(calls) == len(rows)
 
 
 def test_rewrite_strictly_decreases_leading_word(magic):
