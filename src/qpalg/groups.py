@@ -1,6 +1,6 @@
 """Finite group machinery: the grading groups (finite abelian groups and
-free products of them), characters with cyclotomic values, and
-permutations for the search for transitive abelian subgroups of S_n.
+free products of them), characters with cyclotomic values, and the
+search for transitive abelian subgroups of S_n, on image tuples.
 
 Permutations act on 0-based points.  Finite abelian groups are
 canonicalized by invariant factors d_1 | d_2 | ... | d_r (all >= 2,
@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .exactnum import Cyclotomic, prime_factorization, zeta
@@ -84,11 +83,6 @@ class Perm:
 
     def __repr__(self):
         return f"Perm{self.images}"
-
-
-def all_perms(n: int) -> list[Perm]:
-    """All of S_n in lexicographic image order."""
-    return [Perm(p) for p in itertools.permutations(range(n))]
 
 
 class FiniteAbelianGroup:
@@ -446,12 +440,29 @@ def subgroup_closure(gens, mul, identity) -> list:
     return closure
 
 
-def _conjugates(elements: frozenset[Perm], n: int) -> list[tuple]:
+def _compose(a: tuple, b: tuple) -> tuple:
+    """(a b)(i) = a(b(i)) on image tuples."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _semiregular(g: tuple) -> bool:
+    """Does g move every point, along cycles of one length?"""
+    lengths = set()
+    for i in range(len(g)):
+        j, length = g[i], 1
+        while j != i:
+            j, length = g[j], length + 1
+        lengths.add(length)
+    return len(lengths) == 1 and 1 not in lengths
+
+
+def _conjugates(elements: frozenset[tuple], n: int) -> list[tuple]:
     """Every conjugate tau G tau^-1 over tau in S_n, as a sorted image tuple."""
     out = []
-    for tau in all_perms(n):
-        tinv = tau.inverse()
-        out.append(tuple(sorted((tau * g * tinv).images for g in elements)))
+    for tau in itertools.permutations(range(n)):
+        tinv = tuple(sorted(range(n), key=tau.__getitem__))
+        out.append(tuple(sorted(tuple(map(tau.__getitem__, map(g.__getitem__, tinv)))
+                                for g in elements)))
     return out
 
 
@@ -463,17 +474,20 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     transitive abelian subgroup is regular).  brute_force mode (n <= 6)
     searches S_n directly and is the cross-validation oracle.
 
-    The brute-force search closes every commuting pair of fixed-point-free
-    permutations.  The closure is abelian, and one of order n is transitive
-    exactly when it moves the point 0 to all n points.  The first closure
-    of a new class has all n! of its conjugates computed once: the class
-    is keyed by the minimal one, and all of them go into a seen set, so a
-    later closure that is any conjugate of a class already found is skipped
-    before it is conjugated again.  Each class is still recorded at its
-    first closure and keyed by its minimal conjugate, so the classes, their
-    order and their representatives are those of conjugating every
-    closure.  A class is named by the abelian group of order n with its
-    element orders, an element's order being the size of its closure.
+    The brute-force search runs on image tuples; only its answer is wrapped
+    in Perm.  It closes every commuting pair (tested at the point 0 first)
+    of semiregular permutations, whose cycles all have one length > 1 (S_1
+    has none and closes its identity): in a regular group a power of g that
+    fixes a point is 1, so no other permutation lies in one.  The closure is
+    abelian, and one of order n is transitive exactly when it moves the
+    point 0 to all n points.  The first closure of a new class has all n! of
+    its conjugates computed once: the class is keyed by the minimal one, and
+    all of them go into a seen set, so a later closure conjugate to a class
+    already found is skipped before it is conjugated again.  Each class is
+    still recorded at its first closure and keyed by its minimal conjugate,
+    so the classes, their order and their representatives are those of
+    conjugating every closure.  A class is named by the abelian group of
+    order n with its element orders, each the size of an element's closure.
     """
     if mode == "classified":
         return [(G, frozenset(regular_embedding(G))) for G in abelian_groups_of_order(n)]
@@ -482,25 +496,22 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     if n > 6:
         raise ValueError("brute-force subgroup search is capped at n = 6; "
                          "use classified mode for larger n")
-    if n == 1:
-        return [(FiniteAbelianGroup(()), frozenset([Perm.identity(1)]))]
-    ident = Perm.identity(n)
-    # every non-identity element of a regular subgroup is fixed-point-free
-    candidates = [g for g in all_perms(n) if all(g(i) != i for i in range(n))]
-    found: dict[tuple, frozenset[Perm]] = {}
+    ident = tuple(range(n))
+    candidates = [g for g in itertools.permutations(ident) if _semiregular(g)] or [ident]
+    found: dict[tuple, frozenset[tuple]] = {}
     seen: set[tuple] = set()     # every conjugate of every class found so far
     for a, b in itertools.combinations_with_replacement(candidates, 2):
-        if a * b != b * a:
+        if a[b[0]] != b[a[0]] or _compose(a, b) != _compose(b, a):
             continue
-        elems = frozenset(subgroup_closure((a, b), operator.mul, ident))
-        if len(elems) != n or len({g(0) for g in elems}) != n or \
-                tuple(sorted(g.images for g in elems)) in seen:
+        elems = frozenset(subgroup_closure((a, b), _compose, ident))
+        if len(elems) != n or len({g[0] for g in elems}) != n or \
+                tuple(sorted(elems)) in seen:
             continue
         conjugates = _conjugates(elems, n)
         seen.update(conjugates)
         found[min(conjugates)] = elems
     named = {tuple(sorted(map(G.element_order, G.elements()))): G
              for G in abelian_groups_of_order(n)}
-    return [(named[tuple(sorted(len(subgroup_closure((g,), operator.mul, ident))
-                                for g in elems))], elems)
+    return [(named[tuple(sorted(len(subgroup_closure((g,), _compose, ident))
+                                for g in elems))], frozenset(map(Perm._trusted, elems)))
             for _, elems in sorted(found.items())]

@@ -152,7 +152,7 @@ class NCPoly:
     # -- arithmetic --
 
     def _check(self, other: "NCPoly"):
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
 
     def _lift(self, other) -> "NCPoly | None":
@@ -249,7 +249,8 @@ def substitute(p: NCPoly, images: dict, antihom: bool = False) -> NCPoly:
     if missing:
         raise ValueError(f"no image for generator {p.alphabet.names[min(missing)]}")
     alphabet = next(iter(images.values())).alphabet if images else p.alphabet
-    if any(images[letter].alphabet != alphabet for letter in letters):
+    if any(a is not alphabet and a != alphabet
+           for a in (images[letter].alphabet for letter in letters)):
         raise ValueError("alphabet mismatch")
     one = {(): 1}
     return NCPoly._trusted(alphabet, _combine(

@@ -6,23 +6,24 @@ written as the sorted tuple of its elements' image tuples.
 
 The other oracles read permutations as image tuples and close a set of
 generators by multiplying every element reached by every generator, for
-any group law; none of them calls the closure or the search in
-`qpalg.groups`.
+any group law.  This module imports nothing from `qpalg`, so none of its
+oracles shares code with the closure, the search or the candidate filter
+of `qpalg.groups`.
 """
 
 import itertools
-
-from qpalg.groups import all_perms
-
-
-def canonical_conjugate(elements, n: int) -> tuple:
-    return min(tuple(sorted((tau * g * tau.inverse()).images for g in elements))
-               for tau in all_perms(n))
 
 
 def compose(a: tuple, b: tuple) -> tuple:
     """(a b)(i) = a(b(i)) on image tuples."""
     return tuple(a[j] for j in b)
+
+
+def canonical_conjugate(elements, n: int) -> tuple:
+    """The least tau G tau^-1 over tau in S_n, for G given as image tuples."""
+    return min(tuple(sorted(compose(compose(tau, g), tuple(map(tau.index, range(n))))
+                            for g in elements))
+               for tau in itertools.permutations(range(n)))
 
 
 def product_closure(gens, identity, mul=compose) -> frozenset:
@@ -46,3 +47,10 @@ def is_transitive(elements, n: int) -> bool:
 
 def is_abelian(elements) -> bool:
     return all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(elements, 2))
+
+
+def is_semiregular(g: tuple) -> bool:
+    """g is not the identity, and each of its powers is the identity or moves every point."""
+    ident = tuple(range(len(g)))
+    return g != ident and all(p == ident or all(p[i] != i for i in ident)
+                              for p in product_closure([g], ident))

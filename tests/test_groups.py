@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import Cyclotomic, zeta
-from qpalg.groups import (Character, FiniteAbelianGroup, Perm,
+from qpalg.groups import (Character, FiniteAbelianGroup, Perm, _semiregular,
                           abelian_group_from_cyclic_orders,
                           abelian_groups_of_order,
                           characters, parse_group_descriptor,
@@ -16,8 +16,8 @@ from qpalg.groups import (Character, FiniteAbelianGroup, Perm,
 from qpalg.ncalg import Alphabet, parse_poly
 from qpalg.qperm import cycle_string, e_sigma_product_check, to_sn_function, u_names
 from qpalg.reports import VERIFIED
-from groups_reference import (canonical_conjugate, compose, is_abelian, is_transitive,
-                              product_closure)
+from groups_reference import (canonical_conjugate, compose, is_abelian, is_semiregular,
+                              is_transitive, product_closure)
 
 F = Fraction
 
@@ -209,8 +209,8 @@ def test_transitive_abelian_subgroups_modes_agree():
         classified = transitive_abelian_subgroups(n, "classified")
         brute = transitive_abelian_subgroups(n, "brute_force")
         assert len(classified) == len(brute)
-        canon_c = sorted(canonical_conjugate(e, n) for _, e in classified)
-        canon_b = sorted(canonical_conjugate(e, n) for _, e in brute)
+        canon_c = sorted(canonical_conjugate([g.images for g in e], n) for _, e in classified)
+        canon_b = sorted(canonical_conjugate([g.images for g in e], n) for _, e in brute)
         assert canon_c == canon_b
         for G, elems in brute:
             images = [g.images for g in elems]
@@ -251,7 +251,7 @@ def _unpruned_class_representatives(n):
         elems = product_closure([a, b], ident)
         if len(elems) != n or not is_transitive(elems, n) or not is_abelian(elems):
             continue
-        found.setdefault(canonical_conjugate([Perm(g) for g in elems], n), elems)
+        found.setdefault(canonical_conjugate(elems, n), elems)
     return [found[key] for key in sorted(found)]
 
 
@@ -260,6 +260,31 @@ def test_orbit_pruning_matches_unpruned_search(n):
     pruned = [frozenset(g.images for g in elems)
               for _, elems in transitive_abelian_subgroups(n, "brute_force")]
     assert pruned == _unpruned_class_representatives(n)
+
+
+def test_semiregular_matches_the_oracle():
+    for n in range(1, 7):
+        for g in itertools.permutations(range(n)):
+            assert _semiregular(g) == is_semiregular(g), g
+
+
+def test_regular_elements_pass_the_candidate_filter():
+    """The search keeps only semiregular candidates; no element it needs is dropped."""
+    for n in range(1, 9):
+        for G in abelian_groups_of_order(n):
+            for g in regular_embedding(G):
+                assert _semiregular(g.images) == (g.images != tuple(range(n)))
+
+
+def test_brute_force_search_builds_no_perm(monkeypatch):
+    """The search runs on image tuples; only its answer is wrapped, unchecked."""
+    def refuse(*args):
+        raise AssertionError("Perm built or multiplied in the search")
+    monkeypatch.setattr(Perm, "__init__", refuse)
+    monkeypatch.setattr(Perm, "__mul__", refuse)
+    for n in range(1, 7):
+        for _, elems in transitive_abelian_subgroups(n, "brute_force"):
+            assert len(elems) == n and all(isinstance(g, Perm) for g in elems)
 
 
 def test_brute_force_cost_guard():

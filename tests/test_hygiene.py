@@ -162,6 +162,16 @@ def test_qperm_imports_nothing_from_groups():
     assert not imports, f"qperm.py imports from groups at lines {imports}"
 
 
+# the group oracles of the tests check qpalg.groups, so they share no code with it
+def test_groups_reference_imports_nothing_from_qpalg():
+    path = Path(__file__).parent / "groups_reference.py"
+    imports = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qpalg")
+               or isinstance(node, ast.Import)
+               and any(alias.name.split(".")[0] == "qpalg" for alias in node.names)]
+    assert not imports, f"groups_reference.py imports from qpalg at lines {imports}"
+
+
 # a named cap decides which requests exit 64, so a user reads them all in one place
 def test_every_named_cap_is_documented():
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -114,6 +114,22 @@ def test_substitute_rejects_images_over_two_alphabets():
     assert substitute(u11 * u11 - 1, {0: u12, 1: p_b}) == u12 * u12 - 1   # unused images
 
 
+def test_equal_alphabets_are_one_alphabet():
+    """An equal but distinct Alphabet object adds, multiplies and
+    substitutes; an alphabet of other names is still a mismatch."""
+    twin = Alphabet(A.names)
+    assert twin is not A and twin == A
+    v11, v12 = NCPoly.gen(twin, 0), NCPoly.gen(twin, 1)
+    assert u11 + v12 == u11 + u12 and u11 * v12 == u11 * u12 and not u11 - v11
+    assert substitute(u11 * u12, {0: v12, 1: u11}) == u12 * u11 == \
+        substitute(u11 * u12, {0: u12, 1: v11})
+    w11 = NCPoly.gen(Alphabet(["w11", "w12", "w21", "w22"]), 0)
+    for clash in (lambda: u11 + w11, lambda: u11 - w11, lambda: u11 * w11,
+                  lambda: substitute(u11 * u12, {0: u12, 1: w11})):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            clash()
+
+
 def test_substitute_scalar_images():
     images = {k: NCPoly.scalar(A, c) for k, c in enumerate((1, 0, 0, 1))}
     assert substitute(u11 * u12 - u11, images) == -1
