@@ -11,32 +11,36 @@ powers of a presented algebra are reduced factor by factor against its
 own rules and carry its status.
 
 Every rule set, whether interreduced, mid-completion or frozen, lives in
-one `_RuleTable`: insertion-ordered rules whose ids count insertions,
-indexed by one dict from lhs to rhs terms; a frozen `RewriteSystem` owns
-one.  A word is rewritten at its leftmost reducible position by the
-shortest lhs matching there.  Every lhs that matches at one position is
-a prefix of the same suffix, so the shortest one is also the deglex
-smallest, and the table keeps no order among its lhs.  On a confluent
-system the strategy cannot change a normal form; on a truncated or
-mid-cascade table it can, so it is fixed.  Fixed, the one-step rewrite
-is a function of the word alone, so on an unchanged table the normal form
-is linear, nf(sum c_w w) = sum c_w nf(w), and the table memoises nf per
-word.  A normal form, of a word from its one-step rewrite or of a term
-map from its words, is one merge of its memoised parts.  Inserting or
-retiring a rule with lhs L drops only the memo words whose rewrites
-reach a word containing L: a word avoiding L keeps its one-step rewrite,
-so it keeps its normal form unless a word it rewrites to changes.  The
-memo words that may contain L are found by adjacent letter pairs (a word
-holding L holds every pair of L), and by a scan of the memo when L is
-one letter.  A frozen system's memo lasts as long as the system.  Adding
-a relation runs the one retirement cascade: reduce, orient, retire each
-rule whose lhs contains the new lhs, then add the retired relations back,
-first retired first.  `interreduce` is a loop of adds and `complete`
-pairs every rule an add inserted, finding its overlaps through an index
-of the active lhs by proper prefix and suffix.  Irreducible words are
-enumerated level by level in `irreducible_words_by_length`, which the
-filtration counts and quotient bases share, under one cap on the letters
-they store.
+one `_RuleTable`: insertion-ordered rules whose ids count insertions, a
+dict from lhs to rhs terms, and a trie of the active lhs; a frozen
+`RewriteSystem` owns one that no longer changes.  A word is rewritten at
+its leftmost reducible position by the shortest lhs matching there, the
+first node carrying rhs terms on the trie walk from that position.
+Every lhs that matches at one position is a prefix of the same suffix,
+so the shortest one is also the deglex smallest, and the table keeps no
+order among its lhs.  On a confluent system the strategy cannot change a
+normal form; on a truncated or mid-cascade table it can, so it is fixed.
+Fixed, the one-step rewrite is a function of the word alone, so on an
+unchanged table the normal form is linear, nf(sum c_w w) = sum c_w
+nf(w), and the table memoises nf per word.  A normal form, of a word from
+its one-step rewrite or of a term map from its words, is one merge of
+its memoised parts; every zero normal form in a memo is one shared
+read-only mapping.  Inserting or retiring a rule with lhs L drops only
+the memo words whose rewrites reach a word containing L: a word avoiding
+L keeps its one-step rewrite, so it keeps its normal form unless a word
+it rewrites to changes.  The edges from a word to the words it rewrites
+to are recorded as it is expanded.  The memo words that may contain L
+are found by adjacent letter pairs (a word holding L holds every pair of
+L), and by a scan of the memo when L is one letter.  A frozen system's
+memo lasts as long as the system and records no edges.  Adding a
+relation runs the one retirement cascade: reduce, orient, retire each
+rule whose lhs contains the new lhs, then add the retired relations
+back, first retired first.  `interreduce` is a loop of adds and
+`complete` pairs every rule an add inserted, finding its overlaps
+through an index of the active lhs by proper prefix and suffix.
+Irreducible words are enumerated level by level in
+`irreducible_words_by_length`, which the filtration counts and quotient
+bases share, under one cap on the letters they store.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 import heapq
 from itertools import accumulate, islice
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .exactnum import SCALARS, inverse
 from .ncalg import Alphabet, NCPoly, TensorAlgebra, Word, _combine, deglex_key, parse_poly
@@ -51,6 +56,8 @@ from .ncalg import Alphabet, NCPoly, TensorAlgebra, Word, _combine, deglex_key, 
 RAW = "raw"
 TRUNCATED = "truncated"
 CONFLUENT = "confluent"
+
+_ZERO = MappingProxyType({})        # the one zero normal form every memo shares
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,7 @@ class RewriteSystem:
         self._table = _RuleTable(alphabet)
         for r in self.rules:
             self._table.insert(r)
+        self._table.freeze()
 
     @classmethod
     def from_relations(cls, alphabet: Alphabet, relations) -> "RewriteSystem":
@@ -120,29 +128,39 @@ def _contains(big: Word, small: Word) -> bool:
     return any(big[i:i + ls] == small for i in range(len(big) - ls + 1))
 
 
-def _one_step(w: Word, rhs_of: dict, max_len: int) -> list | None:
+def _one_step(w: Word, trie: dict) -> list | None:
     """The (word, coefficient) pairs of w's one-step rewrite, at the
-    leftmost, then shortest, lhs in w; None when w is irreducible."""
+    leftmost, then shortest, lhs in w; None when w is irreducible.
+
+    The lhs trie is walked from each position in turn; the first node on
+    the walk that carries rhs terms ends the shortest lhs matching there.
+    """
     lw = len(w)
     for pos in range(lw):
-        stop = pos + max_len
-        for end in range(pos + 1, (stop if stop < lw else lw) + 1):
-            rhs_terms = rhs_of.get(w[pos:end])
+        node = trie
+        for end in range(pos, lw):
+            entry = node.get(w[end])
+            if entry is None:
+                break
+            node, rhs_terms = entry
             if rhs_terms is not None:
-                pre, suf = w[:pos], w[end:]
+                pre, suf = w[:pos], w[end + 1:]
                 return [(pre + rw + suf, rc) for rw, rc in rhs_terms.items()]
     return None
 
 
-def _word_nf(word: Word, rhs_of: dict, max_len: int, memo: dict) -> dict:
+def _word_nf(word: Word, trie: dict, memo: dict, parents: dict | None) -> dict:
     """Normal form of one word, memoising it and every word its rewrites reach.
 
     nf(w) is w when no lhs matches, else the sum of rc * nf(pre + rw + suf)
     over the rhs terms of the leftmost, then shortest, match.  An explicit
     stack stands in for the recursion, so rewrite chains of any length
-    reduce.  A word enters the memo after every word it rewrites to.
-    Entries may share dicts, so nothing outside the table may hold or
-    mutate one.
+    reduce.  A word enters the memo after every word it rewrites to, and
+    as it is expanded it joins `parents[nw]` for each word nw of its
+    one-step rewrite, unless parents is None.  A word rewriting to zero
+    in one step, and every word whose normal form cancels, gets the shared
+    `_ZERO`.  Entries may share dicts, so nothing outside the table may
+    hold or mutate one.
     """
     stack: list = [(word, None)]
     while stack:
@@ -150,19 +168,23 @@ def _word_nf(word: Word, rhs_of: dict, max_len: int, memo: dict) -> dict:
         if step is None:
             if w in memo:
                 continue
-            step = _one_step(w, rhs_of, max_len)
+            step = _one_step(w, trie)
             if step is None:
                 memo[w] = {w: 1}
-                continue
-            stack.append((w, step))     # revisited once every rewrite has its nf
-            for nw, _ in step:
-                if nw not in memo:
-                    stack.append((nw, None))
+            elif not step:
+                memo[w] = _ZERO
+            else:
+                stack.append((w, step))     # revisited once every rewrite has its nf
+                for nw, _ in step:
+                    if parents is not None:
+                        parents.setdefault(nw, []).append(w)
+                    if nw not in memo:
+                        stack.append((nw, None))
             continue
         if len(step) == 1 and step[0][1] == 1:
             memo[w] = memo[step[0][0]]      # w -> nw with coefficient 1: same nf
             continue
-        memo[w] = _combine((memo[nw], rc) for nw, rc in step)
+        memo[w] = _combine((memo[nw], rc) for nw, rc in step) or _ZERO
     return memo[word]
 
 
@@ -176,41 +198,58 @@ def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
     entries a rule change can alter; once every word is memoised, the
     result is one merge of their normal forms.
     """
-    memo, rhs_of, max_len = table.nf_memo, table.rhs_of, table.max_len
+    memo, trie, parents = table.nf_memo, table.trie, table._parents
     for w in terms:
         if w not in memo:
-            _word_nf(w, rhs_of, max_len, memo)
+            _word_nf(w, trie, memo, parents)
     return _combine((memo[w], c) for w, c in terms.items())
 
 
 class _RuleTable:
-    """Insertion-ordered rules behind one lhs -> rhs terms index.
+    """Insertion-ordered rules behind an lhs -> rhs terms index and an lhs trie.
 
     Rule ids count insertions, so `active` iterates in id order.  `rhs_of`
     maps each active lhs to its rhs terms; `max_len` is the longest lhs
-    ever inserted, an upper bound on the active ones.  `nf_memo` maps each
-    reduced word to its normal form.  Inserting or retiring a rule drops
-    the entries it can alter (`_forget`) and counts them in
-    `memo_dropped`; the words reduced so far are `len(nf_memo) +
-    memo_dropped`.  For `_forget`, `_parents` maps a memo word to the
-    words rewriting to it in one step, and `_by_pair` maps two adjacent
-    letters to the memo words of length >= 2 that hold them.
+    ever inserted, an upper bound on the active ones.  `trie` is nested
+    dicts, letter -> (child node, rhs terms or None): the node at the end
+    of an active lhs carries its rhs terms, and a retired lhs leaves its
+    path with None there.  `nf_memo` maps each reduced word to its normal
+    form.  Inserting or retiring a rule drops the entries it can alter
+    (`_forget`) and counts them in `memo_dropped`; the words reduced so
+    far are `len(nf_memo) + memo_dropped`.  For `_forget`, `_parents` maps
+    a memo word to the words rewriting to it in one step, recorded by
+    `_word_nf`, and `_by_pair` maps two adjacent letters to the memo words
+    of length >= 2 that hold them.  `freeze` sets `_parents` to None: the
+    table then records no edges, and `insert` and `_retire` raise.
     """
 
-    __slots__ = ("alphabet", "active", "rhs_of", "max_len", "nf_memo", "memo_dropped",
+    __slots__ = ("alphabet", "active", "rhs_of", "trie", "max_len", "nf_memo", "memo_dropped",
                  "_parents", "_by_pair", "_indexed", "_next_id")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.active: dict[int, RewriteRule] = {}
         self.rhs_of: dict[Word, dict] = {}
+        self.trie: dict = {}
         self.max_len = 0
         self.nf_memo: dict[Word, dict] = {}
         self.memo_dropped = 0
-        self._parents: dict[Word, list[Word]] = {}     # memo word -> words rewriting to it
+        self._parents: dict[Word, list[Word]] | None = {}   # memo word -> words rewriting to it
         self._by_pair: dict[tuple[int, int], set[Word]] = {}   # adjacent letters -> memo words
-        self._indexed = 0           # the first _indexed memo words are in both maps
+        self._indexed = 0           # the first _indexed memo words are in _by_pair
         self._next_id = 0
+
+    def freeze(self) -> None:
+        """Fix the rules for good: no edges are recorded from now on, and
+        `insert` and `_retire` raise ValueError."""
+        self._parents = None
+
+    def _set_rhs(self, lhs: Word, rhs_terms: dict | None) -> None:
+        """Put rhs_terms (None to clear) at lhs's trie node, making its path."""
+        node = self.trie
+        for a in lhs[:-1]:
+            node = node.setdefault(a, ({}, None))[0]
+        node[lhs[-1]] = (node.get(lhs[-1], ({}, None))[0], rhs_terms)
 
     def insert(self, rule: RewriteRule) -> int:
         if not rule.lhs or rule.lhs in self.rhs_of:
@@ -220,6 +259,7 @@ class _RuleTable:
         self._next_id += 1
         self.active[rid] = rule
         self.rhs_of[rule.lhs] = rule.rhs.terms
+        self._set_rhs(rule.lhs, rule.rhs.terms)
         self.max_len = max(self.max_len, len(rule.lhs))
         return rid
 
@@ -227,6 +267,7 @@ class _RuleTable:
         self._forget(self.active[rid].lhs)
         rule = self.active.pop(rid)
         del self.rhs_of[rule.lhs]
+        self._set_rhs(rule.lhs, None)
         return rule
 
     def _forget(self, lhs: Word) -> None:
@@ -236,23 +277,22 @@ class _RuleTable:
         against the table as it stands.  A word avoiding lhs has the same
         one-step rewrite after the change, so its normal form survives
         unless a word it rewrites to is dropped: the dropped words are those
-        containing lhs and their ancestors.  A word containing an lhs of
-        length >= 2 holds each of its adjacent letter pairs, so only the
-        memo words under its rarest pair are tested; a one-letter lhs has no
-        pair, and the memo is scanned for its letter.  The ancestor edges
-        and the pair index are extended here, for the words memoised since
-        the last call only, so a table whose rules never change pays
-        nothing.
+        containing lhs and their ancestors, found through the edges
+        `_word_nf` recorded.  A word containing an lhs of length >= 2 holds
+        each of its adjacent letter pairs, so only the memo words under its
+        rarest pair are tested; a one-letter lhs has no pair, and the memo
+        is scanned for its letter.  The pair index is extended here, for
+        the words memoised since the last call only.  A frozen table has no
+        edges to follow, so it raises ValueError.
         """
-        memo = self.nf_memo
+        parents, by_pair, memo = self._parents, self._by_pair, self.nf_memo
+        if parents is None:
+            raise ValueError("a frozen rule table cannot change")
         if not memo:
             return
-        parents, by_pair = self._parents, self._by_pair
         for w in islice(memo, self._indexed, None):
             for pair in set(zip(w, w[1:])):
                 by_pair.setdefault(pair, set()).add(w)
-            for child, _ in _one_step(w, self.rhs_of, self.max_len) or ():
-                parents.setdefault(child, []).append(w)
         if len(lhs) == 1:
             stack = [w for w in memo if lhs[0] in w]
         else:
@@ -269,7 +309,7 @@ class _RuleTable:
             parents.pop(w, None)
             for pair in set(zip(w, w[1:])):
                 by_pair[pair].discard(w)
-            for child, _ in _one_step(w, self.rhs_of, self.max_len) or ():
+            for child, _ in _one_step(w, self.trie) or ():
                 if child not in dropped:
                     siblings = parents[child]
                     siblings.remove(w)

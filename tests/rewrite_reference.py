@@ -30,6 +30,17 @@ def _one_step(word, groups):
     return None
 
 
+def reference_one_step(word, rules):
+    """The (word, coefficient) pairs of word's one-step rewrite against a
+    list of rules, or None when no lhs matches: what `rewrite._one_step`
+    must return."""
+    step = _one_step(word, _by_length(rules))
+    if step is None:
+        return None
+    pre, rule, suf = step
+    return [(pre + w + suf, c) for w, c in rule.rhs.terms.items()]
+
+
 def combine(pairs) -> dict:
     """The sum of coeff * terms over (terms, coeff) pairs, without the
     words whose coefficients cancel."""

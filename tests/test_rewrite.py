@@ -17,7 +17,8 @@ from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, Rew
                            format_presentation, interreduce, irreducible_words_by_length,
                            normal_form, parse_presentation, quotient_basis, _OverlapIndex,
                            _RuleTable)
-from rewrite_reference import combine, reference_normal_form, reference_overlaps
+from rewrite_reference import (combine, reference_normal_form, reference_one_step,
+                               reference_overlaps)
 from tensor_reference import reference_tensor_system
 
 F = Fraction
@@ -825,14 +826,117 @@ def test_retained_memo_entries_are_normal_forms(relations, polys):
 
 
 def test_reduce_terms_hands_out_fresh_dicts():
+    """x.x -> x, y.y -> 0 and y.x.y -> y.x.x - y.x: y.y and x.y.y reduce to
+    zero in one step, x.x.y.y through x.y.y, and y.x.y by cancelling.
+    Every zero in the memo is the one read-only mapping, and callers still
+    get fresh dicts they may change."""
     A = Alphabet(["x", "y"])
-    system = RewriteSystem(A, [RewriteRule((0, 0), NCPoly.gen(A, 0))])
-    for word in ((0, 0, 0), (0,), (1, 0, 0)):
-        nf = system.reduce_terms({word: 1})
+    x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
+    system = RewriteSystem(A, [RewriteRule((0, 0), x), RewriteRule((1, 1), NCPoly.zero(A)),
+                               RewriteRule((1, 0, 1), y * x * x - y * x)])
+    zeros = [(1, 1), (0, 1, 1), (0, 0, 1, 1), (1, 0, 1)]
+    for terms in [{(0, 0, 0): 1}, {(0,): 1}, {(1, 0, 0): 1}, {(0, 0, 1, 1): 2, (0,): 1}] + [
+            {w: 1} for w in zeros]:
+        nf = system.reduce_terms(terms)
+        assert type(nf) is dict
         expected = dict(nf)
-        nf[(1, 1)] = 5
-        nf[next(iter(expected))] = 7
-        assert system.reduce_terms({word: 1}) == expected
+        nf[(1, 0)] = 5
+        for w in expected:
+            nf[w] = 7
+        assert system.reduce_terms(terms) == expected
+    memo = system._table.nf_memo
+    assert all(not memo[w] for w in zeros)
+    assert all(nf is rewrite._ZERO for nf in memo.values() if not nf)
+    with pytest.raises(TypeError):
+        rewrite._ZERO[(0,)] = 1
+
+
+def test_a_frozen_table_records_no_edges_and_cannot_change(magic):
+    """Magic n = 4 words reduce against a frozen system with no ancestor
+    edge or pair index built; an insert or a retirement would leave stale
+    memo entries, so both raise and the memo stays as it was."""
+    pres = magic[4]
+    system = RewriteSystem(pres.alphabet, pres.system.rules)
+    rng = random.Random(4)
+    for _ in range(30):
+        word = tuple(rng.randrange(16) for _ in range(rng.randint(1, 6)))
+        system.reduce_terms({word: 1})
+    table = system._table
+    memo = dict(table.nf_memo)
+    assert len(memo) > 30 and table._parents is None and not table._by_pair
+    with pytest.raises(ValueError, match="frozen"):
+        table.insert(RewriteRule((0, 0, 0, 0, 0), NCPoly.zero(pres.alphabet)))
+    with pytest.raises(ValueError, match="frozen"):
+        table._retire(next(iter(table.active)))
+    assert table.nf_memo == memo and len(table.active) == len(system.rules)
+
+
+def _assert_one_step_matches(table, rules, length):
+    """The trie's one-step rewrite of every word of length <= length is the
+    rule scan's."""
+    letters = range(len(table.alphabet))
+    for k in range(length + 1):
+        for word in itertools.product(letters, repeat=k):
+            assert rewrite._one_step(word, table.trie) == reference_one_step(word, rules), word
+
+
+def test_trie_one_step_on_retired_and_overlapping_lhs(strategy_systems):
+    """x.y.x -> x retires when y.x -> y arrives and comes back as x.y -> x,
+    leaving a dead path below the live x.y; z -> x is a one-letter lhs;
+    x.y and x.y.z are both lhs of a frozen system, not inter-reduced."""
+    A = Alphabet(["x", "y", "z"])
+    x, y, z = (NCPoly.gen(A, i) for i in range(3))
+    table = _RuleTable(A)
+    table.add(x * y * x - x)
+    table.add(y * x - y)
+    assert {r.lhs for r in table.active.values()} == {(1, 0), (0, 1)}
+    assert table.trie[0][0][1][0][0] == ({}, None)        # x.y.x: path kept, rhs cleared
+    _assert_one_step_matches(table, list(table.active.values()), 4)
+    table.add(z - x)
+    _assert_one_step_matches(table, list(table.active.values()), 4)
+    overlapping = strategy_systems["x.y and x.y.z"]
+    _assert_one_step_matches(overlapping._table, overlapping.rules, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relations=st.lists(_small_polys, min_size=1, max_size=6),
+       words=st.lists(st.lists(st.integers(0, 2), max_size=7).map(tuple), max_size=12))
+def test_trie_one_step_matches_the_rule_scan(relations, words):
+    """After every add cascade, retired lhs included, the trie walk picks
+    the rewrite a scan of the active rules picks."""
+    table = _RuleTable(XYZ)
+    for relation in relations:
+        try:
+            table.add(NCPoly(XYZ, relation))
+        except InconsistentPresentation:
+            return
+        rules = list(table.active.values())
+        for word in words:
+            assert rewrite._one_step(word, table.trie) == reference_one_step(word, rules)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relations=st.lists(_small_polys, min_size=1, max_size=6),
+       polys=st.lists(st.dictionaries(st.lists(st.integers(0, 2), max_size=6).map(tuple),
+                                      st.integers(-3, 3).filter(bool), max_size=4),
+                      min_size=1, max_size=4))
+def test_recorded_edges_are_the_one_step_edges_of_the_memo(relations, polys):
+    """After reductions and add cascades, the ancestor edges a table holds
+    are exactly the edges from each memo word to the words of its one-step
+    rewrite, each once."""
+    table = _RuleTable(XYZ)
+    for relation in relations:
+        for terms in polys:
+            table.reduce_terms(terms)
+        try:
+            table.add(NCPoly(XYZ, relation))
+        except InconsistentPresentation:
+            return
+        rules = list(table.active.values())
+        recorded = [(p, w) for w, ps in table._parents.items() for p in ps]
+        assert len(recorded) == len(set(recorded))
+        assert set(recorded) == {(p, w) for p in table.nf_memo
+                                 for w, _ in reference_one_step(p, rules) or ()}
 
 
 def test_long_rewrite_chain_reduces():
