@@ -457,13 +457,26 @@ def _semiregular(g: tuple) -> bool:
 
 
 def _conjugates(elements: frozenset[tuple], n: int) -> list[tuple]:
-    """Every conjugate tau G tau^-1 over tau in S_n, as a sorted image tuple."""
-    out = []
-    for tau in itertools.permutations(range(n)):
-        tinv = tuple(sorted(range(n), key=tau.__getitem__))
-        out.append(tuple(sorted(tuple(map(tau.__getitem__, map(g.__getitem__, tinv)))
-                                for g in elements)))
-    return out
+    """Each distinct conjugate tau G tau^-1 over tau in S_n once, as a
+    sorted image tuple.
+
+    They are the orbit of G under conjugation by the transposition (0 1)
+    and the n-cycle i -> i+1, which generate S_n; for n = 2 the two
+    coincide, and S_1 has neither.  Each conjugate found is conjugated
+    once by each generator.
+    """
+    ident = tuple(range(n))
+    taus = dict.fromkeys(((1, 0) + ident[2:], ident[1:] + ident[:1])) if n > 1 else ()
+    gens = [(tau, tuple(sorted(ident, key=tau.__getitem__))) for tau in taus]
+    orbit = [tuple(sorted(elements))]
+    members = set(orbit)
+    for H in orbit:
+        for tau, tinv in gens:
+            K = tuple(sorted(tuple(map(tau.__getitem__, map(g.__getitem__, tinv))) for g in H))
+            if K not in members:
+                members.add(K)
+                orbit.append(K)
+    return orbit
 
 
 def transitive_abelian_subgroups(n: int, mode: str = "classified"):
@@ -475,19 +488,22 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     searches S_n directly and is the cross-validation oracle.
 
     The brute-force search runs on image tuples; only its answer is wrapped
-    in Perm.  It closes every commuting pair (tested at the point 0 first)
-    of semiregular permutations, whose cycles all have one length > 1 (S_1
+    in Perm.  It closes commuting pairs (tested at the point 0 first) of
+    semiregular permutations, whose cycles all have one length > 1 (S_1
     has none and closes its identity): in a regular group a power of g that
     fixes a point is 1, so no other permutation lies in one.  The closure is
     abelian, and one of order n is transitive exactly when it moves the
-    point 0 to all n points.  The first closure of a new class has all n! of
-    its conjugates computed once: the class is keyed by the minimal one, and
-    all of them go into a seen set, so a later closure conjugate to a class
-    already found is skipped before it is conjugated again.  Each class is
-    still recorded at its first closure and keyed by its minimal conjugate,
-    so the classes, their order and their representatives are those of
-    conjugating every closure.  A class is named by the abelian group of
-    order n with its element orders, each the size of an element's closure.
+    point 0 to all n points.  The first closure of a new class has its
+    distinct conjugates listed once (_conjugates), and the class is keyed
+    by the minimal one.  Each element is mapped to the seen conjugates
+    that hold it, and a commuting pair whose two elements lie in one seen
+    conjugate H is skipped before its full products are compared: its
+    closure is a subgroup of H, so it is either of order below n or H
+    itself, a class already found.  Each class is still recorded at its
+    first closure and keyed by its minimal conjugate, so the classes,
+    their order and their representatives are those of conjugating every
+    closure.  A class is named by the abelian group of order n with its
+    element orders, each the size of an element's closure.
     """
     if mode == "classified":
         return [(G, frozenset(regular_embedding(G))) for G in abelian_groups_of_order(n)]
@@ -499,16 +515,20 @@ def transitive_abelian_subgroups(n: int, mode: str = "classified"):
     ident = tuple(range(n))
     candidates = [g for g in itertools.permutations(ident) if _semiregular(g)] or [ident]
     found: dict[tuple, frozenset[tuple]] = {}
-    seen: set[tuple] = set()     # every conjugate of every class found so far
+    holders: dict[tuple, int] = {}   # element -> bit set of the seen conjugates holding it
+    bit = 1
     for a, b in itertools.combinations_with_replacement(candidates, 2):
-        if a[b[0]] != b[a[0]] or _compose(a, b) != _compose(b, a):
+        if a[b[0]] != b[a[0]] or holders.get(a, 0) & holders.get(b, 0) or \
+                _compose(a, b) != _compose(b, a):
             continue
         elems = frozenset(subgroup_closure((a, b), _compose, ident))
-        if len(elems) != n or len({g[0] for g in elems}) != n or \
-                tuple(sorted(elems)) in seen:
+        if len(elems) != n or len({g[0] for g in elems}) != n:
             continue
         conjugates = _conjugates(elems, n)
-        seen.update(conjugates)
+        for H in conjugates:
+            for g in H:
+                holders[g] = holders.get(g, 0) | bit
+            bit <<= 1
         found[min(conjugates)] = elems
     named = {tuple(sorted(map(G.element_order, G.elements()))): G
              for G in abelian_groups_of_order(n)}

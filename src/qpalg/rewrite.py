@@ -184,7 +184,7 @@ def _word_nf(word: Word, trie: dict, memo: dict, parents: dict | None) -> dict:
         if len(step) == 1 and step[0][1] == 1:
             memo[w] = memo[step[0][0]]      # w -> nw with coefficient 1: same nf
             continue
-        memo[w] = _combine((memo[nw], rc) for nw, rc in step) or _ZERO
+        memo[w] = _combine((memo[nw], rc) for nw, rc in step if memo[nw] is not _ZERO) or _ZERO
     return memo[word]
 
 
@@ -202,7 +202,7 @@ def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
     for w in terms:
         if w not in memo:
             _word_nf(w, trie, memo, parents)
-    return _combine((memo[w], c) for w, c in terms.items())
+    return _combine((memo[w], c) for w, c in terms.items() if memo[w] is not _ZERO)
 
 
 class _RuleTable:
@@ -576,8 +576,18 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
         a, ra = active[i].lhs, active[i].rhs
         b, rb = active[j].lhs, active[j].rhs
         suffix, prefix = b[olap:], a[:len(a) - olap]
-        spoly = _combine((({rw + suffix: rc for rw, rc in ra.terms.items()}, 1),
-                          ({prefix + rw: rc for rw, rc in rb.terms.items()}, -1)))
+        spoly = {rw + suffix: rc for rw, rc in ra.terms.items()}
+        for rw, rc in rb.terms.items():       # minus prefix * rb, in place
+            word = prefix + rw
+            prev = spoly.get(word)
+            if prev is None:
+                spoly[word] = -rc
+                continue
+            diff = prev - rc
+            if diff:
+                spoly[word] = diff
+            else:
+                del spoly[word]
         counts["reduced"] += 1
         inserted = table.add(NCPoly._trusted(alphabet, spoly)) if spoly else []
         if not inserted:

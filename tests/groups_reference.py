@@ -2,13 +2,14 @@
 
 Two subgroups are conjugate in S_n exactly when they have the same
 canonical conjugate: the least, over every tau in S_n, of tau G tau^-1
-written as the sorted tuple of its elements' image tuples.
+written as the sorted tuple of its elements' image tuples.  The set of
+all of them is listed by conjugating with every tau in S_n.
 
 The other oracles read permutations as image tuples and close a set of
 generators by multiplying every element reached by every generator, for
 any group law.  This module imports nothing from `qpalg`, so none of its
-oracles shares code with the closure, the search or the candidate filter
-of `qpalg.groups`.
+oracles shares code with the closure, the search, the conjugate orbits or
+the candidate filter of `qpalg.groups`.
 """
 
 import itertools
@@ -19,11 +20,17 @@ def compose(a: tuple, b: tuple) -> tuple:
     return tuple(a[j] for j in b)
 
 
+def all_conjugates(elements, n: int) -> set:
+    """Every tau G tau^-1 over all tau in S_n, each as the sorted tuple of
+    its elements' image tuples, for G given as image tuples."""
+    return {tuple(sorted(compose(compose(tau, g), tuple(map(tau.index, range(n))))
+                         for g in elements))
+            for tau in itertools.permutations(range(n))}
+
+
 def canonical_conjugate(elements, n: int) -> tuple:
     """The least tau G tau^-1 over tau in S_n, for G given as image tuples."""
-    return min(tuple(sorted(compose(compose(tau, g), tuple(map(tau.index, range(n))))
-                            for g in elements))
-               for tau in itertools.permutations(range(n)))
+    return min(all_conjugates(elements, n))
 
 
 def product_closure(gens, identity, mul=compose) -> frozenset:

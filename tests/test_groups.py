@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpalg.exactnum import Cyclotomic, zeta
-from qpalg.groups import (Character, FiniteAbelianGroup, Perm, _semiregular,
+from qpalg import groups
+from qpalg.groups import (Character, FiniteAbelianGroup, Perm, _conjugates, _semiregular,
                           abelian_group_from_cyclic_orders,
                           abelian_groups_of_order,
                           characters, parse_group_descriptor,
@@ -16,8 +17,8 @@ from qpalg.groups import (Character, FiniteAbelianGroup, Perm, _semiregular,
 from qpalg.ncalg import Alphabet, parse_poly
 from qpalg.qperm import cycle_string, e_sigma_product_check, to_sn_function, u_names
 from qpalg.reports import VERIFIED
-from groups_reference import (canonical_conjugate, compose, is_abelian, is_semiregular,
-                              is_transitive, product_closure)
+from groups_reference import (all_conjugates, canonical_conjugate, compose, is_abelian,
+                              is_semiregular, is_transitive, product_closure)
 
 F = Fraction
 
@@ -260,6 +261,51 @@ def test_orbit_pruning_matches_unpruned_search(n):
     pruned = [frozenset(g.images for g in elems)
               for _, elems in transitive_abelian_subgroups(n, "brute_force")]
     assert pruned == _unpruned_class_representatives(n)
+
+
+def _assert_each_conjugate_once(elements, n):
+    out = _conjugates(frozenset(elements), n)
+    assert len(out) == len(set(out))
+    assert set(out) == all_conjugates(elements, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conjugates_of_each_class_found_are_listed_once(n):
+    for _, elems in transitive_abelian_subgroups(n, "brute_force"):
+        _assert_each_conjugate_once([g.images for g in elems], n)
+
+
+@pytest.mark.parametrize("gens, n", [
+    ([(1, 0, 2, 3)], 4),                    # <(0 1)> in S_4
+    ([(1, 2, 0, 3, 4)], 5),                 # <(0 1 2)> in S_5
+    ([(1, 0, 2)], 3),
+    ([(1, 2, 0), (1, 0, 2)], 3),            # S_3 itself
+    ([(0,)], 1), ([(0, 1)], 2), ([(0, 1, 2, 3)], 4)],
+    ids=lambda v: "-".join("".join(map(str, g)) for g in v) if isinstance(v, list) else f"S{v}")
+def test_conjugates_of_other_subgroups_are_listed_once(gens, n):
+    """Subgroups the search never returns: with fixed points, trivial,
+    non-abelian, and in S_1 and S_2."""
+    _assert_each_conjugate_once(product_closure(gens, tuple(range(n))), n)
+
+
+def test_search_work_at_n6_is_pinned(monkeypatch):
+    """A commuting pair inside a class already seen is not closed, and each
+    class has its conjugates listed once: 93 closures at n = 6, six of
+    them naming the class."""
+    calls = {"closure": 0, "conjugates": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+    monkeypatch.setattr(groups, "subgroup_closure", counted("closure", subgroup_closure))
+    monkeypatch.setattr(groups, "_conjugates", counted("conjugates", _conjugates))
+    for n in range(1, 7):
+        calls.update(closure=0, conjugates=0)
+        classes = transitive_abelian_subgroups(n, "brute_force")
+        assert calls["conjugates"] == len(classes)
+    assert calls["closure"] == 93
 
 
 def test_semiregular_matches_the_oracle():
