@@ -178,8 +178,11 @@ class Cyclotomic:
     (every computed value has None there).  Two roots multiply by adding
     exponents at the lcm L of their orders, zeta_m1^j * zeta_m2^k =
     zeta_L^(j L/m1 + k L/m2), which returns the shared root object at the
-    order the convolution would give; a root's residue is a power of the
-    prime's root of unity, and its hash is the Ramanujan sum in closed form.
+    order the convolution would give (at equal orders, with no lcm).  At an
+    even order m, -1 is zeta_m^(m/2), so the negative of a root, or a root
+    times -1, is the shared root zeta_m^(k + m/2): a character value times
+    the int -1 stays a root.  A root's residue is a power of the prime's
+    root of unity, and its hash is the Ramanujan sum in closed form.
     """
 
     __slots__ = ("order", "_num", "_den", "_root")
@@ -276,13 +279,17 @@ class Cyclotomic:
         return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return Cyclotomic._trusted(self.order, [-c for c in self._num], self._den)
+        return self._scaled(-1, 1)
 
     def _scaled(self, p: int, q: int) -> "Cyclotomic":
-        """self * p/q for q > 0, at self's order."""
+        """self * p/q for q > 0, at self's order; -zeta_m^k for an even m
+        is the shared root zeta_m^(k + m/2)."""
         if p == q:
             return self
-        return Cyclotomic._trusted(self.order, [c * p for c in self._num], self._den * q)
+        m = self.order
+        if p == -q and self._root is not None and not m % 2:
+            return _zeta(m, (self._root + m // 2) % m)
+        return Cyclotomic._trusted(m, [c * p for c in self._num], self._den * q)
 
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -290,7 +297,10 @@ class Cyclotomic:
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
         if self._root is not None and other._root is not None:
-            m = math.lcm(self.order, other.order)
+            m = self.order
+            if other.order == m:
+                return _zeta(m, (self._root + other._root) % m)
+            m = math.lcm(m, other.order)
             k = self._root * (m // self.order) + other._root * (m // other.order)
             return _zeta(m, k % m)
         # a rational operand at any order scales the other one; the order

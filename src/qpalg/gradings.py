@@ -30,6 +30,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cache
+from operator import mul
 
 from . import linalg
 from .exactnum import capped_field, field_order, format_scalar, parse_scalar
@@ -116,6 +117,8 @@ def grading_from_partition(sizes, groups) -> Grading:
 
 def _pointwise(a, b, common):
     """Entrywise product of a and b, whose supports meet in the indices common."""
+    if len(common) == len(a):
+        return tuple(map(mul, a, b))
     out = [0] * len(a)
     for i in common:
         out[i] = a[i] * b[i]
@@ -141,16 +144,17 @@ def verify_grading(grading: Grading) -> CertificateReport:
     a bitmask: two vectors with disjoint supports (any two from different
     blocks of a partition grading) have product zero, so their rows hold
     with no multiply, and other pairs multiply only where their supports
-    meet.  K^n is commutative, so one product is computed per unordered
-    pair and target: a row keeps its verdict, keyed by the pair and its
-    target, until the mirrored row reads it.  Only a mirrored row whose
-    target differs (non-commuting keys whose vectors' supports meet, which
-    no partition grading has) computes the product again, and the witness
-    comes from the first failing row.  A product equal, entry for entry, to
-    one of its target's basis vectors lies in the target (every product of
-    a character grading does); only a product matching none is reduced
-    against the target's echelon form (`linalg.Span`), built the first
-    time it is needed.
+    meet; when one support holds the other, the smaller one's index list
+    is that meet, with no scan of bits.  K^n is commutative, so one
+    product is computed per unordered pair and target: a row keeps its
+    verdict, keyed by the pair and its target, until the mirrored row
+    reads it.  Only a mirrored row whose target differs (non-commuting
+    keys whose vectors' supports meet, which no partition grading has)
+    computes the product again, and the witness comes from the first
+    failing row.  A product equal, entry for entry, to one of its target's
+    basis vectors lies in the target (every product of a character grading
+    does); only a product matching none is reduced against the target's
+    echelon form (`linalg.Span`), built the first time it is needed.
     """
     group = grading.group
     comps = grading.components
@@ -194,7 +198,13 @@ def verify_grading(grading: Grading) -> CertificateReport:
                         pair = (p, q, target) if p <= q else (q, p, target)
                         ok = verdicts.pop(pair, None)    # the mirrored row, if done
                         if ok is None:
-                            prod = _pointwise(a, b, [i for i in supports[p] if common >> i & 1])
+                            if common == masks[p]:
+                                meet = supports[p]
+                            elif common == masks[q]:
+                                meet = supports[q]
+                            else:
+                                meet = [i for i in supports[p] if common >> i & 1]
+                            prod = _pointwise(a, b, meet)
                             ok = target_basis is not None and (
                                 prod in target_basis or prod in span_of(target))
                             if p != q:

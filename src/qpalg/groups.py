@@ -400,17 +400,25 @@ def regular_embedding(G: FiniteAbelianGroup) -> list[Perm]:
 
 @dataclass(frozen=True)
 class Character:
-    """Character of a finite abelian group, valued in roots of unity."""
+    """Character of a finite abelian group, valued in roots of unity.
+
+    chi(g) = zeta_E^k for the group's exponent E, returned as the canonical
+    scalar `parse_scalar` gives for the same value: a rational value is a
+    plain int (1 at k = 0, -1 at 2k = E), every other one the shared root
+    `zeta(E, k)`.  Products of values then stay on ints and exponents.
+    """
 
     group: FiniteAbelianGroup
     exponents: tuple
 
-    def __call__(self, element: tuple) -> Cyclotomic:
+    def __call__(self, element: tuple) -> int | Cyclotomic:
         E = self.group.exponent
         total = 0
         for c, a, d in zip(self.exponents, element, self.group.invariant_factors):
             total = (total + c * a * (E // d)) % E
-        return zeta(E, total)
+        if not total:
+            return 1
+        return -1 if 2 * total == E else zeta(E, total)
 
 
 def characters(G: FiniteAbelianGroup) -> list[Character]:

@@ -527,6 +527,9 @@ _GOLDEN_SUITE = [
     ["grade", "--blocks", "4", "--groups", "Z2xZ2"],
     ["grade", "--blocks", "64", "--groups", "Z64"],
     ["grade", "--blocks", "97", "--groups", "Z97"],
+    ["grade", "--blocks", "16", "--groups", "Z2xZ2xZ2xZ2"],
+    ["grade", "--blocks", "8,4", "--groups", "Z8,Z4", "--save", "m.grading"],
+    ["verify-grading", "--input", "m.grading"],
 ]
 
 # sha256 over the exit code, the stdout and the --json report without
@@ -606,6 +609,12 @@ _GOLDEN_SHA256 = {
         "015669cc813471d04aec4c5f802381fc165a536af3888b5a8b7eaa0c347e4444",
     "grade --blocks 97 --groups Z97":
         "9110a1c05f64737d97779bf3fa0875fa5b13c48913ab5a656fb31ceb848d0a6f",
+    "grade --blocks 16 --groups Z2xZ2xZ2xZ2":
+        "5fdf13c62d2a335f9f0f329e345f60d184874c48ae759e7c2aa8ba057f88a924",
+    "grade --blocks 8,4 --groups Z8,Z4 --save m.grading":
+        "88eb74287ef65ec8447550fd2327ed41df54f31363066f9ac323747fae1a320c",
+    "verify-grading --input m.grading":
+        "287a70c0890ee42d36cece3bc2d82df8028eb813547983e09199309405bc4c41",
 }
 
 

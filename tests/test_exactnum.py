@@ -63,6 +63,29 @@ def test_embed_zeta2_into_order_4():
     assert img.coeffs == (F(-1), F(0))
 
 
+def test_negated_roots_agree_with_reference():
+    # -zeta_m^k, zeta_m^k * -1 and -1 * zeta_m^k, alone and times roots; at
+    # an even order m each is the shared root zeta_m^(k + m/2)
+    for m in range(1, 33):
+        negated = [ref.reduce(m, [0] * e + [-1]) for e in range(m)]     # -zeta_m^e
+        for k in range(m):
+            z = zeta(m, k)
+            for x in (-z, z * -1, -1 * z, z * F(-1)):
+                _agree(x, negated[k])
+                assert (x is zeta(m, k + m // 2)) == (m % 2 == 0)
+            for j in range(m):
+                for product in (-z * zeta(m, j), zeta(m, j) * -z):
+                    _agree(product, negated[(k + j) % m])
+                    assert product._root is not None or m % 2
+        # across orders the product lives at the lcm of the orders
+        x = -zeta(m)
+        for y in (zeta(3), zeta(4, 3)):
+            expected = ref.mul(negated[1 % m], ref.reduce(y.order, [0] * y._root + [1]))
+            for product in (x * y, y * x):
+                _agree(product, expected)
+                assert product._root is not None or m % 2
+
+
 def test_embed_zeta3_into_order_6():
     # zeta_6^2 = zeta_6 - 1 modulo x^2 - x + 1: coefficient vector (-1, 1)
     img = zeta(3).embed(6)

@@ -688,6 +688,24 @@ def test_relabelled_grading_file_round_trip(data, n):
     assert format_grading(parse_grading(text)) == text
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10))
+def test_saved_character_gradings_read_back_in_value_and_type(data, n):
+    # a character value is the scalar parse_scalar reads back from its
+    # text: an int when rational, a Cyclotomic otherwise
+    partition = data.draw(st.sampled_from(partitions_desc(n)))
+    groups = [data.draw(st.sampled_from(abelian_groups_of_order(m))) for m in partition]
+    grading = grading_from_partition(partition, groups)
+    back = parse_grading(format_grading(grading))
+    assert back.group.descriptor() == grading.group.descriptor()
+    assert back.components.keys() == grading.components.keys()
+    for key, vectors in grading.components.items():
+        assert len(back.components[key]) == len(vectors)
+        for read, built in zip(back.components[key], vectors):
+            assert read == built
+            assert [type(x) for x in read] == [type(x) for x in built]
+
+
 def _count_exact_operations(monkeypatch):
     """Record every echelon form built (its vectors), every span query and
     every pointwise product (its factors and the indices it multiplies)
@@ -793,6 +811,37 @@ def test_products_of_characters_convolve_nothing(monkeypatch):
     grading = grading_from_partition((64,), (FiniteAbelianGroup((64,)),))
     assert verify_grading(grading).verdict == VERIFIED
     assert calls == []
+
+
+def test_character_products_stay_on_ints_and_exponents(monkeypatch):
+    # rational character values are ints, and -1 times a root of even order
+    # is a root: Z2^4 makes no Cyclotomic product at all, and every one that
+    # Z8 or Z4,Z2 makes multiplies roots that are not rational (or an int)
+    # and adds exponents
+    products = []
+    multiply = exactnum.Cyclotomic.__mul__
+
+    def counted(self, other):
+        out = multiply(self, other)
+        products.append((self, other, out))
+        return out
+
+    def irrational_or_int(x):
+        return type(x) is int or not x.is_rational()
+
+    monkeypatch.setattr(exactnum.Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(exactnum.Cyclotomic, "__rmul__", counted)
+    z2_4 = grading_from_partition((16,), (FiniteAbelianGroup((2, 2, 2, 2)),))
+    assert verify_grading(z2_4).verdict == VERIFIED
+    assert products == []
+    for grading in (grading_from_partition((8,), (FiniteAbelianGroup((8,)),)),
+                    grading_from_partition((4, 2), (Z4, Z2))):
+        products.clear()
+        assert verify_grading(grading).verdict == VERIFIED
+        assert products
+        for a, b, out in products:
+            assert irrational_or_int(a) and irrational_or_int(b)
+            assert isinstance(out, exactnum.Cyclotomic) and out._root is not None
 
 
 def test_partly_overlapping_supports_give_the_plain_witness(monkeypatch):

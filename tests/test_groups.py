@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpalg.exactnum import Cyclotomic, zeta
+from qpalg.exactnum import Cyclotomic, format_scalar, parse_scalar, zeta
 from qpalg import groups
 from qpalg.groups import (Character, FiniteAbelianGroup, Perm, _conjugates, _semiregular,
                           abelian_group_from_cyclic_orders,
@@ -151,7 +151,7 @@ def test_regular_embedding_is_regular_transitive_abelian():
                     assert all(g(i) != i for i in range(n))
 
 
-def character_table(G: FiniteAbelianGroup) -> list[list[Cyclotomic]]:
+def character_table(G: FiniteAbelianGroup) -> list[list[int | Cyclotomic]]:
     """Rows = characters, columns = elements, both in lexicographic order."""
     return [[chi(g) for g in G.elements()] for chi in characters(G)]
 
@@ -203,6 +203,23 @@ def test_characters_form_a_group():
             prod = Character(G, G.mul(chi.exponents, psi.exponents))
             for g in G.elements():
                 assert prod(g) == chi(g) * psi(g)
+
+
+def test_character_values_are_canonical_scalars():
+    # chi(g) = zeta_E^k is a plain int exactly when it is rational (as
+    # parse_scalar returns it), and the shared root zeta(E, k) otherwise
+    for n in range(1, 11):
+        for G in abelian_groups_of_order(n):
+            E = G.exponent
+            for chi in characters(G):
+                for g in G.elements():
+                    k = sum(c * a * (E // d) for c, a, d in
+                            zip(chi.exponents, g, G.invariant_factors)) % E
+                    root, value = zeta(E, k), chi(g)
+                    assert value == root
+                    assert isinstance(value, int) == root.is_rational()
+                    assert isinstance(value, int) or value is root
+                    assert type(value) is type(parse_scalar(format_scalar(value)))
 
 
 def test_transitive_abelian_subgroups_modes_agree():
