@@ -50,17 +50,6 @@ class Perm:
         perm.images = images
         return perm
 
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(range(n))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (self * other)(i) = self(other(i))."""
         mine = self.images
@@ -68,12 +57,6 @@ class Perm:
             raise ValueError(f"cannot compose permutations of degrees "
                              f"{len(mine)} and {len(other.images)}")
         return Perm._trusted(tuple([mine[j] for j in other.images]))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Perm._trusted(tuple(inv))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images

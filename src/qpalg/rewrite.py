@@ -25,19 +25,20 @@ unchanged table the normal form is linear, nf(sum c_w w) = sum c_w
 nf(w), and the table memoises nf per word.  A normal form, of a word from
 its one-step rewrite or of a term map from its words, is one merge of
 its memoised parts; every zero normal form in a memo is one shared
-read-only mapping.  Inserting or retiring a rule with lhs L drops only
-the memo words whose rewrites reach a word containing L: a word avoiding
-L keeps its one-step rewrite, so it keeps its normal form unless a word
-it rewrites to changes.  The edges from a word to the words it rewrites
-to are recorded as it is expanded.  The memo words that may contain L
-are found by adjacent letter pairs (a word holding L holds every pair of
-L), and by a scan of the memo when L is one letter.  A frozen system's
-memo lasts as long as the system and records no edges.  Adding a
-relation runs the one retirement cascade: reduce, orient, retire each
-rule whose lhs contains the new lhs, then add the retired relations
-back, first retired first.  `interreduce` is a loop of adds and
-`complete` pairs every rule an add inserted, finding its overlaps
-through an index of the active lhs by proper prefix and suffix.
+read-only mapping.  A word enters the memo only after every word it
+rewrites to, so the memo's insertion order is a topological order of the
+rewrite graph.  Inserting or retiring a rule with lhs L drops the memo
+suffix from the first word containing L: every word whose rewrites reach
+a holder was stored after it, and a word before it avoids L, so it keeps
+its one-step rewrite, and the words it rewrites to come before it too.
+The memo words that may contain L are found by adjacent letter pairs (a
+word holding L holds every pair of L), and by a scan of the memo when L
+is one letter.  Adding a relation runs the one retirement cascade:
+reduce, orient, retire each rule whose lhs contains the new lhs, then
+add the retired relations back, first retired first.  `interreduce` is a
+loop of adds and `complete` pairs every rule an add inserted, finding
+its overlaps through an index of the active lhs by proper prefix and
+suffix.
 Irreducible words are enumerated level by level in
 `irreducible_words_by_length`, which the filtration counts and quotient
 bases share, under one cap on the letters they store.
@@ -88,7 +89,6 @@ class RewriteSystem:
         self._table = _RuleTable(alphabet)
         for r in self.rules:
             self._table.insert(r)
-        self._table.freeze()
 
     @classmethod
     def from_relations(cls, alphabet: Alphabet, relations) -> "RewriteSystem":
@@ -149,16 +149,15 @@ def _one_step(w: Word, trie: dict) -> list | None:
     return None
 
 
-def _word_nf(word: Word, trie: dict, memo: dict, parents: dict | None) -> dict:
+def _word_nf(word: Word, trie: dict, memo: dict) -> dict:
     """Normal form of one word, memoising it and every word its rewrites reach.
 
     nf(w) is w when no lhs matches, else the sum of rc * nf(pre + rw + suf)
     over the rhs terms of the leftmost, then shortest, match.  An explicit
     stack stands in for the recursion, so rewrite chains of any length
-    reduce.  A word enters the memo after every word it rewrites to, and
-    as it is expanded it joins `parents[nw]` for each word nw of its
-    one-step rewrite, unless parents is None.  A word rewriting to zero
-    in one step, and every word whose normal form cancels, gets the shared
+    reduce.  A word enters the memo after every word it rewrites to, an
+    order `_RuleTable._forget` relies on.  A word rewriting to zero in one
+    step, and every word whose normal form cancels, gets the shared
     `_ZERO`.  Entries may share dicts, so nothing outside the table may
     hold or mutate one.
     """
@@ -176,8 +175,6 @@ def _word_nf(word: Word, trie: dict, memo: dict, parents: dict | None) -> dict:
             else:
                 stack.append((w, step))     # revisited once every rewrite has its nf
                 for nw, _ in step:
-                    if parents is not None:
-                        parents.setdefault(nw, []).append(w)
                     if nw not in memo:
                         stack.append((nw, None))
             continue
@@ -198,10 +195,10 @@ def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
     entries a rule change can alter; once every word is memoised, the
     result is one merge of their normal forms.
     """
-    memo, trie, parents = table.nf_memo, table.trie, table._parents
+    memo, trie = table.nf_memo, table.trie
     for w in terms:
         if w not in memo:
-            _word_nf(w, trie, memo, parents)
+            _word_nf(w, trie, memo)
     return _combine((memo[w], c) for w, c in terms.items() if memo[w] is not _ZERO)
 
 
@@ -214,17 +211,15 @@ class _RuleTable:
     dicts, letter -> (child node, rhs terms or None): the node at the end
     of an active lhs carries its rhs terms, and a retired lhs leaves its
     path with None there.  `nf_memo` maps each reduced word to its normal
-    form.  Inserting or retiring a rule drops the entries it can alter
-    (`_forget`) and counts them in `memo_dropped`; the words reduced so
-    far are `len(nf_memo) + memo_dropped`.  For `_forget`, `_parents` maps
-    a memo word to the words rewriting to it in one step, recorded by
-    `_word_nf`, and `_by_pair` maps two adjacent letters to the memo words
-    of length >= 2 that hold them.  `freeze` sets `_parents` to None: the
-    table then records no edges, and `insert` and `_retire` raise.
+    form, in the order `_word_nf` stored them.  Inserting or retiring a rule
+    drops the memo suffix it can alter (`_forget`) and counts its words in
+    `memo_dropped`; the words reduced so far are `len(nf_memo) +
+    memo_dropped`.  For `_forget`, `_by_pair` maps two adjacent letters to
+    the memo words of length >= 2 that hold them.
     """
 
     __slots__ = ("alphabet", "active", "rhs_of", "trie", "max_len", "nf_memo", "memo_dropped",
-                 "_parents", "_by_pair", "_indexed", "_next_id")
+                 "_by_pair", "_indexed", "_next_id")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -234,15 +229,9 @@ class _RuleTable:
         self.max_len = 0
         self.nf_memo: dict[Word, dict] = {}
         self.memo_dropped = 0
-        self._parents: dict[Word, list[Word]] | None = {}   # memo word -> words rewriting to it
         self._by_pair: dict[tuple[int, int], set[Word]] = {}   # adjacent letters -> memo words
         self._indexed = 0           # the first _indexed memo words are in _by_pair
         self._next_id = 0
-
-    def freeze(self) -> None:
-        """Fix the rules for good: no edges are recorded from now on, and
-        `insert` and `_retire` raise ValueError."""
-        self._parents = None
 
     def _set_rhs(self, lhs: Word, rhs_terms: dict | None) -> None:
         """Put rhs_terms (None to clear) at lhs's trie node, making its path."""
@@ -271,51 +260,38 @@ class _RuleTable:
         return rule
 
     def _forget(self, lhs: Word) -> None:
-        """Drop the memo words whose rewrites reach a word containing lhs.
+        """Drop the memo suffix from the first word containing lhs.
 
         Runs before lhs is inserted or retired, so every entry was computed
-        against the table as it stands.  A word avoiding lhs has the same
-        one-step rewrite after the change, so its normal form survives
-        unless a word it rewrites to is dropped: the dropped words are those
-        containing lhs and their ancestors, found through the edges
-        `_word_nf` recorded.  A word containing an lhs of length >= 2 holds
-        each of its adjacent letter pairs, so only the memo words under its
-        rarest pair are tested; a one-letter lhs has no pair, and the memo
-        is scanned for its letter.  The pair index is extended here, for
-        the words memoised since the last call only.  A frozen table has no
-        edges to follow, so it raises ValueError.
+        against the table as it stands.  `_word_nf` stores a word after
+        every word it rewrites to, so each word whose rewrites reach a
+        holder of lhs comes after that holder and falls in the suffix.  A
+        word before the first holder avoids lhs, so it keeps its one-step
+        rewrite, and the words it rewrites to stay too: its normal form
+        survives.  A word containing an lhs of length >= 2 holds each of
+        its adjacent letter pairs, so only the memo words under its rarest
+        pair are tested; a one-letter lhs has no pair, and the memo is
+        scanned for its letter.  The pair index is extended here, for the
+        words memoised since the last call only.
         """
-        parents, by_pair, memo = self._parents, self._by_pair, self.nf_memo
-        if parents is None:
-            raise ValueError("a frozen rule table cannot change")
+        by_pair, memo = self._by_pair, self.nf_memo
         if not memo:
             return
         for w in islice(memo, self._indexed, None):
             for pair in set(zip(w, w[1:])):
                 by_pair.setdefault(pair, set()).add(w)
         if len(lhs) == 1:
-            stack = [w for w in memo if lhs[0] in w]
+            holders = {w for w in memo if lhs[0] in w}
         else:
-            holders = min((by_pair.get(pair, ()) for pair in set(zip(lhs, lhs[1:]))), key=len)
-            stack = [w for w in holders if _contains(w, lhs)]
-        dropped = set(stack)
-        while stack:
-            for p in parents.get(stack.pop(), ()):
-                if p not in dropped:
-                    dropped.add(p)
-                    stack.append(p)
-        for w in dropped:
-            del memo[w]
-            parents.pop(w, None)
+            under = min((by_pair.get(pair, ()) for pair in set(zip(lhs, lhs[1:]))), key=len)
+            holders = {w for w in under if _contains(w, lhs)}
+        size = len(memo)
+        while holders:
+            w, _ = memo.popitem()
+            holders.discard(w)
             for pair in set(zip(w, w[1:])):
                 by_pair[pair].discard(w)
-            for child, _ in _one_step(w, self.trie) or ():
-                if child not in dropped:
-                    siblings = parents[child]
-                    siblings.remove(w)
-                    if not siblings:
-                        del parents[child]
-        self.memo_dropped += len(dropped)
+        self.memo_dropped += size - len(memo)
         self._indexed = len(memo)
 
     def reduce_terms(self, terms: dict) -> dict:

@@ -7,6 +7,7 @@ algorithm in Q[x].  qpalg computes the same values on integer numerators
 with a table of reduced powers and with Galois conjugates.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -47,14 +48,16 @@ def polydivmod(a, b):
     return trim(quot), rem
 
 
+@functools.cache
 def phi_poly(m):
-    """Phi_m by exact division of x^m - 1 by Phi_d over the proper divisors d."""
+    """Phi_m by exact division of x^m - 1 by Phi_d over the proper divisors d,
+    as a tuple: every call of one m shares it."""
     num = [ZERO] * (m + 1)
     num[0], num[m] = -ONE, ONE
     for d in divisors(m)[:-1]:
         num, rem = polydivmod(num, phi_poly(d))
         assert not rem
-    return num
+    return tuple(num)
 
 
 def reduce(order, raw):

@@ -540,7 +540,7 @@ _GOLDEN_SHA256 = {
     "complete --n 3":
         "3ca810b9256e870213ed1ec91567a1bc467421ccadd3288fc75932caa5761e65",
     "complete --n 4":
-        "0b31e9f8c3f2d2cb8e061e1a02b456e6857b6797f5c42ce4ca186ce7da3ce99e",
+        "b26d6266222c6f40bbdc3d2f3a0486c2f2533f2e102b59666d69d235f975f4c5",
     "verify-hopf --n 1":
         "e62ef64739aab0d512b878bd2f66da4e9aaf94192653e0e418a23864829fbcd9",
     "verify-hopf --n 2":

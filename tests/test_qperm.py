@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from qpalg import qperm
 from qpalg.cli import EXIT_INCONCLUSIVE, main
-from qpalg.groups import Perm
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, substitute
 from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM, SEMI_FAMILIES,
                          HopfPresentation, MatrixOverAlgebra, check_multiplicative,
@@ -188,10 +187,10 @@ def test_coaction_semi_magic_verdict_matches_check_semi_magic(magic, completed_m
     g = NCPoly.gen(ambient.alphabet, 0)
     zero = NCPoly.zero(ambient.alphabet)
     triv = base_field()
-    sigma = Perm((1, 2, 0))
+    sigma = (1, 2, 0)
     cases = [
         (MatrixOverAlgebra(2, ((g, zero), (zero, g)), ambient), hopf),
-        (scalar_matrix([[1 if sigma(j) == i else 0 for j in range(3)] for i in range(3)],
+        (scalar_matrix([[1 if sigma[j] == i else 0 for j in range(3)] for i in range(3)],
                        triv.system), triv),
         (scalar_matrix([[1, 1], [0, 1]], triv.system), triv),
         (scalar_matrix([[1, 1], [0, 1]], magic[2].system), magic[2]),
@@ -208,8 +207,8 @@ def test_coaction_semi_magic_verdict_matches_check_semi_magic(magic, completed_m
 
 def test_permutation_matrix_coaction():
     triv = base_field()
-    sigma = Perm((1, 2, 0))
-    x = scalar_matrix([[1 if sigma(j) == i else 0 for j in range(3)] for i in range(3)],
+    sigma = (1, 2, 0)
+    x = scalar_matrix([[1 if sigma[j] == i else 0 for j in range(3)] for i in range(3)],
                       triv.system)
     rep = coaction_algebra_map_check(x, triv)
     assert rep.verdict == VERIFIED

@@ -653,8 +653,8 @@ def test_critical_pair_counts_are_pinned(completed_magic):
         "pushed": 543, "stale": 0, "reduced": 543, "reduced_to_zero": 528}
     assert magic5.critical_pairs == {
         "pushed": 2192, "stale": 0, "reduced": 1124, "reduced_to_zero": 1065}
-    assert completed_magic[4].memo_words == {"computed": 2202, "dropped": 16}
-    assert magic5.memo_words == {"computed": 3308, "dropped": 63}
+    assert completed_magic[4].memo_words == {"computed": 2244, "dropped": 58}
+    assert magic5.memo_words == {"computed": 3479, "dropped": 234}
 
 
 # -- the rule table's memo of word normal forms --
@@ -690,15 +690,21 @@ def test_memo_drops_the_words_that_contain_a_new_lhs():
 
 
 def test_memo_drops_a_word_whose_rewrite_reaches_the_new_lhs():
-    """z.x avoids y.y but rewrites to it; x.z and its normal form stay."""
+    """z.x avoids y.y but rewrites to it, so it is stored after y.y and
+    goes with the suffix from y.y; x.z, stored before y.y, keeps its
+    normal form."""
     x, y, z = (NCPoly.gen(XYZ, i) for i in range(3))
     table = _RuleTable(XYZ)
     table.add(z * x - y * y)
-    assert table.reduce_terms({(2, 0): 1, (0, 2): 1}) == {(1, 1): 1, (0, 2): 1}
-    kept, dropped = table.nf_memo[(0, 2)], table.memo_dropped
-    table.add(y * y - x)
-    assert (2, 0) not in table.nf_memo and (1, 1) not in table.nf_memo
-    assert table.nf_memo[(0, 2)] is kept and table.memo_dropped == dropped + 2
+    assert table.reduce_terms({(0, 2): 1, (2, 0): 1}) == {(0, 2): 1, (1, 1): 1}
+    before, dropped = list(table.nf_memo.items()), table.memo_dropped
+    assert [w for w, _ in before] == [(0, 2), (1, 1), (2, 0)]
+    table.insert(RewriteRule((1, 1), x))
+    assert list(table.nf_memo) == [(0, 2)] and table.nf_memo[(0, 2)] is before[0][1]
+    assert table.memo_dropped == dropped + 2
+    rules = list(table.active.values())
+    for w, _ in before:
+        assert table.reduce_terms({w: 1}) == reference_normal_form({w: 1}, rules)
     assert table.reduce_terms({(2, 0): 1}) == {(0,): 1}
 
 
@@ -719,25 +725,69 @@ def test_memo_drops_a_word_whose_normal_form_cancelled():
 
 def test_a_one_letter_lhs_drops_the_words_holding_its_letter():
     """A one-letter lhs has no adjacent pair to look words up by, so the
-    memo is scanned for the letter; the words rewriting into those go too."""
+    memo is scanned for the letter; the suffix from the first word holding
+    it goes, and with it the words rewriting into those."""
     x, y, z = (NCPoly.gen(XYZ, i) for i in range(3))
     table = _RuleTable(XYZ)
     for lhs, rhs in [((1, 0), z), ((0, 0), y)]:             # y.x -> z, x.x -> y
         table.insert(RewriteRule(lhs, rhs))
-    words = [(2,), (2, 1), (0, 2, 1), (1, 0), (0, 1, 0), (0, 0, 0), (0, 1), (1, 1), (0, 0, 1),
-             (1,)]
+    words = [(0, 1), (1, 1), (0, 0, 1), (1,), (2,), (2, 1), (0, 2, 1), (1, 0), (0, 1, 0),
+             (0, 0, 0)]
     table.reduce_terms(dict.fromkeys(words, 1))
-    before, dropped = dict(table.nf_memo), table.memo_dropped
-    holders = {w for w in before if 2 in w}
+    before, dropped = list(table.nf_memo.items()), table.memo_dropped
+    first = next(i for i, (w, _) in enumerate(before) if 2 in w)
     ancestors = {(1, 0), (0, 1, 0), (0, 0, 0)}     # -> z, -> x.z, -> y.x
-    assert holders >= {(2,), (2, 1), (0, 2, 1), (0, 2)} and ancestors <= before.keys()
+    assert first == 4 and ancestors <= {w for w, _ in before[first:]}
     table.insert(RewriteRule((2,), x))
-    assert table.nf_memo.keys() == before.keys() - holders - ancestors
-    assert all(nf is before[w] for w, nf in table.nf_memo.items())
-    assert table.memo_dropped == dropped + len(holders | ancestors)
+    assert list(table.nf_memo) == [w for w, _ in before[:first]]
+    assert all(table.nf_memo[w] is nf for w, nf in before[:first])
+    assert table.memo_dropped == dropped + len(before) - first
     rules = list(table.active.values())
-    for w in before:
+    for w, _ in before:
         assert table.reduce_terms({w: 1}) == reference_normal_form({w: 1}, rules)
+
+
+def _assert_suffix_dropped(table, change, lhs, polys):
+    """Run change, a rule change with lhs: the memo keeps exactly the words
+    stored before the first word holding lhs, as the same objects, counts
+    the rest as dropped, and every normal form after it is the reference's."""
+    before, dropped = list(table.nf_memo.items()), table.memo_dropped
+    first = next((i for i, (w, _) in enumerate(before) if lhs in _factors(w)), len(before))
+    change()
+    assert list(table.nf_memo) == [w for w, _ in before[:first]]
+    assert all(table.nf_memo[w] is nf for w, nf in before[:first])
+    assert table.memo_dropped == dropped + len(before) - first
+    rules = list(table.active.values())
+    for terms in polys + [{w: 1} for w, _ in before]:
+        assert table.reduce_terms(terms) == reference_normal_form(terms, rules)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relations=st.lists(_small_polys, min_size=1, max_size=6),
+       polys=st.lists(st.dictionaries(st.lists(st.integers(0, 2), max_size=6).map(tuple),
+                                      st.integers(-3, 3).filter(bool), max_size=4),
+                      min_size=1, max_size=4),
+       data=st.data())
+def test_a_rule_change_drops_the_memo_suffix_from_the_first_holder(relations, polys, data):
+    """After random add cascades and reductions, inserting a rule with a new
+    lhs and retiring an active one each drop the memo suffix from the first
+    word holding the lhs, and nothing else."""
+    table = _RuleTable(XYZ)
+    for relation in relations:
+        for terms in polys:
+            table.reduce_terms(terms)
+        try:
+            table.add(NCPoly(XYZ, relation))
+        except InconsistentPresentation:
+            return
+    lhs = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
+                    .filter(lambda w: w not in table.rhs_of), label="new lhs")
+    rhs = data.draw(st.dictionaries(st.lists(st.integers(0, 2), max_size=len(lhs) - 1).map(tuple),
+                                    st.integers(-3, 3).filter(bool), max_size=2), label="rhs")
+    _assert_suffix_dropped(table, lambda: table.insert(RewriteRule(lhs, NCPoly(XYZ, rhs))),
+                           lhs, polys)
+    rid = data.draw(st.sampled_from(sorted(table.active)), label="retired id")
+    _assert_suffix_dropped(table, lambda: table._retire(rid), table.active[rid].lhs, polys)
 
 
 def _factors(w) -> set:
@@ -851,10 +901,9 @@ def test_reduce_terms_hands_out_fresh_dicts():
         rewrite._ZERO[(0,)] = 1
 
 
-def test_a_frozen_table_records_no_edges_and_cannot_change(magic):
-    """Magic n = 4 words reduce against a frozen system with no ancestor
-    edge or pair index built; an insert or a retirement would leave stale
-    memo entries, so both raise and the memo stays as it was."""
+def test_a_system_reduces_without_a_pair_index(magic):
+    """Magic n = 4 words reduce against a frozen system, whose memo grows
+    with no pair index built: only a rule change builds one."""
     pres = magic[4]
     system = RewriteSystem(pres.alphabet, pres.system.rules)
     rng = random.Random(4)
@@ -862,13 +911,7 @@ def test_a_frozen_table_records_no_edges_and_cannot_change(magic):
         word = tuple(rng.randrange(16) for _ in range(rng.randint(1, 6)))
         system.reduce_terms({word: 1})
     table = system._table
-    memo = dict(table.nf_memo)
-    assert len(memo) > 30 and table._parents is None and not table._by_pair
-    with pytest.raises(ValueError, match="frozen"):
-        table.insert(RewriteRule((0, 0, 0, 0, 0), NCPoly.zero(pres.alphabet)))
-    with pytest.raises(ValueError, match="frozen"):
-        table._retire(next(iter(table.active)))
-    assert table.nf_memo == memo and len(table.active) == len(system.rules)
+    assert len(table.nf_memo) > 30 and not table._by_pair
 
 
 def _assert_one_step_matches(table, rules, length):
@@ -920,23 +963,28 @@ def test_trie_one_step_matches_the_rule_scan(relations, words):
        polys=st.lists(st.dictionaries(st.lists(st.integers(0, 2), max_size=6).map(tuple),
                                       st.integers(-3, 3).filter(bool), max_size=4),
                       min_size=1, max_size=4))
-def test_recorded_edges_are_the_one_step_edges_of_the_memo(relations, polys):
-    """After reductions and add cascades, the ancestor edges a table holds
-    are exactly the edges from each memo word to the words of its one-step
-    rewrite, each once."""
+def test_memo_words_follow_the_words_they_rewrite_to(relations, polys):
+    """After every reduction and every add cascade, each word of a memo
+    word's one-step rewrite is a memo word stored before it: the order
+    `_forget` drops suffixes by."""
     table = _RuleTable(XYZ)
+
+    def assert_topological():
+        rules = list(table.active.values())
+        position = {w: i for i, w in enumerate(table.nf_memo)}
+        for p, i in position.items():
+            for w, _ in reference_one_step(p, rules) or ():
+                assert position.get(w, i) < i, (p, w)
+
     for relation in relations:
         for terms in polys:
             table.reduce_terms(terms)
+            assert_topological()
         try:
             table.add(NCPoly(XYZ, relation))
         except InconsistentPresentation:
             return
-        rules = list(table.active.values())
-        recorded = [(p, w) for w, ps in table._parents.items() for p in ps]
-        assert len(recorded) == len(set(recorded))
-        assert set(recorded) == {(p, w) for p in table.nf_memo
-                                 for w, _ in reference_one_step(p, rules) or ()}
+        assert_topological()
 
 
 def test_long_rewrite_chain_reduces():
