@@ -15,13 +15,15 @@ constructor and `parse_poly`, and where reduced terms leave `rewrite`, in
 re-canonicalise: a sum or product of Fractions may be an integral
 ``Fraction``, which compares and hashes equal to the ``int``.
 
-One sparse merge, `_combine`, sums for `+`, `-`, `*`, `substitute` and
-`rewrite`, and fixes the order of the terms; `substitute` is the one
-extension of a generator map (scalar images are constant polynomials).  It
-maps a word to the product of its letters' images alone, with no unit
-polynomial in front, and the empty word to one.  `render` prints the terms
-in descending deglex order, which it gets from two sorts on builtin keys:
-the words descending, then stably by length, descending.
+One sparse merge, `_combine`, sums term maps for `+`, `-`, `*`,
+`substitute` and tensor-power normal forms, and fixes the order of the
+terms; `rewrite._nf_sum`, the merge of memoised normal forms, keeps the
+same order.  `substitute` is the one extension of a generator map
+(scalar images are constant polynomials).  It maps a word to the product
+of its letters' images alone, with no unit polynomial in front, and the
+empty word to one.  `render` prints the terms in descending deglex
+order, which it gets from two sorts on builtin keys: the words
+descending, then stably by length, descending.
 """
 
 from __future__ import annotations

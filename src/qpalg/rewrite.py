@@ -22,15 +22,18 @@ order among its lhs.  On a confluent system the strategy cannot change a
 normal form; on a truncated or mid-cascade table it can, so it is fixed.
 Fixed, the one-step rewrite is a function of the word alone, so on an
 unchanged table the normal form is linear, nf(sum c_w w) = sum c_w
-nf(w), and the table memoises nf per word.  A normal form, of a word from
-its one-step rewrite or of a term map from its words, is one merge of
-its memoised parts; every zero normal form in a memo is one shared
-read-only mapping.  A word enters the memo only after every word it
-rewrites to, so the memo's insertion order is a topological order of the
-rewrite graph.  Inserting or retiring a rule with lhs L drops the memo
-suffix from the first word containing L: every word whose rewrites reach
-a holder was stored after it, and a word before it avoids L, so it keeps
-its one-step rewrite, and the words it rewrites to come before it too.
+nf(w), and the table memoises nf per word.  A memo entry is the word
+itself when the word is irreducible (the unit's entry () is falsy, so
+entries are told apart by class and identity), one shared read-only
+mapping for every zero normal form, and a dict otherwise.  A normal form,
+of a word from its one-step rewrite or of a term map from its words, is
+one `_nf_sum` of its memoised parts.  A word enters the memo only after
+every word it rewrites to, so the memo's insertion order is a
+topological order of the rewrite graph.  Inserting or retiring a rule
+with lhs L drops the memo suffix from the first word containing L:
+every word whose rewrites reach a holder was stored after it, and a
+word before it avoids L, so it keeps its one-step rewrite, and the words
+it rewrites to come before it too.
 The memo words that may contain L are found by adjacent letter pairs (a
 word holding L holds every pair of L), and by a scan of the memo when L
 is one letter.  Adding a relation runs the one retirement cascade:
@@ -149,17 +152,58 @@ def _one_step(w: Word, trie: dict) -> list | None:
     return None
 
 
-def _word_nf(word: Word, trie: dict, memo: dict) -> dict:
-    """Normal form of one word, memoising it and every word its rewrites reach.
+def _nf_sum(pairs, memo: dict) -> dict:
+    """The sum of c * nf(w) over the (word, c) pairs, each c nonzero and
+    each w memoised, as a fresh dict without the words whose coefficients
+    cancel.
+
+    Each word's memo entry is read once: an irreducible word adds c to
+    itself, `_ZERO` adds nothing, and a dict adds its terms times c.  The
+    word entry () is falsy, so entries are told apart by class and
+    identity.  As in `_combine`, a word that cancels is deleted on the
+    spot, so the terms come out in the order of summing the pairs.
+    """
+    acc: dict = {}
+    get = acc.get
+    for w, c in pairs:
+        nf = memo[w]
+        if type(nf) is tuple:
+            prev = get(nf)
+            if prev is None:
+                acc[nf] = c
+            else:
+                s = prev + c
+                if s:
+                    acc[nf] = s
+                else:
+                    del acc[nf]
+        elif nf is not _ZERO:
+            for tw, tc in nf.items():
+                prev = get(tw)
+                if prev is None:
+                    acc[tw] = c * tc
+                else:
+                    s = prev + c * tc
+                    if s:
+                        acc[tw] = s
+                    else:
+                        del acc[tw]
+    return acc
+
+
+def _word_nf(word: Word, trie: dict, memo: dict) -> None:
+    """Memoise the normal form of one word and of every word its rewrites reach.
 
     nf(w) is w when no lhs matches, else the sum of rc * nf(pre + rw + suf)
     over the rhs terms of the leftmost, then shortest, match.  An explicit
     stack stands in for the recursion, so rewrite chains of any length
     reduce.  A word enters the memo after every word it rewrites to, an
-    order `_RuleTable._forget` relies on.  A word rewriting to zero in one
-    step, and every word whose normal form cancels, gets the shared
-    `_ZERO`.  Entries may share dicts, so nothing outside the table may
-    hold or mutate one.
+    order `_RuleTable._forget` relies on.  An entry takes one of three
+    forms: an irreducible word is its own entry, a word rewriting to zero
+    in one step or whose normal form cancels gets the shared `_ZERO`, and
+    every other normal form is a dict.  A word rewriting to one word with
+    coefficient 1 shares that word's entry.  Entries may share dicts, so
+    nothing outside the table may hold or mutate one.
     """
     stack: list = [(word, None)]
     while stack:
@@ -169,7 +213,7 @@ def _word_nf(word: Word, trie: dict, memo: dict) -> dict:
                 continue
             step = _one_step(w, trie)
             if step is None:
-                memo[w] = {w: 1}
+                memo[w] = w
             elif not step:
                 memo[w] = _ZERO
             else:
@@ -181,8 +225,7 @@ def _word_nf(word: Word, trie: dict, memo: dict) -> dict:
         if len(step) == 1 and step[0][1] == 1:
             memo[w] = memo[step[0][0]]      # w -> nw with coefficient 1: same nf
             continue
-        memo[w] = _combine((memo[nw], rc) for nw, rc in step if memo[nw] is not _ZERO) or _ZERO
-    return memo[word]
+        memo[w] = _nf_sum(step, memo) or _ZERO
 
 
 def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
@@ -193,13 +236,14 @@ def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
     normal form is linear: nf(sum c_w w) = sum c_w nf(w).  Each word's
     normal form is therefore memoised on the table, which drops the
     entries a rule change can alter; once every word is memoised, the
-    result is one merge of their normal forms.
+    result is one `_nf_sum` of their entries, so a word, `_ZERO` or a
+    shared dict in the memo never reaches the caller.
     """
     memo, trie = table.nf_memo, table.trie
     for w in terms:
         if w not in memo:
             _word_nf(w, trie, memo)
-    return _combine((memo[w], c) for w, c in terms.items() if memo[w] is not _ZERO)
+    return _nf_sum(terms.items(), memo)
 
 
 class _RuleTable:
@@ -211,8 +255,10 @@ class _RuleTable:
     dicts, letter -> (child node, rhs terms or None): the node at the end
     of an active lhs carries its rhs terms, and a retired lhs leaves its
     path with None there.  `nf_memo` maps each reduced word to its normal
-    form, in the order `_word_nf` stored them.  Inserting or retiring a rule
-    drops the memo suffix it can alter (`_forget`) and counts its words in
+    form, in the order `_word_nf` stored them: the word itself when it is
+    irreducible (() for the unit, a falsy entry), `_ZERO` when it is zero,
+    and a dict otherwise.  Inserting or retiring a rule drops the memo
+    suffix it can alter (`_forget`) and counts its words in
     `memo_dropped`; the words reduced so far are `len(nf_memo) +
     memo_dropped`.  For `_forget`, `_by_pair` maps two adjacent letters to
     the memo words of length >= 2 that hold them.
@@ -227,7 +273,7 @@ class _RuleTable:
         self.rhs_of: dict[Word, dict] = {}
         self.trie: dict = {}
         self.max_len = 0
-        self.nf_memo: dict[Word, dict] = {}
+        self.nf_memo: dict[Word, Word | dict] = {}
         self.memo_dropped = 0
         self._by_pair: dict[tuple[int, int], set[Word]] = {}   # adjacent letters -> memo words
         self._indexed = 0           # the first _indexed memo words are in _by_pair

@@ -871,22 +871,79 @@ def test_retained_memo_entries_are_normal_forms(relations, polys):
         fresh = _RuleTable(XYZ)
         for rule in table.active.values():
             fresh.insert(rule)
-        for w, nf in table.nf_memo.items():
-            assert fresh.reduce_terms({w: 1}) == nf
+        for w, entry in table.nf_memo.items():
+            assert fresh.reduce_terms({w: 1}) == _entry_terms(entry)
+
+
+def _entry_terms(entry) -> dict:
+    """The terms a normal-form memo entry stands for: a word w is {w: 1}
+    and `_ZERO` is {}; a dict is its own terms."""
+    if type(entry) is tuple:
+        return {entry: 1}
+    return {} if entry is rewrite._ZERO else entry
+
+
+def _assert_entry_forms(table, rules):
+    """Each memo word's entry, against the reference one-step rewrite: an
+    irreducible word is its own entry, a coefficient-1 single-term step
+    shares its target's entry, and any other entry is `_ZERO` or a
+    non-empty dict."""
+    memo = table.nf_memo
+    for p, entry in memo.items():
+        step = reference_one_step(p, rules)
+        if step is None:
+            assert type(entry) is tuple and entry == p, p
+        elif len(step) == 1 and step[0][1] == 1:
+            assert entry is memo[step[0][0]], p
+        else:
+            assert entry is rewrite._ZERO or (type(entry) is dict and entry), p
+
+
+def test_memo_entries_are_words_zero_or_dicts(magic):
+    """Magic n = 4 words, random cascades over {x, y, z} and x.x -> 1,
+    y.x -> x: every memo entry has one of the three forms.  The unit's
+    entry () is a falsy word, so x.x reduces to 1, not to 0."""
+    pres = magic[4]
+    system = RewriteSystem(pres.alphabet, pres.system.rules)
+    rng = random.Random(38)
+    for _ in range(60):
+        system.reduce_terms({tuple(rng.randrange(16) for _ in range(rng.randint(0, 6))): 1})
+    _assert_entry_forms(system._table, list(system.rules))
+    for seed in range(20):
+        table = _RuleTable(XYZ)
+        try:
+            for relation in _random_presentation(seed):
+                table.reduce_terms({tuple(rng.randrange(3) for _ in range(rng.randint(0, 5))): 1
+                                    for _ in range(6)})
+                table.add(relation)
+                _assert_entry_forms(table, list(table.active.values()))
+        except InconsistentPresentation:
+            continue
+    A = Alphabet(["x", "y"])
+    system = RewriteSystem(A, [RewriteRule((0, 0), NCPoly.one(A)),
+                               RewriteRule((1, 0), NCPoly.gen(A, 0))])
+    assert system.reduce_terms({(0, 0): 1}) == {(): 1}
+    assert system.reduce_terms({(): 2, (0, 0): -2}) == {}
+    assert system.reduce_terms({(1, 0, 0): 3, (1, 1, 0): 1}) == {(): 3, (0,): 1}
+    _assert_entry_forms(system._table, list(system.rules))
+    assert system._table.nf_memo[(0, 0)] == ()
 
 
 def test_reduce_terms_hands_out_fresh_dicts():
     """x.x -> x, y.y -> 0 and y.x.y -> y.x.x - y.x: y.y and x.y.y reduce to
-    zero in one step, x.x.y.y through x.y.y, and y.x.y by cancelling.
-    Every zero in the memo is the one read-only mapping, and callers still
-    get fresh dicts they may change."""
+    zero in one step, x.x.y.y through x.y.y, and y.x.y by cancelling; x.y
+    and the empty word are their own entries, and x.x.y shares x.y's.
+    Every zero in the memo is the one read-only mapping, every other entry
+    that is not a word is a non-empty dict, and callers still get fresh
+    dicts they may change."""
     A = Alphabet(["x", "y"])
     x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
     system = RewriteSystem(A, [RewriteRule((0, 0), x), RewriteRule((1, 1), NCPoly.zero(A)),
                                RewriteRule((1, 0, 1), y * x * x - y * x)])
     zeros = [(1, 1), (0, 1, 1), (0, 0, 1, 1), (1, 0, 1)]
+    words = [(0, 1), (0, 0, 1), ()]     # irreducible, aliasing x.y, the empty word
     for terms in [{(0, 0, 0): 1}, {(0,): 1}, {(1, 0, 0): 1}, {(0, 0, 1, 1): 2, (0,): 1}] + [
-            {w: 1} for w in zeros]:
+            {w: 1} for w in zeros + words]:
         nf = system.reduce_terms(terms)
         assert type(nf) is dict
         expected = dict(nf)
@@ -896,7 +953,9 @@ def test_reduce_terms_hands_out_fresh_dicts():
         assert system.reduce_terms(terms) == expected
     memo = system._table.nf_memo
     assert all(not memo[w] for w in zeros)
-    assert all(nf is rewrite._ZERO for nf in memo.values() if not nf)
+    assert memo[(0, 1)] == (0, 1) and memo[(0, 0, 1)] is memo[(0, 1)] and memo[()] == ()
+    assert all(nf is rewrite._ZERO or (type(nf) is dict and nf)
+               for nf in memo.values() if type(nf) is not tuple)
     with pytest.raises(TypeError):
         rewrite._ZERO[(0,)] = 1
 
