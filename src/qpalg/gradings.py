@@ -115,6 +115,9 @@ def grading_from_partition(sizes, groups) -> Grading:
     return Grading(n, group, components)
 
 
+PRODUCT_ROW_TEXT = "pointwise product against target component basis"
+
+
 def _pointwise(a, b, common):
     """Entrywise product of a and b, whose supports meet in the indices common."""
     if len(common) == len(a):
@@ -155,6 +158,12 @@ def verify_grading(grading: Grading) -> CertificateReport:
     basis vectors lies in the target (every product of a character grading
     does); only a product matching none is reduced against the target's
     echelon form (`linalg.Span`), built the first time it is needed.
+
+    A product row pays for itself only.  Each key's text, and each basis
+    vector's position, support mask and label parts (`[<key>][<i>]` as the
+    right factor, `product law [<key>][<i>] * ` as the left), are built once
+    per grading, and a label's tail ` in [<target>]` once per pair of keys;
+    a row joins three strings and interns the label.
     """
     group = grading.group
     comps = grading.components
@@ -180,45 +189,48 @@ def verify_grading(grading: Grading) -> CertificateReport:
     positions = {key: range(s, s + len(comps[key])) for key, s in zip(support, starts)}
     supports = [[i for i, x in enumerate(v) if x] for v in all_vectors]
     masks = [sum(1 << i for i in s) for s in supports]
+    # vector ai of A_key, as the left and as the right factor of a product row
+    operands = [f"[{text_of(key)}][{ai}]" for key in support for ai in range(len(comps[key]))]
+    heads = [f"product law {operand} * " for operand in operands]
     verdicts: dict = {}         # (p, q, target) with p < q -> ok, until the mirrored row
     witness = None
+    intern = sys.intern
     for g in support:
-        g_text = text_of(g)
         for h in support:
-            h_text = text_of(h)
+            h_positions = positions[h]
             target = group.mul(g, h)
-            target_text = text_of(target)
+            tail = f" in [{text_of(target)}]"
             target_basis = comps.get(target)
-            for ai, (p, a) in enumerate(zip(positions[g], comps[g])):
-                for bi, (q, b) in enumerate(zip(positions[h], comps[h])):
-                    common = masks[p] & masks[q]
+            for p in positions[g]:
+                head = heads[p]
+                mask_p = masks[p]
+                for q in h_positions:
+                    common = mask_p & masks[q]
                     if not common:                       # the product is zero
                         ok = True
                     else:
                         pair = (p, q, target) if p <= q else (q, p, target)
                         ok = verdicts.pop(pair, None)    # the mirrored row, if done
                         if ok is None:
-                            if common == masks[p]:
+                            if common == mask_p:
                                 meet = supports[p]
                             elif common == masks[q]:
                                 meet = supports[q]
                             else:
                                 meet = [i for i in supports[p] if common >> i & 1]
-                            prod = _pointwise(a, b, meet)
+                            prod = _pointwise(all_vectors[p], all_vectors[q], meet)
                             ok = target_basis is not None and (
                                 prod in target_basis or prod in span_of(target))
                             if p != q:
                                 verdicts[pair] = ok
                     # a classification repeats these labels across its gradings;
                     # interned, each is stored once however many reports keep it
-                    label = sys.intern(f"product law [{g_text}][{ai}] * "
-                                       f"[{h_text}][{bi}] in [{target_text}]")
-                    rows.append(IdentityCheck(
-                        label, "pointwise product against target component basis", ok))
+                    label = intern(f"{head}{operands[q]}{tail}")
+                    rows.append(IdentityCheck(label, PRODUCT_ROW_TEXT, ok))
                     if not ok and witness is None:
                         witness = {
-                            "g": g_text,
-                            "h": h_text,
+                            "g": text_of(g),
+                            "h": text_of(h),
                             "product": [format_scalar(x) for x in prod],
                         }
     if witness:
@@ -289,7 +301,10 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
     the identity dimension k the class indicators span the identity
     component, and the blocks need no span query.  A component keeps the
     independent ones of its nonzero restrictions to a block; only one with
-    two or more builds an echelon form.
+    two or more builds an echelon form.  Each vector is read once: its
+    nonzero entries name, through a point-to-block list, the blocks it
+    meets, and it is restricted to those alone, in support order; the
+    block indicators are read off the same list.
     """
     id_basis = grading.identity_basis()
     k = linalg.rank(id_basis)
@@ -303,24 +318,28 @@ def orbit_decompose(grading: Grading) -> OrbitReport:
             f"identity component of dimension {k} does not split into 0/1 "
             f"idempotents ({len(blocks)} coordinate classes); the grading is "
             "not a verified grading of a diagonal algebra")
-    support = grading.support()
+    block_of = [0] * n                  # point -> index of its block
+    for j, b in enumerate(blocks):
+        for i in b:
+            block_of[i] = j
+    parts: list = [{} for _ in blocks]  # per block: key -> nonzero restrictions
+    for key in grading.support():
+        for v in grading.components[key]:
+            for j in {block_of[i] for i, x in enumerate(v) if x}:
+                parts[j].setdefault(key, []).append(tuple(map(v.__getitem__, blocks[j])))
     restrictions = []
-    for b in blocks:
-        comps: dict = {}
-        for key in support:
-            vecs = [rv for rv in (tuple(v[i] for i in b) for v in grading.components[key])
-                    if any(rv)]
+    for b, comps in zip(blocks, parts):
+        for key, vecs in comps.items():
             if len(vecs) > 1:
                 span = linalg.Span()
-                vecs = [rv for rv in vecs if span.add(rv)]
-            if vecs:
-                comps[key] = vecs
+                comps[key] = [rv for rv in vecs if span.add(rv)]
         restrictions.append(Grading(len(b), *grading.group.restriction(comps)))
     return OrbitReport(
         partition=tuple(len(b) for b in blocks),
         k=k,
         blocks=tuple(blocks),
-        fixed_basis=tuple(tuple(1 if i in b else 0 for i in range(n)) for b in blocks),
+        fixed_basis=tuple(tuple(1 if c == j else 0 for c in block_of)
+                          for j in range(len(blocks))),
         restrictions=restrictions)
 
 
@@ -437,10 +456,16 @@ def format_grading(grading: Grading) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a component line: its element, then one or more (...) vectors separated by blanks
+_COMPONENT_LINE = re.compile(r"component\s+(\S+)\s*:\s*(\([^()]+\)(?:\s+\([^()]+\))*)")
+
+
 def parse_grading(text: str) -> Grading:
     """Read the grading file format.
 
-    `parse_scalar` caps each scalar's field; elimination mixes coordinates,
+    A component line is `component <element>:` and then one or more
+    `(<scalars>)` vectors separated by blanks; any other line is refused,
+    quoted.  `parse_scalar` caps each scalar's field; elimination mixes coordinates,
     so the cap also holds for the field of all scalars together."""
     n = None
     group = None
@@ -465,17 +490,14 @@ def parse_grading(text: str) -> Grading:
             block_groups = tuple(parse_group_descriptor(part.strip())
                                  for part in line.split(":", 1)[1].split("|"))
         elif line.startswith("component"):
-            m = re.match(r"component\s+(\S+)\s*:\s*(.*)$", line)
+            m = _COMPONENT_LINE.fullmatch(line)
             if not m:
-                raise ValueError(f"cannot parse component line {line!r}")
-            key_text, rest = m.group(1), m.group(2)
-            vectors = []
-            for chunk in rest.split(")"):
-                chunk = chunk.strip().lstrip("(").strip()
-                if not chunk:
-                    continue
-                vectors.append(tuple(parse_scalar(c) for c in chunk.split(",")))
-            components.setdefault(key_text, []).extend(vectors)
+                raise ValueError(f"cannot parse component line {line!r}: expected "
+                                 "'component <element>: (<scalars>)', one or more "
+                                 "vectors separated by blanks")
+            vectors = [tuple(parse_scalar(c) for c in chunk.split(","))
+                       for chunk in re.findall(r"\(([^()]+)\)", m.group(2))]
+            components.setdefault(m.group(1), []).extend(vectors)
         else:
             raise ValueError(f"cannot parse grading line {line!r}")
     if n is None:

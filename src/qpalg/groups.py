@@ -27,7 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 from .exactnum import Cyclotomic, prime_factorization, zeta
 
@@ -160,10 +161,19 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class FreeProductGroup:
-    """Free product of finite abelian block groups over a partition of [n]."""
+    """Free product of finite abelian block groups over a partition of [n].
+
+    Element texts join letter texts, and a grading's texts spell the same
+    few letters again and again: each letter's text `b<i>:<element>` is
+    rendered once per group and kept in a memo that takes no part in the
+    constructor, equality, hashing or repr.
+    """
 
     blocks: tuple          # tuple of tuples of 0-based point indices
     groups: tuple          # FiniteAbelianGroup per block
+    # letter -> its text, rendered the first time a word holds it; interned,
+    # so the many groups of a classification keep one copy of each text
+    _letter_texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.blocks) != len(self.groups):
@@ -281,7 +291,15 @@ class FreeProductGroup:
         """Element syntax: "e", or letters "b<block>:<element>" joined by "*"."""
         if not key:
             return "e"
-        return "*".join(f"b{i}:{self.groups[i].key_text(c)}" for i, c in key)
+        texts = self._letter_texts
+        out = []
+        for letter in key:
+            text = texts.get(letter)
+            if text is None:
+                i, c = letter
+                text = texts[letter] = sys.intern(f"b{i}:{self.groups[i].key_text(c)}")
+            out.append(text)
+        return "*".join(out)
 
     def parse_key(self, text: str) -> tuple:
         """Inverse of key_text; the word read is reduced, so every spelling

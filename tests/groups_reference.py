@@ -7,9 +7,11 @@ all of them is listed by conjugating with every tau in S_n.
 
 The other oracles read permutations as image tuples and close a set of
 generators by multiplying every element reached by every generator, for
-any group law.  This module imports nothing from `qpalg`, so none of its
-oracles shares code with the closure, the search, the conjugate orbits or
-the candidate filter of `qpalg.groups`.
+any group law.  Free-product words are reduced by rewriting: drop an
+identity letter or merge the first two adjacent letters of one block,
+until neither is left.  This module imports nothing from `qpalg`, so none
+of its oracles shares code with the closure, the search, the conjugate
+orbits, the candidate filter or the free-product law of `qpalg.groups`.
 """
 
 import itertools
@@ -61,3 +63,18 @@ def is_semiregular(g: tuple) -> bool:
     ident = tuple(range(len(g)))
     return g != ident and all(p == ident or all(p[i] != i for i in ident)
                               for p in product_closure([g], ident))
+
+
+def free_reduction(letters, factors) -> tuple:
+    """The reduced word of a product of (block, exponent tuple) letters,
+    block i's group given by its invariant factors factors[i]."""
+    word = list(letters)
+    while True:
+        word = [(i, c) for i, c in word if any(c)]      # the identity has zero exponents
+        for k in range(len(word) - 1):
+            (i, a), (j, b) = word[k], word[k + 1]
+            if i == j:
+                word[k:k + 2] = [(i, tuple((x + y) % d for x, y, d in zip(a, b, factors[i])))]
+                break
+        else:
+            return tuple(word)

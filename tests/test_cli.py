@@ -219,6 +219,10 @@ _FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,
     ("verify-grading", "n: 2\ngroup: " + "x".join(["Z2"] * 17) + "\ncomponent e: (1,1)\n"),
     ("verify-grading", "n: 2\ngroup: Z1000000000000000003\ncomponent e: (1,1)\n"),
     ("orbit-decompose", _FREE_PRODUCT_HEAD + "component b0:1: (z97+z89,-1,0)\n"),
+    # a component line holds one or more (...) vectors separated by blanks, and nothing else
+    ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (1,-1\n"),
+    ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: 1,-1\n"),
+    ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: ((1,-1))\n"),
     ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
     ("complete", "1*p.p - 1*p\nalphabet: p q\n"),
     ("complete", "alphabet: p q\norder: lex\n1*p.p - 1*p\n"),

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qpalg.gradings import (Grading, classify_gradings, format_grading,
 from qpalg.groups import (FiniteAbelianGroup, FreeProductGroup, abelian_groups_of_order,
                           characters)
 from qpalg.reports import REFUTED, VERIFIED, CertificateReport, IdentityCheck
+from groups_reference import free_reduction
 from linalg_reference import in_reference_span, reference_rank
 
 F = Fraction
@@ -278,6 +280,19 @@ def test_grading_file_rejects_garbage():
         parse_grading("n: 2\nnonsense: 1\n")
 
 
+@pytest.mark.parametrize("line", ["component 1: (1,-1", "component 1: 1,-1",
+                                  "component 1: ((1,-1))", "component 1: (1,-1) 1,1",
+                                  "component 1:", "component 1: ()"])
+def test_component_line_is_vectors_in_parentheses(line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_grading(f"n: 2\ngroup: Z2\ncomponent e: (1,1)\n{line}\n")
+
+
+def test_component_line_holds_vectors_separated_by_blanks():
+    g = parse_grading("n: 2\ngroup: Z2\ncomponent e:(1,1)\ncomponent 1: (1,-1)  (2,-2)\n")
+    assert g.components == {(0,): [(1, 1)], (1,): [(1, -1), (2, -2)]}
+
+
 def test_grading_file_merges_spellings_of_one_element():
     # "e" and "0" both name the identity of Z2: three vectors in K^2 are no direct sum
     g = parse_grading("n: 2\ngroup: Z2\ncomponent e: (1,0)\n"
@@ -397,30 +412,37 @@ def _letter_strings(draw):
     return "*".join(chunks), letters
 
 
-def _reduced(letters):
-    """The reduced word of a product of letters: drop an identity letter or
-    merge the first two adjacent letters of one block, until neither is left."""
-    word = list(letters)
-    while True:
-        word = [(i, c) for i, c in word if any(c)]      # the identity has zero exponents
-        for k in range(len(word) - 1):
-            (i, a), (j, b) = word[k], word[k + 1]
-            if i == j:
-                factors = _LETTER_GROUPS[i].invariant_factors
-                word[k:k + 2] = [(i, tuple((x + y) % d for x, y, d in zip(a, b, factors)))]
-                break
-        else:
-            return tuple(word)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_letter_strings())
 def test_parse_key_reads_reduced_words(drawn):
     text, letters = drawn
     fp = _free_product(_LETTER_GROUPS)
     word = fp.parse_key(text)
-    assert word == _reduced(letters)
+    assert word == free_reduction(letters, [G.invariant_factors for G in _LETTER_GROUPS])
     assert fp.parse_key(fp.key_text(word)) == word
+
+
+@st.composite
+def _words(draw, groups):
+    """A reduced word over the free product of the groups: no identity
+    letter, and no two adjacent letters of one block."""
+    word = []
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.sampled_from([i for i in range(len(groups))
+                                  if not word or word[-1][0] != i]))
+        c = draw(st.sampled_from([c for c in groups[i].elements() if any(c)]))
+        word.append((i, c))
+    return tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), groups=st.sampled_from([(Z2, Z3), (Z2, Z2, Z2)]))
+def test_free_product_law_is_free_reduction(data, groups):
+    fp = _free_product(groups)
+    factors = [G.invariant_factors for G in groups]
+    a, b, c = (data.draw(_words(groups)) for _ in range(3))
+    assert fp.mul(a, b) == free_reduction(a + b, factors)
+    assert fp.mul(fp.mul(a, b), c) == fp.mul(a, fp.mul(b, c))
 
 
 def test_free_product_generates_only_when_every_letter_is_reached():
@@ -652,6 +674,64 @@ def test_partition_gradings_match_the_reference_report(grading):
     assert (report.verdict == VERIFIED) == _grading_law_holds(grading)
 
 
+def _reference_restrictions(grading, blocks):
+    """Per block, each component's restrictions to it: every vector
+    restricted, zeros dropped, and the independent ones kept in order."""
+    out = []
+    for b in blocks:
+        comps = {}
+        for key in grading.support():
+            kept = []
+            for v in grading.components[key]:
+                rv = tuple(v[i] for i in b)
+                if any(rv) and reference_rank(kept + [rv]) > len(kept):
+                    kept.append(rv)
+            if kept:
+                comps[key] = kept
+        out.append(Grading(len(b), *grading.group.restriction(comps)))
+    return out
+
+
+def _assert_orbit_split_is_the_reference(grading):
+    report = orbit_decompose(grading)
+    assert report.fixed_basis == tuple(tuple(int(i in b) for i in range(grading.n))
+                                       for b in report.blocks)
+    reference = _reference_restrictions(grading, report.blocks)
+    assert len(report.restrictions) == len(reference)
+    for got, want in zip(report.restrictions, reference):
+        assert (got.n, got.group) == (want.n, want.group)
+        # the same keys in the same order, and the same scalars of the same types
+        assert list(got.components.items()) == list(want.components.items())
+        assert [type(x) for vs in got.components.values() for v in vs for x in v] == \
+            [type(x) for vs in want.components.values() for v in vs for x in v]
+
+
+def test_orbit_split_of_identity_vectors_meeting_several_blocks():
+    z3_z2 = grading_from_partition((3, 2), (Z3, Z2))
+    comps = dict(z3_z2.components)
+    comps[()] = [(1, 1, 1, 1, 1), (0, 0, 0, 1, 1)]
+    fp = _free_product((Z2, Z2))
+    a, b = ((0, (1,)),), ((1, (1,)),)
+    for grading in (Grading(5, z3_z2.group, comps),
+                    Grading(4, fp, {(): [(1, 1, 1, 1), (1, 1, 0, 0)],
+                                    a: [(1, -1, 0, 0)], b: [(0, 0, 1, -1)]})):
+        assert verify_grading(grading).verdict == VERIFIED
+        assert orbit_decompose(grading).partition == (grading.n - 2, 2)
+        _assert_orbit_split_is_the_reference(grading)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partition_gradings())
+def test_orbit_split_matches_the_reference(grading):
+    try:
+        orbit_decompose(grading)
+    except ValueError:
+        # only a grading that is not one may fail to split
+        assert verify_grading(grading).verdict != VERIFIED
+        return
+    _assert_orbit_split_is_the_reference(grading)
+
+
 def test_mirrored_rows_check_their_own_targets():
     # in Z2*Z2, a*b != b*a: the one product of A_a and A_b lies in A_{a*b}
     # but not in A_{b*a}, so its two rows disagree
@@ -785,6 +865,26 @@ def test_verify_grading_does_each_exact_operation_once(monkeypatch):
         # the unit row queries the identity form; a product queries a form
         # only when it equals none of its target's basis vectors
         assert (len(queries) == 1) == literal
+
+
+def test_verify_grading_renders_each_letter_once(monkeypatch):
+    # (4,3,2) with K4, Z3, Z2 has 3 + 2 + 1 letters; its element texts
+    # spell them again and again, but each letter's text is rendered once
+    calls = []
+    key_text = FiniteAbelianGroup.key_text
+
+    def counted(self, key):
+        calls.append((self, key))
+        return key_text(self, key)
+
+    grading = grading_from_partition((4, 3, 2), (K4, Z3, Z2))
+    monkeypatch.setattr(FiniteAbelianGroup, "key_text", counted)
+    assert verify_grading(grading).verdict == VERIFIED
+    assert len(calls) == len(set(calls)) == 6
+    # the memo takes no part in equality, hashing or repr
+    fresh = FreeProductGroup(grading.group.blocks, grading.group.groups)
+    assert fresh == grading.group and hash(fresh) == hash(grading.group)
+    assert repr(fresh) == repr(grading.group)
 
 
 def test_a_large_cyclic_block_builds_only_the_identity_form(monkeypatch):
