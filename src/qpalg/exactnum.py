@@ -539,15 +539,12 @@ def parse_scalar(text: str):
         raise ValueError("empty scalar")
     total = None
     pos = 0
-    first = True
     field = 1                       # the scalar lies in Q(zeta_field)
-    while pos < len(text):
+    while pos < len(text):          # every term after the first starts at its sign
         sign = 1
         if text[pos] in "+-":
             sign = -1 if text[pos] == "-" else 1
             pos += 1
-        elif not first:
-            raise ValueError(f"expected +/- at {text[pos:]!r}")
         end = pos
         while end < len(text) and text[end] not in "+-":
             end += 1
@@ -565,7 +562,6 @@ def parse_scalar(text: str):
             value = coeff
         total = value if total is None else total + value
         pos = end
-        first = False
     if isinstance(total, Cyclotomic) and total.is_rational():
         total = total.as_rational()
     return coeff_value(total)

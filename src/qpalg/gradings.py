@@ -464,18 +464,25 @@ def parse_grading(text: str) -> Grading:
     """Read the grading file format.
 
     A component line is `component <element>:` and then one or more
-    `(<scalars>)` vectors separated by blanks; any other line is refused,
-    quoted.  `parse_scalar` caps each scalar's field; elimination mixes coordinates,
+    `(<scalars>)` vectors separated by blanks; any other line, and a second
+    `n:`, `group:`, `blocks:` or `groups:` line, is refused, quoted.
+    `parse_scalar` caps each scalar's field; elimination mixes coordinates,
     so the cap also holds for the field of all scalars together."""
     n = None
     group = None
     blocks = None
     block_groups = None
     components: dict = {}
+    declared: set = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        head = line.partition(":")[0]
+        if head in ("n", "group", "blocks", "groups"):
+            if head in declared:
+                raise ValueError(f"grading file declares {head} twice: {line!r}")
+            declared.add(head)
         if line.startswith("n:"):
             n = int(line.split(":", 1)[1])
             if n < 1:

@@ -651,6 +651,7 @@ def wang_witness(n: int, depth: int = 10) -> CertificateReport:
     constant.  There [u11, u33] is its own nonzero normal form and the
     filtration dimensions grow as 2d + 1, so the magic algebra at size n,
     which maps onto the quotient, is noncommutative and infinite-dimensional.
+    Both rows need the quotient confluent and are inconclusive otherwise.
     """
     if n < 4:
         raise ValueError("the certificate requires n >= 4")
@@ -660,12 +661,17 @@ def wang_witness(n: int, depth: int = 10) -> CertificateReport:
         "noncommutativity witness",
         f"[u11, u33] has normal form {image.render()} in the block quotient",
         witnessed, inconclusive=witnessed and quotient.status != CONFLUENT)]
-    dims = filtration_dimension(quotient, depth)
-    expected_dims = [2 * d + 1 for d in range(depth + 1)]
-    rows.append(IdentityCheck(
-        "infinite dimension",
-        f"quotient filtration dimensions {dims} strictly increase (2d+1)",
-        dims == expected_dims))
+    if quotient.status == CONFLUENT:
+        dims = filtration_dimension(quotient, depth)
+        rows.append(IdentityCheck(
+            "infinite dimension",
+            f"quotient filtration dimensions {dims} strictly increase (2d+1)",
+            dims == [2 * d + 1 for d in range(depth + 1)]))
+    else:                               # no basis to count
+        dims = None
+        rows.append(IdentityCheck(
+            "infinite dimension", f"no basis: the quotient is {quotient.status_label()}",
+            False, inconclusive=True))
     return CertificateReport.from_identities(
         f"size-{n} magic algebra is noncommutative and infinite-dimensional", rows,
         details={

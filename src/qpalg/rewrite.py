@@ -5,17 +5,18 @@ below the lhs in deglex, so each rewrite strictly decreases the leading
 word and normal forms terminate.  Completion resolves critical pairs in
 increasing overlap degree up to a cap; a system that exhausts all pairs is
 confluent and its normal forms are canonical coset representatives.  A
-truncated system still certifies "reduces to zero", but a nonzero normal
-form from it is inconclusive as an ideal non-membership claim.  Tensor
+truncated system still certifies "reduces to zero", and nothing else: a
+nonzero normal form from it is inconclusive as an ideal non-membership
+claim, and its irreducible words are not counted as a basis.  Tensor
 powers of a presented algebra are reduced factor by factor against its
 own rules and carry its status.
 
 Every rule set, whether interreduced, mid-completion or frozen, lives in
-one `_RuleTable`: insertion-ordered rules whose ids count insertions, a
-dict from lhs to rhs terms, and a trie of the active lhs; a frozen
-`RewriteSystem` owns one that no longer changes.  A word is rewritten at
-its leftmost reducible position by the shortest lhs matching there, the
-first node carrying rhs terms on the trie walk from that position.
+one `_RuleTable`: insertion-ordered rules whose ids count insertions,
+indexed once, by a trie of the active lhs; a frozen `RewriteSystem` owns
+one that no longer changes.  A word is rewritten at its leftmost
+reducible position by the shortest lhs matching there, the first node
+carrying rhs terms on the trie walk from that position.
 Every lhs that matches at one position is a prefix of the same suffix,
 so the shortest one is also the deglex smallest, and the table keeps no
 order among its lhs.  On a confluent system the strategy cannot change a
@@ -82,11 +83,12 @@ class RewriteRule:
 class RewriteSystem:
     """Frozen inter-reduced rule set with a completion status."""
 
-    __slots__ = ("alphabet", "rules", "status", "status_degree", "_table")
+    __slots__ = ("alphabet", "rules", "max_rule_degree", "status", "status_degree", "_table")
 
     def __init__(self, alphabet: Alphabet, rules, status: str = RAW, status_degree=None):
         self.alphabet = alphabet
         self.rules = tuple(sorted(rules, key=lambda r: deglex_key(r.lhs)))
+        self.max_rule_degree = max((len(r.lhs) for r in self.rules), default=0)
         self.status = status
         self.status_degree = status_degree
         self._table = _RuleTable(alphabet)
@@ -96,10 +98,6 @@ class RewriteSystem:
     @classmethod
     def from_relations(cls, alphabet: Alphabet, relations) -> "RewriteSystem":
         return cls(alphabet, interreduce(alphabet, relations))
-
-    @property
-    def max_rule_degree(self) -> int:
-        return self._table.max_len
 
     def status_label(self) -> str:
         if self.status == TRUNCATED:
@@ -247,14 +245,13 @@ def _reduce_terms(terms: dict, table: _RuleTable) -> dict:
 
 
 class _RuleTable:
-    """Insertion-ordered rules behind an lhs -> rhs terms index and an lhs trie.
+    """Insertion-ordered rules behind one index, a trie of their lhs.
 
-    Rule ids count insertions, so `active` iterates in id order.  `rhs_of`
-    maps each active lhs to its rhs terms; `max_len` is the longest lhs
-    ever inserted, an upper bound on the active ones.  `trie` is nested
-    dicts, letter -> (child node, rhs terms or None): the node at the end
-    of an active lhs carries its rhs terms, and a retired lhs leaves its
-    path with None there.  `nf_memo` maps each reduced word to its normal
+    Rule ids count insertions, so `active` iterates in id order.  `trie`
+    is nested dicts, letter -> (child node, rhs terms or None): the node
+    at the end of an active lhs carries its rhs terms, and a retired lhs
+    leaves its path with None there; `insert` refuses an lhs whose node
+    carries rhs terms.  `nf_memo` maps each reduced word to its normal
     form, in the order `_word_nf` stored them: the word itself when it is
     irreducible (() for the unit, a falsy entry), `_ZERO` when it is zero,
     and a dict otherwise.  Inserting or retiring a rule drops the memo
@@ -264,15 +261,13 @@ class _RuleTable:
     the memo words of length >= 2 that hold them.
     """
 
-    __slots__ = ("alphabet", "active", "rhs_of", "trie", "max_len", "nf_memo", "memo_dropped",
+    __slots__ = ("alphabet", "active", "trie", "nf_memo", "memo_dropped",
                  "_by_pair", "_indexed", "_next_id")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.active: dict[int, RewriteRule] = {}
-        self.rhs_of: dict[Word, dict] = {}
         self.trie: dict = {}
-        self.max_len = 0
         self.nf_memo: dict[Word, Word | dict] = {}
         self.memo_dropped = 0
         self._by_pair: dict[tuple[int, int], set[Word]] = {}   # adjacent letters -> memo words
@@ -280,45 +275,47 @@ class _RuleTable:
         self._next_id = 0
 
     def _set_rhs(self, lhs: Word, rhs_terms: dict | None) -> None:
-        """Put rhs_terms (None to clear) at lhs's trie node, making its path."""
+        """Put rhs_terms (None to clear) at lhs's trie node, making its
+        path; an lhs whose node already carries rhs terms is refused."""
+        if not lhs:
+            raise ValueError("rule lhs is empty")
         node = self.trie
         for a in lhs[:-1]:
             node = node.setdefault(a, ({}, None))[0]
-        node[lhs[-1]] = (node.get(lhs[-1], ({}, None))[0], rhs_terms)
+        child, held = node.get(lhs[-1], ({}, None))
+        if held is not None and rhs_terms is not None:
+            raise ValueError(f"rule lhs {lhs} is already in the table")
+        node[lhs[-1]] = (child, rhs_terms)
 
     def insert(self, rule: RewriteRule) -> int:
-        if not rule.lhs or rule.lhs in self.rhs_of:
-            raise ValueError(f"rule lhs {rule.lhs} is empty or already in the table")
+        self._set_rhs(rule.lhs, rule.rhs.terms)
         self._forget(rule.lhs)
         rid = self._next_id
         self._next_id += 1
         self.active[rid] = rule
-        self.rhs_of[rule.lhs] = rule.rhs.terms
-        self._set_rhs(rule.lhs, rule.rhs.terms)
-        self.max_len = max(self.max_len, len(rule.lhs))
         return rid
 
     def _retire(self, rid: int) -> RewriteRule:
-        self._forget(self.active[rid].lhs)
         rule = self.active.pop(rid)
-        del self.rhs_of[rule.lhs]
         self._set_rhs(rule.lhs, None)
+        self._forget(rule.lhs)
         return rule
 
     def _forget(self, lhs: Word) -> None:
         """Drop the memo suffix from the first word containing lhs.
 
-        Runs before lhs is inserted or retired, so every entry was computed
-        against the table as it stands.  `_word_nf` stores a word after
-        every word it rewrites to, so each word whose rewrites reach a
-        holder of lhs comes after that holder and falls in the suffix.  A
-        word before the first holder avoids lhs, so it keeps its one-step
-        rewrite, and the words it rewrites to stay too: its normal form
-        survives.  A word containing an lhs of length >= 2 holds each of
-        its adjacent letter pairs, so only the memo words under its rarest
-        pair are tested; a one-letter lhs has no pair, and the memo is
-        scanned for its letter.  The pair index is extended here, for the
-        words memoised since the last call only.
+        Runs as lhs is inserted or retired, before any word is reduced
+        against the changed table, so every entry was computed against the
+        table as it stood.  `_word_nf` stores a word after every word it
+        rewrites to, so each word whose rewrites reach a holder of lhs comes
+        after that holder and falls in the suffix.  A word before the first
+        holder avoids lhs, so it keeps its one-step rewrite, and the words
+        it rewrites to stay too: its normal form survives.  A word
+        containing an lhs of length >= 2 holds each of its adjacent letter
+        pairs, so only the memo words under its rarest pair are tested; a
+        one-letter lhs has no pair, and the memo is scanned for its letter.
+        The pair index is extended here, for the words memoised since the
+        last call only.
         """
         by_pair, memo = self._by_pair, self.nf_memo
         if not memo:
@@ -462,7 +459,11 @@ def interreduce(alphabet: Alphabet, relations) -> list[RewriteRule]:
     No lhs contains another lhs as a factor and every rhs is fully reduced
     against the final rule set.  The relations are added smallest leading
     word first (ties in input order), each with its retirement cascade.
+    A relation over another alphabet is refused.
     """
+    relations = list(relations)
+    if any(p.alphabet != alphabet for p in relations):
+        raise ValueError("relation and system alphabets differ")
     table = _RuleTable(alphabet)
     for p in sorted((p for p in relations if p), key=lambda p: deglex_key(p.leading_word())):
         table.add(p)
@@ -625,17 +626,6 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
     return CompletionResult(out, degree_cap, history, counts, memo_words)
 
 
-def _require_counting_degree(system: RewriteSystem, d: int):
-    if system.status == CONFLUENT:
-        return
-    need = d + system.max_rule_degree
-    if system.status == TRUNCATED and (system.status_degree or 0) >= need:
-        return
-    raise ValueError(
-        f"counting irreducible words of length <= {d} needs completion up to "
-        f"degree {need}; system status is {system.status_label()}")
-
-
 def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word]]:
     """Words of each length 0..d containing no rule lhs as a factor.
 
@@ -646,7 +636,7 @@ def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word
     """
     if d < 0:
         raise ValueError(f"word length bound must be non-negative, got {d}")
-    rhs_of, max_rule = system._table.rhs_of, system.max_rule_degree
+    lhs_set, max_rule = {r.lhs for r in system.rules}, system.max_rule_degree
     levels = [[()]]
     budget = WORD_ENUMERATION_MAX_LETTERS
     for length in range(1, d + 1):
@@ -654,7 +644,7 @@ def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word
         for w in levels[-1]:
             for a in range(len(system.alphabet)):
                 nw = w + (a,)
-                if not any(nw[-ls:] in rhs_of for ls in range(1, min(max_rule, length) + 1)):
+                if not any(nw[-ls:] in lhs_set for ls in range(1, min(max_rule, length) + 1)):
                     budget -= length
                     if budget < 0:
                         raise ValueError(
@@ -667,8 +657,15 @@ def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word
 
 
 def filtration_dimension(system: RewriteSystem, d: int) -> list[int]:
-    """Dimensions of the spans of irreducible words of length <= e, e=0..d."""
-    _require_counting_degree(system, d)
+    """Dimensions of the spans of irreducible words of length <= e, e=0..d.
+
+    The irreducible words are a basis of the quotient only on a confluent
+    system (Bergman's diamond lemma); on a truncated one a pair above the
+    cap can still give a rule of low degree, so nothing else is counted.
+    """
+    if system.status != CONFLUENT:
+        raise ValueError(f"filtration dimensions need a confluent completion; "
+                         f"system status is {system.status_label()}")
     return list(accumulate(len(level) for level in irreducible_words_by_length(system, d)))
 
 
@@ -709,6 +706,8 @@ def parse_presentation(text: str) -> tuple[Alphabet, list[NCPoly]]:
         if not line:
             continue
         if line.startswith("alphabet:"):
+            if alphabet is not None:
+                raise ValueError(f"presentation declares a second alphabet: {line!r}")
             alphabet = Alphabet(line.split(":", 1)[1].split())
             continue
         if line.startswith("order:"):

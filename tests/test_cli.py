@@ -223,10 +223,14 @@ _FREE_PRODUCT_HEAD = "n: 3\nblocks: 1,2 | 3\ngroups: Z2 | Z1\ncomponent e: (1,1,
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (1,-1\n"),
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: 1,-1\n"),
     ("verify-grading", "n: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: ((1,-1))\n"),
+    # each header is declared once; the last one used to win
+    ("verify-grading", "n: 3\nn: 2\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (1,-1)\n"),
+    ("verify-grading", "n: 2\ngroup: Z3\ngroup: Z2\ncomponent e: (1,1)\ncomponent 1: (1,-1)\n"),
     ("complete", "alphabet: p q\norder: deglex\n1/0*p.p - 1*p\n"),
     ("complete", "1*p.p - 1*p\nalphabet: p q\n"),
     ("complete", "alphabet: p q\norder: lex\n1*p.p - 1*p\n"),
     ("complete", "alphabet: p q\norder: deglex\n1*p.r - 1*p\n"),
+    ("complete", "alphabet: x y\nx.y - y.x\nalphabet: a b\na.b\n"),
     ("sn-image", "1/0*u11.u22\n"),
     ("sn-image", "1*u11.u99\n"),
 ])

@@ -316,15 +316,9 @@ def test_every_definition_is_named():
     assert not dead, f"definitions no program path reaches: {dead}"
 
 
-# qpalg functions the benchmark's per-layer tracer looks up by name
-# (perfbench/tracing.py NAMED_FUNCTIONS); a renamed one reads 0 there
-TRACED = [("rewrite", "_reduce_terms"), ("rewrite", "complete"), ("rewrite", "interreduce"),
-          ("ncalg", "substitute"), ("exactnum", "Cyclotomic.__mul__"),
-          ("exactnum", "Cyclotomic.inverse"), ("gradings", "verify_grading"),
-          ("groups", "Perm.__init__"), ("groups", "Perm.__mul__")]
-
-
 def _tracer_names() -> set:
+    """The (module, qualified name) pairs the benchmark's per-layer tracer
+    looks up (perfbench/tracing.py NAMED_FUNCTIONS)."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and _dotted(node.targets[0]) == "NAMED_FUNCTIONS":
@@ -332,9 +326,17 @@ def _tracer_names() -> set:
     raise AssertionError("perfbench/tracing.py defines no NAMED_FUNCTIONS")
 
 
-@pytest.mark.parametrize("module,qualname", TRACED, ids=[".".join(t) for t in TRACED])
+# traced functions that were deleted; their metrics read 0 until the
+# benchmark retires or retargets them (ROADMAP item 0)
+GONE = {("qperm", "build_tensor_system"), ("linalg", "_echelon")}
+
+
+# a renamed function reads 0 in its per-layer metric, silently, unless this fails
+@pytest.mark.parametrize("module,qualname", [
+    pytest.param(*name, id=".".join(name), marks=[pytest.mark.xfail(
+        strict=True, raises=AttributeError, reason="deleted; retire its metric")]
+        if name in GONE else []) for name in sorted(_tracer_names())])
 def test_traced_names_resolve(module, qualname):
-    assert (module, qualname) in _tracer_names()
     obj = importlib.import_module(f"qpalg.{module}")
     for part in qualname.split("."):
         obj = getattr(obj, part)

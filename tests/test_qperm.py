@@ -566,8 +566,10 @@ def _truncated(system, cap):
 def test_wang_witness_needs_a_confluent_quotient(monkeypatch):
     monkeypatch.setattr(qperm, "complete", _truncated)
     rep = wang_witness(4, depth=2)
-    witness = rep.identities[0]
+    witness, dimension = rep.identities
     assert witness.reduced_to_zero and witness.inconclusive
+    assert dimension.inconclusive and not dimension.reduced_to_zero
+    assert rep.details["filtration"] is None
     assert rep.verdict == INCONCLUSIVE
     upstream = [c for c in sn_isomorphism_check(4).identities
                 if c.label == "kernel witness is nonzero upstream"]

@@ -177,9 +177,9 @@ def test_normal_form_matches_the_plain_reducer(strategy_systems, name, data):
 def test_rule_table_rejects_repeated_or_empty_lhs():
     A = Alphabet(["x", "y"])
     x, y = NCPoly.gen(A, 0), NCPoly.gen(A, 1)
-    with pytest.raises(ValueError, match="lhs"):
+    with pytest.raises(ValueError, match="already in the table"):
         RewriteSystem(A, [RewriteRule((0, 1), x), RewriteRule((0, 1), y)])
-    with pytest.raises(ValueError, match="lhs"):
+    with pytest.raises(ValueError, match="lhs is empty"):
         RewriteSystem(A, [RewriteRule((), NCPoly.zero(A))])
 
 
@@ -385,6 +385,22 @@ def test_quotient_basis_is_the_flattened_enumeration(completed_magic, n):
 def test_filtration_requires_completion(magic):
     with pytest.raises(ValueError, match="completion"):
         filtration_dimension(magic[3].system, 4)
+
+
+def test_filtration_counts_only_on_a_confluent_system():
+    """Completed to cap 4 the system is truncated and y is irreducible, yet
+    the pair above the cap gives the degree-1 rule y -> -4/3*x + 2/3."""
+    alphabet, relations = parse_presentation(
+        "alphabet: x y\n-1*x.y.x - 1*x.y + 2\n2*x.x.x + 2\n")
+    system = RewriteSystem.from_relations(alphabet, relations)
+    truncated = complete(system, 4).system
+    assert truncated.status_label() == "complete_up_to(4)"
+    with pytest.raises(ValueError, match="confluent"):
+        filtration_dimension(truncated, 1)
+    confluent = complete(system, 5).system
+    assert confluent.status == CONFLUENT
+    assert [r.render() for r in confluent.rules] == ["y -> -4/3*x + 2/3", "x.x -> 1*x - 1"]
+    assert filtration_dimension(confluent, 1) == [1, 2]
 
 
 # -- interreduction invariants --
@@ -781,7 +797,8 @@ def test_a_rule_change_drops_the_memo_suffix_from_the_first_holder(relations, po
         except InconsistentPresentation:
             return
     lhs = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
-                    .filter(lambda w: w not in table.rhs_of), label="new lhs")
+                    .filter(lambda w: all(w != r.lhs for r in table.active.values())),
+                    label="new lhs")
     rhs = data.draw(st.dictionaries(st.lists(st.integers(0, 2), max_size=len(lhs) - 1).map(tuple),
                                     st.integers(-3, 3).filter(bool), max_size=2), label="rhs")
     _assert_suffix_dropped(table, lambda: table.insert(RewriteRule(lhs, NCPoly(XYZ, rhs))),
