@@ -205,11 +205,11 @@ def _dispatch(args, argv, started) -> int:
         payload["source"] = source
         payload["critical_pairs"] = dict(result.critical_pairs)
         payload["memo_words"] = dict(result.memo_words)
-        if args.basis_degree is not None:
-            levels = irreducible_words_by_length(result.system, args.basis_degree)
-            payload["irreducible_words"] = [
+        if args.basis_degree is not None:     # a basis only of a confluent system
+            payload["irreducible_words"] = None if result.status != CONFLUENT else [
                 ".".join(result.system.alphabet.names[i] for i in w) or "1"
-                for level in levels for w in level]
+                for level in irreducible_words_by_length(result.system, args.basis_degree)
+                for w in level]
         row = IdentityCheck(f"critical pairs resolve up to degree {args.cap}",
                             f"{len(result.system.rules)} rules, {result.system.status_label()}",
                             result.status == CONFLUENT, inconclusive=result.status != CONFLUENT)

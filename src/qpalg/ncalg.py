@@ -15,23 +15,25 @@ constructor and `parse_poly`, and where reduced terms leave `rewrite`, in
 re-canonicalise: a sum or product of Fractions may be an integral
 ``Fraction``, which compares and hashes equal to the ``int``.
 
-One sparse merge, `_combine`, sums term maps for `+`, `-`, `*`,
-`substitute` and tensor-power normal forms, and fixes the order of the
-terms; `rewrite._nf_sum`, the merge of memoised normal forms, keeps the
-same order.  `substitute` is the one extension of a generator map
-(scalar images are constant polynomials).  It maps a word to the product
-of its letters' images alone, with no unit polynomial in front, and the
-empty word to one.  `render` prints the terms in descending deglex
-order, which it gets from two sorts on builtin keys: the words
-descending, then stably by length, descending.
+One sparse merge, `_combine`, sums term maps for `+`, `-` and
+tensor-power normal forms, and fixes the order of the terms: the parts
+are summed one after another and a word that cancels is deleted on the
+spot.  `_times`, the product of two term maps behind `*`, and
+`rewrite._nf_sum`, the merge of memoised normal forms, keep the same
+order.  `substitute` is the one extension of a generator map (scalar
+images are constant polynomials).  It makes one pass over its argument's
+words: each word's image is expanded letter by letter by `_times` over
+the images' term maps, with no unit polynomial in front (the empty word
+maps to one), and is added into one accumulator, so no polynomial, list
+or generator is built per word.  `render` prints the terms in
+descending deglex order, which it gets from two sorts on builtin keys:
+the words descending, then stably by length, descending.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .exactnum import RATIONAL, SCALARS, coeff_value
 
@@ -89,6 +91,27 @@ def _combine(pairs) -> dict:
                 acc[w] = c * tc
             else:
                 s = prev + c * tc
+                if s:
+                    acc[w] = s
+                else:
+                    del acc[w]
+    return acc
+
+
+def _times(left: dict, right: dict) -> dict:
+    """The product of two term maps, as a fresh dict without the words whose
+    coefficients cancel, in the order of summing left's rows one after
+    another, as `_combine` would."""
+    acc: dict = {}
+    get = acc.get
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = w1 + w2
+            prev = get(w)
+            if prev is None:
+                acc[w] = c1 * c2
+            else:
+                s = prev + c1 * c2
                 if s:
                     acc[w] = s
                 else:
@@ -194,9 +217,7 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._check(other)
-        return NCPoly._trusted(self.alphabet, _combine(
-            ({w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
-            for w1, c1 in self.terms.items()))
+        return NCPoly._trusted(self.alphabet, _times(self.terms, other.terms))
 
     __rmul__ = __mul__        # scalars commute with polynomials
 
@@ -228,7 +249,7 @@ class NCPoly:
             if type(c) is not int and any(ch in cs for ch in "+- ") and \
                     not cs.lstrip("-").replace("/", "").isdigit():
                 cs = f"({cs})"
-            parts.append(f"{cs}*" + ".".join([names[i] for i in w]) if w else cs)
+            parts.append(f"{cs}*" + ".".join(map(names.__getitem__, w)) if w else cs)
         return " + ".join(parts).replace("+ -", "- ")
 
     def __str__(self):
@@ -245,6 +266,11 @@ def substitute(p: NCPoly, images: dict, antihom: bool = False) -> NCPoly:
     the antihomomorphism direction; the map extends linearly and sends the
     unit to the unit.  The images fix the target algebra (p's own when
     there are none), and the images of p's letters must all live in it.
+    One pass over p's words expands each word's product letter by letter
+    into a plain term map (a one-letter word reads its image's terms) and
+    adds it, times the word's coefficient, into one accumulator; the terms
+    come out as summing the products one after another, a cancelled word
+    deleted on the spot, lists them.
     """
     letters = {letter for w in p.terms for letter in w}
     missing = letters - images.keys()
@@ -255,10 +281,28 @@ def substitute(p: NCPoly, images: dict, antihom: bool = False) -> NCPoly:
            for a in (images[letter].alphabet for letter in letters)):
         raise ValueError("alphabet mismatch")
     one = {(): 1}
-    return NCPoly._trusted(alphabet, _combine(
-        (reduce(mul, [images[letter] for letter in (w[::-1] if antihom else w)]).terms
-         if w else one, c)
-        for w, c in p.terms.items()))
+    acc: dict = {}
+    get = acc.get
+    for w, c in p.terms.items():
+        if antihom:
+            w = w[::-1]
+        if w:
+            prod = images[w[0]].terms
+            for letter in w[1:]:
+                prod = _times(prod, images[letter].terms)
+        else:
+            prod = one
+        for tw, tc in prod.items():
+            prev = get(tw)
+            if prev is None:
+                acc[tw] = c * tc
+            else:
+                s = prev + c * tc
+                if s:
+                    acc[tw] = s
+                else:
+                    del acc[tw]
+    return NCPoly._trusted(alphabet, acc)
 
 
 class TensorAlgebra:

@@ -8,8 +8,8 @@ confluent and its normal forms are canonical coset representatives.  A
 truncated system still certifies "reduces to zero", and nothing else: a
 nonzero normal form from it is inconclusive as an ideal non-membership
 claim, and its irreducible words are not counted as a basis.  Tensor
-powers of a presented algebra are reduced factor by factor against its
-own rules and carry its status.
+powers of a presented algebra are reduced factor by factor, each factor
+word read from the algebra's normal-form memo, and carry its status.
 
 Every rule set, whether interreduced, mid-completion or frozen, lives in
 one `_RuleTable`: insertion-ordered rules whose ids count insertions,
@@ -340,6 +340,14 @@ class _RuleTable:
     def reduce_terms(self, terms: dict) -> dict:
         return _reduce_terms(terms, self)
 
+    def nf_entry(self, word: Word):
+        """word's memo entry, memoised first if missing: the word it reduces
+        to when that is irreducible, `_ZERO`, or a dict; read only."""
+        memo = self.nf_memo
+        if word not in memo:
+            _word_nf(word, self.trie, memo)
+        return memo[word]
+
     def add(self, p: NCPoly) -> list[int]:
         """Add the relation p and run the retirement cascade.
 
@@ -379,23 +387,27 @@ class TensorPowerSystem:
     in A then gives the normal form.  The commutations joined to a
     confluent system for each factor stay confluent (Bergman's diamond
     lemma), so the tensor power carries the base system's status.  A
-    factor word missing from `_memo` is reduced by the base system, whose
-    table memoises the untagged word's normal form; `_memo` keeps the
-    re-tagged copy for the life of the instance.  Build one per
-    certificate.  A word's factor normal forms are all looked up before
-    any product of them is built, and the word is dropped at its first
-    zero factor: most terms of a Delta row die there (u_ia.u_ib -> 0 for
-    a != b).  Each surviving word's product of factor normal forms goes,
-    with the word's coefficient, to one `_combine` call for the whole map.
+    factor word missing from `_memo` is read from the base table's memo
+    entry of the untagged word (`_RuleTable.nf_entry`), with no base
+    `reduce_terms` call; `_memo` keeps the re-tagged copy for the life of
+    the instance.  Build one per certificate.  A word is split one factor
+    at a time, and dropped at its first zero factor before later factors
+    are split: most terms of a Delta row die at factor 0 (u_ia.u_ib -> 0
+    for a != b).  A word's factor normal forms are all looked up before
+    any product of them is built.  Each surviving word's product of
+    factor normal forms goes, with the word's coefficient, to one
+    `_combine` call for the whole map.
     """
 
-    __slots__ = ("tensor", "base", "_memo")
+    __slots__ = ("tensor", "base", "_bounds", "_memo")
 
     def __init__(self, base: RewriteSystem, tensor: TensorAlgebra):
         if tensor.base != base.alphabet:
             raise ValueError("tensor power and system alphabets differ")
         self.tensor = tensor
         self.base = base
+        nb = len(tensor.base)
+        self._bounds = [(f * nb, (f + 1) * nb) for f in range(tensor.factors)]
         self._memo: dict[Word, dict] = {}
 
     @property
@@ -411,10 +423,16 @@ class TensorPowerSystem:
 
     def _factor_nf(self, part: Word, shift: int) -> dict:
         """Normal form of one factor's tagged word missing from `_memo`, as
-        tagged terms, now kept there."""
-        word = tuple(l - shift for l in part)
-        nf = self._memo[part] = {tuple(l + shift for l in w): c for w, c in
-                                 self.base.reduce_terms({word: 1}).items()}
+        tagged terms, now kept there.
+
+        It is the base table's memo entry of the untagged word, re-tagged:
+        an irreducible entry is the word the key reduces to, which a chain
+        of coefficient-1 rewrites makes a word other than the key.
+        """
+        entry = self.base._table.nf_entry(tuple([l - shift for l in part]))
+        if type(entry) is tuple:
+            entry = {entry: 1}
+        nf = self._memo[part] = {tuple([l + shift for l in w]): c for w, c in entry.items()}
         return nf
 
     def reduce_terms(self, terms: dict) -> dict:
@@ -422,21 +440,19 @@ class TensorPowerSystem:
         return _combine(self._products(terms))
 
     def _products(self, terms: dict):
-        """(product of w's factor normal forms, c) per term c*w with no zero factor."""
-        nb = len(self.tensor.base)
-        factors = self.tensor.factors
-        memo = self._memo
+        """(product of w's factor normal forms, c) per term c*w with no zero factor.
+
+        A word is split one factor at a time, and the split stops at the
+        first factor whose normal form is zero."""
+        bounds, memo = self._bounds, self._memo
         for w, c in terms.items():
-            parts: list[list[int]] = [[] for _ in range(factors)]
-            for letter in w:
-                parts[letter // nb].append(letter)
             nfs = []
-            for f, part in enumerate(parts):
+            for lo, hi in bounds:
+                part = tuple([l for l in w if lo <= l < hi])
                 if part:
-                    part = tuple(part)
                     nf = memo.get(part)
                     if nf is None:
-                        nf = self._factor_nf(part, f * nb)
+                        nf = self._factor_nf(part, lo)
                     if not nf:
                         break
                     nfs.append(nf)
@@ -629,13 +645,18 @@ def complete(system: RewriteSystem, degree_cap: int) -> CompletionResult:
 def irreducible_words_by_length(system: RewriteSystem, d: int) -> list[list[Word]]:
     """Words of each length 0..d containing no rule lhs as a factor.
 
-    Each level extends the previous one by a letter: a one-letter
-    extension of an irreducible word is irreducible iff no lhs is a
-    suffix of it.  Raises before the stored words would hold more than
-    WORD_ENUMERATION_MAX_LETTERS letters in all.
+    They are a basis of the quotient only on a confluent system (Bergman's
+    diamond lemma), so any other system is refused.  Each level extends
+    the previous one by a letter: a one-letter extension of an irreducible
+    word is irreducible iff no lhs is a suffix of it.  Raises before the
+    stored words would hold more than WORD_ENUMERATION_MAX_LETTERS letters
+    in all.
     """
     if d < 0:
         raise ValueError(f"word length bound must be non-negative, got {d}")
+    if system.status != CONFLUENT:
+        raise ValueError(f"irreducible words need a confluent completion; "
+                         f"system status is {system.status_label()}")
     lhs_set, max_rule = {r.lhs for r in system.rules}, system.max_rule_degree
     levels = [[()]]
     budget = WORD_ENUMERATION_MAX_LETTERS

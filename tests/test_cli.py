@@ -121,6 +121,20 @@ def test_confluent_completion_exits_zero(capsys):
     assert "'1', 'u11'" in out
 
 
+def test_basis_words_are_listed_only_for_a_confluent_completion(tmp_path, capsys):
+    """At cap 4 the completion is truncated and y looks irreducible, yet the
+    pair above the cap gives y -> -4/3*x + 2/3; at cap 5 it is confluent."""
+    pres = tmp_path / "xy.pres"
+    pres.write_text("alphabet: x y\n-1*x.y.x - 1*x.y + 2\n2*x.x.x + 2\n")
+    listed = {}
+    for cap, code in ((4, EXIT_INCONCLUSIVE), (5, EXIT_VERIFIED)):
+        path = tmp_path / f"xy{cap}.json"
+        assert run(["complete", "--input", str(pres), "--cap", str(cap), "--basis-degree", "1",
+                    "--json", str(path)], capsys)[0] == code
+        listed[cap] = json.loads(path.read_text())["reports"][0]["details"]["irreducible_words"]
+    assert listed == {4: None, 5: ["1", "x"]}
+
+
 def test_complete_report_has_one_row(tmp_path, capsys):
     """A confluent run pops every pair it pushed; a truncated one stops early."""
     for cap, code, verdict, row in ((8, EXIT_VERIFIED, "verified", (True, False)),

@@ -162,14 +162,25 @@ def test_qperm_imports_nothing_from_groups():
     assert not imports, f"qperm.py imports from groups at lines {imports}"
 
 
+def _qpalg_imports(name: str) -> list[int]:
+    """Lines of the test module `name` that import from qpalg."""
+    path = Path(__file__).parent / name
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qpalg")
+            or isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "qpalg" for alias in node.names)]
+
+
 # the group oracles of the tests check qpalg.groups, so they share no code with it
 def test_groups_reference_imports_nothing_from_qpalg():
-    path = Path(__file__).parent / "groups_reference.py"
-    imports = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qpalg")
-               or isinstance(node, ast.Import)
-               and any(alias.name.split(".")[0] == "qpalg" for alias in node.names)]
+    imports = _qpalg_imports("groups_reference.py")
     assert not imports, f"groups_reference.py imports from qpalg at lines {imports}"
+
+
+# the diamond-lemma re-check checks qpalg.rewrite's confluence, so it shares no code with it
+def test_confluence_reference_imports_nothing_from_qpalg():
+    imports = _qpalg_imports("confluence_reference.py")
+    assert not imports, f"confluence_reference.py imports from qpalg at lines {imports}"
 
 
 # a named cap decides which requests exit 64, so a user reads them all in one place

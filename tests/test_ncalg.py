@@ -321,3 +321,26 @@ def test_terms_come_out_in_summing_order(a, b, images, antihom):
     table = dict(enumerate(images))
     assert items(substitute(a, table, antihom=antihom)) == \
         list(_loop_substitute(a.terms, {k: p.terms for k, p in table.items()}, antihom).items())
+
+
+# -- substitution is an algebra map (an anti-map with antihom), checked through
+# `*` and `+` alone, apart from the loop-order reference above
+
+_XYZ = Alphabet(["x", "y", "z"])
+_coefficients = st.sampled_from((1, -1, 3, F(2, 3), F(-1, 2), zeta(3)))
+_source_polys = st.dictionaries(st.lists(st.integers(0, 2), max_size=3).map(tuple),
+                                _coefficients, max_size=3).map(lambda t: NCPoly(_XYZ, t))
+_image_polys = st.dictionaries(st.lists(st.integers(0, 2), max_size=2).map(tuple),
+                               _coefficients, max_size=3).map(lambda t: NCPoly(_XYZ, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_source_polys, q=_source_polys,
+       images=st.tuples(_image_polys, _image_polys, _image_polys))
+def test_substitute_is_an_algebra_map(p, q, images):
+    table = dict(enumerate(images))
+    assert substitute(p * q, table) == substitute(p, table) * substitute(q, table)
+    assert substitute(p * q, table, antihom=True) == \
+        substitute(q, table, antihom=True) * substitute(p, table, antihom=True)
+    assert substitute(p + q, table) == substitute(p, table) + substitute(q, table)
+    assert substitute(NCPoly.one(_XYZ), table) == 1

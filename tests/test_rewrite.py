@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpalg import rewrite
+from qpalg import qperm, rewrite
 from qpalg.exactnum import zeta
 from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, _combine, deglex_key, parse_poly,
                          substitute)
@@ -17,6 +17,7 @@ from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, Rew
                            format_presentation, interreduce, irreducible_words_by_length,
                            normal_form, parse_presentation, quotient_basis, _OverlapIndex,
                            _RuleTable)
+from confluence_reference import ambiguities, nonzero_relations, unresolved
 from rewrite_reference import (combine, reference_normal_form, reference_one_step,
                                reference_overlaps)
 from tensor_reference import reference_tensor_system
@@ -403,6 +404,21 @@ def test_filtration_counts_only_on_a_confluent_system():
     assert filtration_dimension(confluent, 1) == [1, 2]
 
 
+def test_irreducible_words_need_a_confluent_system(magic):
+    """The one enumerator refuses a truncated or raw system for all its
+    callers; the two counting callers keep their own messages."""
+    alphabet, relations = parse_presentation(
+        "alphabet: x y\n-1*x.y.x - 1*x.y + 2\n2*x.x.x + 2\n")
+    truncated = complete(RewriteSystem.from_relations(alphabet, relations), 4).system
+    for system in (truncated, magic[3].system):
+        with pytest.raises(ValueError, match="irreducible words need a confluent completion"):
+            irreducible_words_by_length(system, 1)
+    with pytest.raises(ValueError, match="^filtration dimensions need a confluent completion"):
+        filtration_dimension(truncated, 1)
+    with pytest.raises(ValueError, match="^quotient basis needs a confluent system$"):
+        quotient_basis(truncated)
+
+
 # -- interreduction invariants --
 
 def test_interreduce_invariants(magic):
@@ -537,6 +553,140 @@ def test_golden_rule_sets(magic, semi_magic, completed_magic):
     texts["block quotient 4 (2, 2)"] = render(block_quotient(4, (2, 2)))
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
     assert digests == GOLDEN_RULES
+
+
+# -- Bergman's diamond lemma, re-checked by `confluence_reference` from the
+# (lhs, rhs terms) pairs alone
+
+def _rule_pairs(system: RewriteSystem) -> list:
+    return [(r.lhs, dict(r.rhs.terms)) for r in system.rules]
+
+
+@pytest.fixture(scope="module")
+def golden_confluent(magic, completed_magic):
+    """The confluent systems of GOLDEN_RULES, each with its defining relations."""
+    magic5 = magic_presentation(5)
+    out = {f"complete magic {n} cap 8": (completed_magic[n].system, magic[n].relations)
+           for n in (3, 4)}
+    out["complete magic 5 cap 8"] = complete(magic5.system, 8).system, magic5.relations
+    u = magic[4].gen
+    off_block = [u(i, j) for i in range(1, 5) for j in range(1, 5) if (i < 3) != (j < 3)]
+    out["block quotient 4 (2, 2)"] = (block_quotient(4, (2, 2)),
+                                      magic[4].relations + [("", p) for p in off_block])
+    return out
+
+
+@pytest.mark.parametrize("name", ["complete magic 3 cap 8", "complete magic 4 cap 8",
+                                  "complete magic 5 cap 8", "block quotient 4 (2, 2)"])
+def test_confluent_systems_pass_the_diamond_lemma(golden_confluent, name):
+    system, relations = golden_confluent[name]
+    assert name in GOLDEN_RULES and system.status == CONFLUENT
+    rules = _rule_pairs(system)
+    assert next(ambiguities(rules), None) is not None
+    assert unresolved(rules) == []
+    assert nonzero_relations(rules, [p.terms for _, p in relations]) == []
+
+
+def test_truncated_magic_5_resolves_up_to_its_cap():
+    system = complete(magic_presentation(5).system, 3).system
+    assert system.status_label() == "complete_up_to(3)"
+    rules = _rule_pairs(system)
+    assert next(ambiguities(rules, 3), None) is not None
+    assert unresolved(rules, 3) == []
+
+
+def test_random_presentations_pass_the_diamond_lemma():
+    """The completions of `test_random_presentations_are_pinned`: a confluent
+    one passes in full, and a truncated one resolves up to its cap."""
+    statuses = []
+    for seed in range(100):
+        relations = _random_presentation(seed)
+        try:
+            system = RewriteSystem.from_relations(XYZ, relations)
+            res = complete(system, max(5, system.max_rule_degree))
+        except ValueError:
+            continue
+        rules = _rule_pairs(res.system)
+        statuses.append(res.status)
+        if res.status == CONFLUENT:
+            assert unresolved(rules) == [], seed
+            assert nonzero_relations(rules, [p.terms for p in relations]) == [], seed
+        else:
+            assert unresolved(rules, res.cap) == [], seed
+    assert (statuses.count(CONFLUENT), len(statuses)) == (69, 73)      # both branches run
+
+
+def test_diamond_lemma_check_catches_a_broken_system(golden_confluent):
+    """Dropping a rule, or adding 1 to one rhs coefficient, of the n = 4
+    system leaves an ambiguity unresolved or a relation nonzero."""
+    system, relations = golden_confluent["complete magic 4 cap 8"]
+    rules = _rule_pairs(system)
+    relations = [p.terms for _, p in relations]
+
+    def caught(broken):
+        return bool(unresolved(broken) or nonzero_relations(broken, relations))
+
+    assert not caught(rules)
+    for i in range(0, len(rules), 11):
+        assert caught(rules[:i] + rules[i + 1:]), f"dropping {rules[i][0]} passed"
+    moved = [i for i, (_, rhs) in enumerate(rules) if rhs][::6]
+    assert len(moved) >= 5
+    for i in moved:
+        lhs, rhs = rules[i]
+        w = next(iter(rhs))
+        rhs = {**rhs, w: rhs[w] + 1}
+        assert caught(rules[:i] + [(lhs, {v: c for v, c in rhs.items() if c})] + rules[i + 1:]), \
+            f"moving a coefficient of {lhs} passed"
+
+
+# -- tensor factors read the base memo
+
+def _factor_words(hopf, monkeypatch) -> set:
+    """The untagged factor words of every row `verify_hopf_axioms` reduces:
+    Delta and coassociativity rows split by factor, antipode rows as they are."""
+    words = set()
+    reduce_row = qperm._reduce_row
+
+    def record(label, poly, system):
+        nb = len(hopf.alphabet)
+        for w in poly.terms:
+            for f in range(max(letter // nb for letter in w) + 1 if w else 0):
+                part = tuple(letter - f * nb for letter in w if letter // nb == f)
+                if part:
+                    words.add(part)
+        return reduce_row(label, poly, system)
+
+    with monkeypatch.context() as m:
+        m.setattr(qperm, "_reduce_row", record)
+        qperm.verify_hopf_axioms(hopf)
+    return words
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_factor_normal_forms_read_the_base_memo(magic, completed_magic, monkeypatch, n):
+    """A tensor factor's normal form is the base normal form of its untagged
+    word, re-tagged, terms and order both, on the truncated first rung and on
+    the confluent base.  Under a chain of coefficient-1 rewrites a word's
+    memo entry is another word (u_ij.u_ij -> u_ij), and that word is the
+    normal form."""
+    hopf = magic[n]
+    words = _factor_words(hopf, monkeypatch)
+    nb = len(hopf.alphabet)
+    rung = complete(hopf.system, hopf.system.max_rule_degree).system
+    assert rung.status_label() == "complete_up_to(2)"
+    for base in (rung, completed_magic[n].system):
+        entries = {w: base._table.nf_entry(w) for w in words}
+        assert any(type(e) is tuple and e != w for w, e in entries.items())
+        for k in (2, 3):
+            system = TensorPowerSystem(base, TensorAlgebra(hopf.alphabet, k))
+            for f in range(k):
+                shift = f * nb
+                for w in sorted(words):
+                    expected = [(tuple(letter + shift for letter in nw), c)
+                                for nw, c in base.reduce_terms({w: 1}).items()]
+                    tagged = tuple(letter + shift for letter in w)
+                    assert list(system._factor_nf(tagged, shift).items()) == expected
+                    assert list(system.reduce_terms({tagged: 1}).items()) == expected
 
 
 # -- retirement cascade, pinned on random presentations --
