@@ -7,7 +7,9 @@ the Hopf axioms, the transpose-product identities that let three
 relation families imply the fourth, the quotient onto functions on S_n
 (maps from image tuples to values), and Wang's noncommutativity and
 infinite-dimension certificate from size 4 on, read in the block
-quotient of A_s(n) (the free product of the A_s of the blocks).
+quotient of A_s(n), the free product of the A_s of the blocks.  A
+presentation derives its rewriting system from its relations, and every
+Hopf quotient is built by `HopfPresentation.quotient`.
 
 Every positive verdict is a reduction-to-zero certificate.  A nonzero
 normal form only refutes when the ambient system is confluent; otherwise
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import linalg
 from .ncalg import Alphabet, NCPoly, TensorAlgebra, substitute
@@ -104,10 +107,10 @@ def family_relations(alphabet: Alphabet, n: int, families) -> list[tuple[str, NC
 
 @dataclass
 class HopfPresentation:
-    """A presented bialgebra/Hopf algebra with structure-map images."""
+    """A presented bialgebra/Hopf algebra: labelled relations and structure-map
+    images of generators; `system` is the relations interreduced on first read."""
 
     n: int
-    system: RewriteSystem
     relations: list[tuple[str, NCPoly]]
     tensor2: TensorAlgebra
     delta: dict[int, NCPoly]
@@ -116,7 +119,16 @@ class HopfPresentation:
 
     @property
     def alphabet(self) -> Alphabet:
-        return self.system.alphabet
+        return self.tensor2.base
+
+    @cached_property
+    def system(self) -> RewriteSystem:
+        return RewriteSystem.from_relations(self.alphabet, [p for _, p in self.relations])
+
+    def quotient(self, labelled_relations) -> "HopfPresentation":
+        """This presentation with the relations appended.  Delta, eps and S carry
+        over, so the new relations' well-defined rows are the Hopf-ideal rows."""
+        return replace(self, relations=self.relations + list(labelled_relations))
 
     def gen(self, i: int, j: int) -> NCPoly:
         return _generators(self.alphabet, self.n)(i, j)
@@ -137,7 +149,6 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
     alphabet = u_alphabet(n)
     u = _generators(alphabet, n)
     labeled = _family_relations(u, n, families)
-    system = RewriteSystem.from_relations(alphabet, [p for _, p in labeled])
     tensor2 = TensorAlgebra(alphabet, 2)
     delta = {}
     counit = {}
@@ -149,7 +160,7 @@ def presentation(n: int, families=ALL_FAMILIES) -> HopfPresentation:
             counit[g] = NCPoly.scalar(alphabet, 1 if i == j else 0)
             if antipode is not None:
                 antipode[g] = u(j, i)
-    return HopfPresentation(n, system, labeled, tensor2, delta, counit, antipode)
+    return HopfPresentation(n, labeled, tensor2, delta, counit, antipode)
 
 
 def magic_presentation(n: int) -> HopfPresentation:
@@ -167,12 +178,11 @@ def group_algebra_presentation(m: int) -> HopfPresentation:
     alphabet = Alphabet(["g"])
     g = NCPoly.gen(alphabet, 0)
     relations = [("group-like[g^m=1]", NCPoly(alphabet, {(0,) * m: 1, (): -1}))]
-    system = RewriteSystem.from_relations(alphabet, [p for _, p in relations])
     tensor2 = TensorAlgebra(alphabet, 2)
     delta = {0: tensor2.inject(g, 0) * tensor2.inject(g, 1)}
     counit = {0: NCPoly.one(alphabet)}
     antipode = {0: NCPoly(alphabet, {(0,) * (m - 1): 1})}
-    return HopfPresentation(1, system, relations, tensor2, delta, counit, antipode)
+    return HopfPresentation(1, relations, tensor2, delta, counit, antipode)
 
 
 @dataclass
@@ -610,22 +620,25 @@ def sn_isomorphism_check(n: int) -> CertificateReport:
 
 # -- the free-product certificate --
 
-def block_quotient(n: int, sizes) -> RewriteSystem:
-    """A_s(n) modulo u_ij for i, j in different blocks, completed at cap 4.
-
-    The blocks are runs of consecutive points of the given sizes.  The
-    quotient is the free product of the A_s(size) on the blocks: the
-    algebra through which every coaction with those orbits factors.
-    """
+def off_block_relations(n: int, sizes) -> list[tuple[str, NCPoly]]:
+    """Labelled u_ij, row-major, for i and j in different blocks: runs of
+    consecutive points of the given sizes."""
     sizes = tuple(sizes)
     if any(size < 1 for size in sizes) or sum(sizes) != n:
         raise ValueError(f"block sizes {sizes} do not partition {n} points")
-    alphabet = u_alphabet(n)
-    u = _generators(alphabet, n)
+    u = _generators(u_alphabet(n), n)
     block = [b for b, size in enumerate(sizes) for _ in range(size)]
-    relations = [p for _, p in family_relations(alphabet, n, ALL_FAMILIES)]
-    relations += [u(i + 1, j + 1) for i in range(n) for j in range(n) if block[i] != block[j]]
-    return complete(RewriteSystem.from_relations(alphabet, relations), 4).system
+    return [(f"off-block[i={i + 1},j={j + 1}]", u(i + 1, j + 1))
+            for i in range(n) for j in range(n) if block[i] != block[j]]
+
+
+def block_quotient(n: int, sizes) -> RewriteSystem:
+    """The Hopf quotient of A_s(n) by `off_block_relations`, completed at cap 4.
+
+    It is the free product of the A_s(size) on the blocks: the algebra
+    through which every coaction with those orbits factors."""
+    quotient = magic_presentation(n).quotient(off_block_relations(n, sizes))
+    return complete(quotient.system, 4).system
 
 
 def _wang_blocks(n: int) -> tuple[int, ...]:

@@ -62,7 +62,8 @@ class CertificateReport:
         return out
 
     def summary_lines(self) -> list[str]:
-        """Claim, row tally, every row that did not reduce, details, verdict."""
+        """Claim, row tally, every row that did not reduce, details (a missing
+        one as `null`, as in JSON), verdict."""
         ok = sum(1 for c in self.identities if c.reduced_to_zero)
         lines = [self.claim,
                  f"  identities: {ok}/{len(self.identities)} reduced to zero"]
@@ -71,7 +72,8 @@ class CertificateReport:
                 tag = "inconclusive" if c.inconclusive else "FAIL"
                 lines.append(f"  [{tag}] {c.label}: {c.polynomial}")
         for key in sorted(self.details):
-            lines.append(f"  {key}: {self.details[key]}")
+            value = self.details[key]
+            lines.append(f"  {key}: {'null' if value is None else value}")
         lines.append(f"  verdict: {self.verdict}")
         return lines
 

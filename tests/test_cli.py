@@ -135,6 +135,15 @@ def test_basis_words_are_listed_only_for_a_confluent_completion(tmp_path, capsys
     assert listed == {4: None, 5: ["1", "x"]}
 
 
+def test_a_missing_basis_prints_null_as_in_json(tmp_path, capsys):
+    pres = tmp_path / "xy.pres"
+    pres.write_text("alphabet: x y\n-1*x.y.x - 1*x.y + 2\n2*x.x.x + 2\n")
+    code, out, _ = run(["complete", "--input", str(pres), "--cap", "4", "--basis-degree", "1"],
+                       capsys)
+    assert code == EXIT_INCONCLUSIVE
+    assert "\n  irreducible_words: null\n" in out and "None" not in out
+
+
 def test_complete_report_has_one_row(tmp_path, capsys):
     """A confluent run pops every pair it pushed; a truncated one stops early."""
     for cap, code, verdict, row in ((8, EXIT_VERIFIED, "verified", (True, False)),

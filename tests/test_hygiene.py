@@ -22,6 +22,7 @@ or a refactor would zero its metric silently.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -29,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import qpalg
+from qpalg import qperm
 
 MODULES = sorted(Path(qpalg.__file__).parent.glob("*.py"))
 
@@ -160,6 +162,22 @@ def test_qperm_imports_nothing_from_groups():
                or isinstance(node, ast.Import)
                and any(alias.name.split(".")[-1] == "groups" for alias in node.names)]
     assert not imports, f"qperm.py imports from groups at lines {imports}"
+
+
+# a presentation's system is derived from its relations in one place, so no
+# hand-built quotient path can hold a system that disagrees with them
+def test_qperm_derives_a_system_only_from_presentation_relations():
+    assert "system" not in {f.name for f in dataclasses.fields(qperm.HopfPresentation)}
+    tree = ast.parse((Path(qpalg.__file__).parent / "qperm.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "HopfPresentation")
+    system = next(node for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "system")
+    inside = {id(node) for node in ast.walk(system)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "from_relations"]
+    assert calls and all(id(node) in inside for node in calls), \
+        f"from_relations called at lines {[n.lineno for n in calls if id(n) not in inside]}"
 
 
 def _qpalg_imports(name: str) -> list[int]:

@@ -2,20 +2,21 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpalg import qperm
+from qpalg import qperm, rewrite
 from qpalg.cli import EXIT_INCONCLUSIVE, main
 from qpalg.ncalg import Alphabet, NCPoly, TensorAlgebra, substitute
 from qpalg.qperm import (ALL_FAMILIES, COL_ORTH, COL_SUM, ROW_ORTH, ROW_SUM, SEMI_FAMILIES,
                          HopfPresentation, MatrixOverAlgebra, check_multiplicative,
                          block_quotient, coaction_algebra_map_check, family_relations,
                          gram_diagonal_check, group_algebra_presentation,
-                         magic_presentation, matrix_inverse_from_families,
+                         magic_presentation, matrix_inverse_from_families, off_block_relations,
                          cycle_string, render_on_sn, semi_magic_presentation, sn_isomorphism_check,
                          sn_relations_check, to_sn_function, u_alphabet,
                          verify_hopf_axioms, wang_witness)
@@ -29,9 +30,7 @@ F = Fraction
 
 def base_field() -> HopfPresentation:
     """The base field as a presentation: no generators, no relations."""
-    alphabet = Alphabet(())
-    system = RewriteSystem(alphabet, [], status=CONFLUENT)
-    return HopfPresentation(0, system, [], TensorAlgebra(alphabet, 2), {}, {}, {})
+    return HopfPresentation(0, [], TensorAlgebra(Alphabet(()), 2), {}, {}, {})
 
 
 def scalar_matrix(scalars, ambient: RewriteSystem) -> MatrixOverAlgebra:
@@ -187,12 +186,13 @@ def test_coaction_semi_magic_verdict_matches_check_semi_magic(magic, completed_m
     g = NCPoly.gen(ambient.alphabet, 0)
     zero = NCPoly.zero(ambient.alphabet)
     triv = base_field()
+    scalars = complete(triv.system, 0).system
     sigma = (1, 2, 0)
     cases = [
         (MatrixOverAlgebra(2, ((g, zero), (zero, g)), ambient), hopf),
         (scalar_matrix([[1 if sigma[j] == i else 0 for j in range(3)] for i in range(3)],
-                       triv.system), triv),
-        (scalar_matrix([[1, 1], [0, 1]], triv.system), triv),
+                       scalars), triv),
+        (scalar_matrix([[1, 1], [0, 1]], scalars), triv),
         (scalar_matrix([[1, 1], [0, 1]], magic[2].system), magic[2]),
         (magic[3].generating_matrix(), magic[3]),
         (magic[3].generating_matrix(completed_magic[3].system), magic[3]),
@@ -209,7 +209,7 @@ def test_permutation_matrix_coaction():
     triv = base_field()
     sigma = (1, 2, 0)
     x = scalar_matrix([[1 if sigma[j] == i else 0 for j in range(3)] for i in range(3)],
-                      triv.system)
+                      complete(triv.system, 0).system)
     rep = coaction_algebra_map_check(x, triv)
     assert rep.verdict == VERIFIED
     assert families_verdict(x, ALL_FAMILIES) == (VERIFIED, [])
@@ -514,15 +514,24 @@ def test_wang_witness_main():
     assert rep.details["filtration"] == [2 * d + 1 for d in range(11)]
 
 
-def test_sn_certificates_build_no_presentation(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a presentation was built")
+def test_sn_certificates_interreduce_no_whole_presentation(monkeypatch):
+    """The S_n and Wang certificates interreduce only their one block
+    quotient, never a presentation they do not reduce against."""
+    calls = []
+    interreduce = rewrite.interreduce
 
-    monkeypatch.setattr(qperm, "presentation", refuse)
-    assert sn_relations_check(4).verdict == VERIFIED
-    assert wang_witness(4).verdict == VERIFIED
-    for n in (3, 4):
-        assert sn_isomorphism_check(n).verdict == VERIFIED
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return interreduce(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "interreduce", counting)
+    for certificate, expected in ((lambda: sn_relations_check(4), 0),
+                                  (lambda: wang_witness(4), 1),
+                                  (lambda: sn_isomorphism_check(3), 1),
+                                  (lambda: sn_isomorphism_check(4), 1)):
+        calls.clear()
+        assert certificate().verdict == VERIFIED
+        assert len(calls) == expected
 
 
 def test_wang_witness_n5():
@@ -625,6 +634,58 @@ def test_block_quotient_rejects_bad_sizes():
     for n, sizes in ((4, (2, 1)), (4, (2, 2, 1)), (3, (3, 0)), (2, ())):
         with pytest.raises(ValueError, match="partition"):
             block_quotient(n, sizes)
+
+
+# -- Hopf quotients --
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 2, 1), (3, 3), (4, 1)])
+def test_off_block_entries_span_a_hopf_ideal(sizes):
+    """The well-defined rows on the added relations are the Hopf-ideal rows."""
+    n = sum(sizes)
+    extra = off_block_relations(n, sizes)
+    rep = verify_hopf_axioms(magic_presentation(n).quotient(extra), cap=4)
+    assert rep.verdict == VERIFIED
+    labels = {c.label for c in rep.identities}
+    assert {f"{kind} well-defined[{label}]" for label, _ in extra
+            for kind in ("delta", "counit", "antipode")} <= labels
+
+
+def test_a_quotient_by_a_non_hopf_ideal_is_refuted():
+    pres = magic_presentation(3)
+    rep = verify_hopf_axioms(pres.quotient([("u11", pres.gen(1, 1))]), cap=4)
+    assert rep.verdict == REFUTED
+    failing = {c.label: c for c in rep.identities if not c.reduced_to_zero}
+    assert sorted(failing) == ["counit well-defined[u11]", "delta well-defined[u11]"]
+    assert not any(c.inconclusive for c in failing.values())
+    assert failing["counit well-defined[u11]"].polynomial == "eps(u11) = 1"
+    assert (rep.details["completion_status"], rep.details["rule_count"]) == (CONFLUENT, 15)
+
+
+def test_a_quotient_leaves_its_presentation_as_it_was():
+    pres = magic_presentation(4)
+    relations, system = list(pres.relations), pres.system
+    extra = off_block_relations(4, (3, 1)) + [("u11.u22", pres.gen(1, 1) * pres.gen(2, 2))]
+    quotient = pres.quotient(extra)
+    assert pres.relations == relations and pres.system is system
+    assert quotient.relations == relations + extra
+    assert all(not normal_form(p, quotient.system) for _, p in extra)
+
+
+@pytest.mark.parametrize("build", [lambda: magic_presentation(3), lambda: magic_presentation(4),
+                                   lambda: semi_magic_presentation(4),
+                                   lambda: group_algebra_presentation(3)],
+                         ids=["magic 3", "magic 4", "semi-magic 4", "K[Z_3]"])
+def test_replaced_relations_derive_their_own_system(build):
+    """A presentation whose relations are replaced derives its system anew;
+    a shuffle of them interreduces to the same rules."""
+    pres = build()
+    rng = random.Random(0)
+    for _ in range(5):
+        shuffled = list(pres.relations)
+        rng.shuffle(shuffled)
+        replaced = dataclasses.replace(pres, relations=shuffled)
+        assert replaced.system is not pres.system
+        assert replaced.system.rules == pres.system.rules
 
 
 def _rename_p_q(poly: NCPoly, n: int, target: RewriteSystem) -> NCPoly:

@@ -11,7 +11,7 @@ from qpalg import qperm, rewrite
 from qpalg.exactnum import zeta
 from qpalg.ncalg import (Alphabet, NCPoly, TensorAlgebra, _combine, deglex_key, parse_poly,
                          substitute)
-from qpalg.qperm import block_quotient, magic_presentation
+from qpalg.qperm import block_quotient, magic_presentation, off_block_relations
 from qpalg.rewrite import (CONFLUENT, InconsistentPresentation, RewriteRule, RewriteSystem,
                            TensorPowerSystem, complete, filtration_dimension,
                            format_presentation, interreduce, irreducible_words_by_length,
@@ -562,29 +562,43 @@ def _rule_pairs(system: RewriteSystem) -> list:
     return [(r.lhs, dict(r.rhs.terms)) for r in system.rules]
 
 
+CONFLUENT_BLOCKS = [(2, 2), (3, 2), (2, 2, 1), (3, 3), (2, 2, 2)]
+
+
 @pytest.fixture(scope="module")
 def golden_confluent(magic, completed_magic):
-    """The confluent systems of GOLDEN_RULES, each with its defining relations."""
+    """The confluent systems of GOLDEN_RULES and the confluent block
+    quotients, each with its defining relations."""
     magic5 = magic_presentation(5)
     out = {f"complete magic {n} cap 8": (completed_magic[n].system, magic[n].relations)
            for n in (3, 4)}
     out["complete magic 5 cap 8"] = complete(magic5.system, 8).system, magic5.relations
-    u = magic[4].gen
-    off_block = [u(i, j) for i in range(1, 5) for j in range(1, 5) if (i < 3) != (j < 3)]
-    out["block quotient 4 (2, 2)"] = (block_quotient(4, (2, 2)),
-                                      magic[4].relations + [("", p) for p in off_block])
+    for sizes in CONFLUENT_BLOCKS:
+        n = sum(sizes)
+        quotient = magic_presentation(n).quotient(off_block_relations(n, sizes))
+        out[f"block quotient {n} {sizes}"] = block_quotient(n, sizes), quotient.relations
     return out
 
 
 @pytest.mark.parametrize("name", ["complete magic 3 cap 8", "complete magic 4 cap 8",
-                                  "complete magic 5 cap 8", "block quotient 4 (2, 2)"])
+                                  "complete magic 5 cap 8"]
+                         + [f"block quotient {sum(sizes)} {sizes}" for sizes in CONFLUENT_BLOCKS])
 def test_confluent_systems_pass_the_diamond_lemma(golden_confluent, name):
     system, relations = golden_confluent[name]
-    assert name in GOLDEN_RULES and system.status == CONFLUENT
+    assert (name in GOLDEN_RULES or name.startswith("block quotient")) \
+        and system.status == CONFLUENT
     rules = _rule_pairs(system)
     assert next(ambiguities(rules), None) is not None
     assert unresolved(rules) == []
     assert nonzero_relations(rules, [p.terms for _, p in relations]) == []
+
+
+def test_truncated_block_quotient_resolves_up_to_its_cap():
+    system = block_quotient(5, (4, 1))
+    assert system.status_label() == "complete_up_to(4)"
+    rules = _rule_pairs(system)
+    assert next(ambiguities(rules, 4), None) is not None
+    assert unresolved(rules, 4) == []
 
 
 def test_truncated_magic_5_resolves_up_to_its_cap():
